@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .linalg import (
+    Echelon,
     MatrixQ,
     PolyQ,
     QuadExt,
@@ -280,16 +281,6 @@ def _block_sizes(N: MatrixQ, multiplicity: int, step: int) -> List[int]:
     return sorted(sizes, reverse=True)
 
 
-def _span_rank(cols: Sequence[MatrixQ]) -> int:
-    if not cols:
-        return 0
-    return reduce(MatrixQ.hstack, cols).rank()
-
-
-def _in_span(cols: Sequence[MatrixQ], v: MatrixQ) -> bool:
-    return _span_rank(list(cols) + [v]) == _span_rank(cols)
-
-
 def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[MatrixQ]]:
     """Exact Jordan chains for a nilpotent-on-its-kernel-tower map N = M - lam*I.
 
@@ -306,12 +297,12 @@ def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[MatrixQ]]:
     carried: List[MatrixQ] = []
     for h in range(top_size, 0, -1):
         wanted = sizes.count(h)
-        context = list(kernels[h - 1]) + carried
+        span = Echelon(N.nrows, [w.col(0) for w in kernels[h - 1] + carried])
         fresh: List[MatrixQ] = []
         for v in kernels[h]:
             if len(fresh) == wanted:
                 break
-            if not _in_span(context + fresh, v):
+            if span.add(v.col(0)):
                 fresh.append(v)
         if len(fresh) != wanted:
             raise ArithmeticError("Jordan chain selection failed to reach the required block count")

@@ -41,7 +41,7 @@ from importlib import resources
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import MatrixQ
-from .liealg import LieAlgebra, Subspace
+from .liealg import MAX_DIM, LieAlgebra, Subspace
 from .derivations import derivation_basis
 
 __all__ = [
@@ -632,6 +632,12 @@ def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
                 raise ParseError("duplicate 'dim' line", line.number, line.indent)
             if not rest.isdigit() or int(rest) < 1:
                 raise ParseError("expected a positive dimension", line.number, body_col)
+            if int(rest) > MAX_DIM:
+                raise ParseError(
+                    f"dimension {rest} exceeds the supported bound of {MAX_DIM}",
+                    line.number,
+                    body_col,
+                )
             current.dim = int(rest)
             continue
 

@@ -26,10 +26,6 @@ INTERTWINER_GRID_BUDGET = 100_000
 INTERTWINER_RANDOM_TRIALS = 300
 
 
-def _flatten(M: MatrixQ) -> Tuple:
-    return tuple(M[(p, q)] for p in range(M.nrows) for q in range(M.ncols))
-
-
 @dataclass(frozen=True)
 class DerivationBasis:
     """Echelon-deterministic basis of the derivation algebra of one algebra."""
@@ -44,13 +40,13 @@ class DerivationBasis:
     @cached_property
     def _span(self) -> Subspace:
         n = self.algebra_dim
-        return Subspace(n * n, [_flatten(D) for D in self.basis])
+        return Subspace(n * n, [D.flat() for D in self.basis])
 
     def contains(self, M: MatrixQ) -> bool:
         """Exact membership of M in the computed span."""
         if M.shape() != (self.algebra_dim, self.algebra_dim):
             return False
-        return self._span.contains_vector(_flatten(M))
+        return self._span.contains_vector(M.flat())
 
     def coordinates(self, M: MatrixQ) -> Optional[Tuple[Fraction, ...]]:
         """Coefficients of M over the listed basis, or None when outside."""
@@ -58,9 +54,9 @@ class DerivationBasis:
             return None
         if not self.basis:
             return () if M.is_zero() else None
-        flats = [_flatten(D) for D in self.basis]
+        flats = [D.flat() for D in self.basis]
         cols = MatrixQ([[f[r] for f in flats] for r in range(len(flats[0]))])
-        return solve_linear(cols, _flatten(M))
+        return solve_linear(cols, M.flat())
 
 
 def derivation_basis(g: LieAlgebra) -> DerivationBasis:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import MatrixQ, nullspace, solve_or_invert
+from .linalg import Echelon, MatrixQ, nullspace, solve_or_invert
 
 MAX_DIM = 7
 
@@ -33,18 +34,12 @@ def _zero(n: int) -> Tuple[Fraction, ...]:
 class Subspace:
     """Subspace of Q^n with a unique reduced-echelon basis."""
 
-    __slots__ = ("ambient", "basis", "_pivots")
+    __slots__ = ("ambient", "basis", "_echelon")
 
     def __init__(self, ambient: int, vectors: Sequence[Sequence] = ()):
         self.ambient = ambient
-        rows = [_vec(v, ambient) for v in vectors]
-        if rows:
-            R, pivots = MatrixQ(rows).rref()
-            self.basis = tuple(R.row(i) for i in range(len(pivots)))
-            self._pivots = pivots
-        else:
-            self.basis = ()
-            self._pivots = ()
+        self._echelon = Echelon(ambient, (_vec(v, ambient) for v in vectors))
+        self.basis = self._echelon.basis()
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -59,16 +54,7 @@ class Subspace:
 
     def coordinates(self, v: Sequence) -> Optional[Tuple[Fraction, ...]]:
         """Coordinates of v in the echelon basis, or None when v is outside."""
-        w = list(_vec(v, self.ambient))
-        coords = []
-        for row, p in zip(self.basis, self._pivots):
-            c = w[p]
-            coords.append(c)
-            if c != 0:
-                w = [w[k] - c * row[k] for k in range(self.ambient)]
-        if any(x != 0 for x in w):
-            return None
-        return tuple(coords)
+        return self._echelon.coordinates(_vec(v, self.ambient))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.basis)
@@ -117,7 +103,7 @@ class JacobiViolation:
 class LieAlgebra:
     """Lie algebra on basis e_1..e_n given by brackets [e_i, e_j] for i < j."""
 
-    __slots__ = ("dim", "table", "_nilradical_cache")
+    __slots__ = ("dim", "table", "_profile", "_derived", "_nilradical")
 
     def __init__(self, dim: int, table: Dict[Tuple[int, int], Sequence]):
         if not 1 <= dim <= MAX_DIM:
@@ -131,7 +117,10 @@ class LieAlgebra:
             if any(c != 0 for c in v):
                 clean[(i, j)] = v
         self.table = clean
-        self._nilradical_cache: Optional[Subspace] = None
+        # invariants, each computed on first use
+        self._profile: Optional[SeriesProfile] = None
+        self._derived: Optional[Subspace] = None
+        self._nilradical: Optional[Subspace] = None
 
     def structure_constant(self, i: int, j: int) -> Tuple[Fraction, ...]:
         """[e_i, e_j] as a coefficient vector, any index order."""
@@ -187,26 +176,30 @@ class LieAlgebra:
         return Subspace(self.dim, [v for v in vecs if any(c != 0 for c in v)])
 
     def derived_algebra(self) -> Subspace:
-        g = Subspace.full(self.dim)
-        return self.product_space(g, g)
+        """[g, g], spanned by the brackets of basis pairs."""
+        if self._derived is None:
+            self._derived = Subspace(self.dim, list(self.table.values()))
+        return self._derived
 
     def _series_dims(self, step) -> Tuple[Tuple[int, ...], bool]:
-        term = Subspace.full(self.dim)
+        """Dimensions of a series whose second term is [g, g]."""
+        prev, term = self.dim, self.derived_algebra()
         dims: List[int] = []
         while True:
-            nxt = step(term)
-            dims.append(nxt.dim)
-            if nxt.dim == 0:
+            dims.append(term.dim)
+            if term.dim == 0:
                 return tuple(dims), True
-            if nxt.dim == term.dim:
+            if term.dim == prev:
                 return tuple(dims), False
-            term = nxt
+            prev, term = term.dim, step(term)
 
     def series_profile(self) -> SeriesProfile:
-        derived, solvable = self._series_dims(lambda t: self.product_space(t, t))
-        full = Subspace.full(self.dim)
-        lcs, nilpotent = self._series_dims(lambda t: self.product_space(full, t))
-        return SeriesProfile(derived, lcs, solvable, nilpotent)
+        if self._profile is None:
+            derived, solvable = self._series_dims(lambda t: self.product_space(t, t))
+            full = Subspace.full(self.dim)
+            lcs, nilpotent = self._series_dims(lambda t: self.product_space(full, t))
+            self._profile = SeriesProfile(derived, lcs, solvable, nilpotent)
+        return self._profile
 
     def derived_series_dims(self) -> Tuple[int, ...]:
         return self.series_profile().derived_dims
@@ -215,11 +208,10 @@ class LieAlgebra:
         return self.series_profile().lcs_dims
 
     def is_solvable(self) -> bool:
-        return self._series_dims(lambda t: self.product_space(t, t))[1]
+        return self.series_profile().solvable
 
     def is_nilpotent(self) -> bool:
-        full = Subspace.full(self.dim)
-        return self._series_dims(lambda t: self.product_space(full, t))[1]
+        return self.series_profile().nilpotent
 
     def center(self) -> Subspace:
         stacked = self.ad_basis(0)
@@ -251,19 +243,6 @@ class LieAlgebra:
                 table[(i, j)] = coords
         return LieAlgebra(k, table)
 
-    def _complement_indices(self, s: Subspace) -> List[int]:
-        """Standard basis indices completing s to the full space."""
-        chosen: List[int] = []
-        cur = s
-        for idx in range(self.dim):
-            if cur.dim == self.dim:
-                break
-            e = [1 if t == idx else 0 for t in range(self.dim)]
-            if not cur.contains_vector(e):
-                cur = cur.add_vectors([e])
-                chosen.append(idx)
-        return chosen
-
     def verify_nilradical(self, s: Subspace) -> bool:
         """Check that s is the nilradical of a solvable algebra.
 
@@ -291,51 +270,33 @@ class LieAlgebra:
             return True
         if s.dim == self.dim - 1:
             return not self.is_nilpotent()
-        return s == self._nilradical_exact()
+        return s == self.nilradical_codim_search()[0]
 
     def nilradical_codim_search(self) -> Tuple[Subspace, int]:
         """The nilradical of a solvable algebra and its codimension.
 
-        Deterministic and basis-independent; see _nilradical_exact for the
-        trace-form characterization used.
+        For solvable g the nilradical is the set of ad-nilpotent elements,
+        cut out by the linear conditions tr(ad(x) w) = 0 with w running over
+        the unital matrix algebra A generated by ad(g): ad(g) is
+        simultaneously triangularizable over the complex numbers, so
+        tr(ad(x) w) reads off a combination of the diagonal (weight) entries
+        of ad(x), all of which vanish exactly on the nilradical; conversely
+        w = (ad x)^(k-1) lies in A, so the conditions force tr((ad x)^k) = 0
+        for every k, hence ad(x) nilpotent.  The computation is rational,
+        deterministic and basis-independent.
         """
         if not self.is_solvable():
             raise ValueError("nilradical search requires a solvable algebra")
-        nr = self._nilradical_exact()
-        return nr, self.dim - nr.dim
-
-    def nilpotent_elements_subspace(self) -> Subspace:
-        """Elements with nilpotent adjoint action, for a solvable algebra.
-
-        The set is a subspace: the nilradical.
-        """
-        if not self.is_solvable():
-            raise ValueError("requires a solvable algebra")
-        return self._nilradical_exact()
-
-    def _nilradical_exact(self) -> Subspace:
-        """Set of ad-nilpotent elements of a solvable algebra, exactly.
-
-        For solvable g this set is the nilradical, and it is cut out by the
-        linear conditions tr(ad(x) w) = 0 with w running over the unital
-        matrix algebra A generated by ad(g): ad(g) is simultaneously
-        triangularizable over the complex numbers, so tr(ad(x) w) reads off a
-        combination of the diagonal (weight) entries of ad(x), all of which
-        vanish exactly on the nilradical; conversely w = (ad x)^(k-1) lies in
-        A, so the conditions force tr((ad x)^k) = 0 for every k, hence ad(x)
-        nilpotent.  The computation is rational and basis-independent.
-        """
-        if self._nilradical_cache is None:
-            n = self.dim
-            if self.is_nilpotent():
-                self._nilradical_cache = Subspace.full(n)
-                return self._nilradical_cache
+        n = self.dim
+        if self._nilradical is None and self.is_nilpotent():
+            self._nilradical = Subspace.full(n)
+        if self._nilradical is None:
             ads = [self.ad_basis(i) for i in range(n)]
-            span = _FlatSpan()
+            span = Echelon(n * n)
             words: List[MatrixQ] = []
             frontier: List[MatrixQ] = []
             for W in [MatrixQ.identity(n), *ads]:
-                if span.add(_flatten(W)):
+                if span.add(W.flat()):
                     words.append(W)
                     frontier.append(W)
             while frontier:
@@ -343,7 +304,7 @@ class LieAlgebra:
                 for W in frontier:
                     for A in ads:
                         P = A @ W
-                        if span.add(_flatten(P)):
+                        if span.add(P.flat()):
                             words.append(P)
                             fresh.append(P)
                 frontier = fresh
@@ -352,8 +313,8 @@ class LieAlgebra:
                 for W in words
             ]
             kernel = nullspace(MatrixQ(rows))
-            self._nilradical_cache = Subspace(n, [v.col(0) for v in kernel])
-        return self._nilradical_cache
+            self._nilradical = Subspace(n, [v.col(0) for v in kernel])
+        return self._nilradical, n - self._nilradical.dim
 
     # ------------------------------------------------------------ base change
 
@@ -380,7 +341,7 @@ class LieAlgebra:
         n = self.dim
         rest = list(range(1, n))
         for size in range(1, n):
-            for subset in _subsets(rest, size - 1):
+            for subset in combinations(rest, size - 1):
                 part_a = (0,) + subset
                 part_b = tuple(t for t in range(n) if t not in part_a)
                 if not part_b:
@@ -404,34 +365,3 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.table)})"
-
-
-def _flatten(M: MatrixQ) -> Tuple[Fraction, ...]:
-    return tuple(x for i in range(M.nrows) for x in M.row(i))
-
-
-class _FlatSpan:
-    """Incremental row space over Q with reduced pivot rows, for closures."""
-
-    def __init__(self):
-        self.rows: Dict[int, Tuple[Fraction, ...]] = {}
-
-    def add(self, vec: Sequence[Fraction]) -> bool:
-        """Reduce vec against the span; add and return True if independent."""
-        v = list(vec)
-        for p in sorted(self.rows):
-            c = v[p]
-            if c:
-                row = self.rows[p]
-                v = [a - c * b for a, b in zip(v, row)]
-        for idx, c in enumerate(v):
-            if c:
-                self.rows[idx] = tuple(a / c for a in v)
-                return True
-        return False
-
-
-def _subsets(items: Sequence[int], size: int):
-    from itertools import combinations
-
-    return combinations(items, size)

@@ -5,15 +5,17 @@ Everything in here is exact: matrices carry `fractions.Fraction` entries (or
 reduction never pivots by magnitude, and characteristic polynomials are
 computed by the Faddeev-LeVerrier recursion.  Floating point appears nowhere
 in this module.
+
+`Echelon` is the single elimination kernel: `MatrixQ.rref`, `rank`,
+`nullspace`, `solve_linear`, `solve_or_invert` and every span, membership
+and coordinate question elsewhere in the package reduce rows through it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
-
-Rational = Fraction
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, "QuadExt"]
 
@@ -285,8 +287,65 @@ def sqrt_exact(q) -> Scalar:
     return r.a if r.b == 0 else r
 
 
-def scalar_float(x) -> float:
-    return float(x)
+def _subtract_multiple(w: List[Scalar], c: Scalar, row: Sequence[Scalar]) -> None:
+    """w -= c * row in place, touching only the nonzero entries of row."""
+    if c != 0:
+        for k, b in enumerate(row):
+            if b != 0:
+                w[k] = w[k] - c * b
+
+
+class Echelon:
+    """Incremental reduced row echelon form over Q or a quadratic field Q(sqrt d).
+
+    Rows are stored by pivot column and kept fully reduced: each has a unit
+    pivot and zeros in every other row's pivot column.  Since the reduced
+    echelon form of a row space is unique, the basis does not depend on the
+    order in which vectors are added.
+    """
+
+    __slots__ = ("ncols", "_rows")
+
+    def __init__(self, ncols: int, rows: Iterable[Sequence] = ()):
+        self.ncols = ncols
+        self._rows: Dict[int, List[Scalar]] = {}
+        for r in rows:
+            self.add(r)
+
+    def _reduce(self, v: Sequence) -> List[Scalar]:
+        if len(v) != self.ncols:
+            raise ValueError(f"vector length {len(v)} vs {self.ncols} columns")
+        w = [_as_scalar(x) for x in v]
+        # rows are reduced, so the multiplier of row p is the entry v[p]
+        for p, row in self._rows.items():
+            _subtract_multiple(w, w[p], row)
+        return w
+
+    def add(self, v: Sequence) -> bool:
+        """Reduce v into the span; False when v already lies in it."""
+        w = self._reduce(v)
+        p = next((k for k, x in enumerate(w) if x != 0), None)
+        if p is None:
+            return False
+        pv = w[p]
+        if pv != 1:
+            w = [x / pv for x in w]
+        for row in self._rows.values():
+            _subtract_multiple(row, row[p], w)
+        self._rows[p] = w
+        return True
+
+    def coordinates(self, v: Sequence) -> Optional[Tuple[Scalar, ...]]:
+        """Coefficients of v over basis(), or None when v is outside the span."""
+        if any(x != 0 for x in self._reduce(v)):
+            return None
+        return tuple(_as_scalar(v[p]) for p in self.pivots())
+
+    def basis(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        return tuple(tuple(self._rows[p]) for p in self.pivots())
+
+    def pivots(self) -> Tuple[int, ...]:
+        return tuple(sorted(self._rows))
 
 
 class MatrixQ:
@@ -463,33 +522,16 @@ class MatrixQ:
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "MatrixQ":
         return MatrixQ([[self._r[i][j] for j in col_idx] for i in row_idx])
 
+    def flat(self) -> Tuple[Scalar, ...]:
+        """Entries in row-major order."""
+        return tuple(x for row in self._r for x in row)
+
     def rref(self) -> Tuple["MatrixQ", Tuple[int, ...]]:
         """Reduced row echelon form and pivot columns (deterministic, exact)."""
-        m = [list(r) for r in self._r]
-        nr, nc = self.nrows, self.ncols
-        pivots: List[int] = []
-        r = 0
-        for c in range(nc):
-            pr = None
-            for i in range(r, nr):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [m[i][j] - f * m[r][j] for j in range(nc)]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return MatrixQ(m), tuple(pivots)
+        ech = Echelon(self.ncols, self._r)
+        zero = [Fraction(0)] * self.ncols
+        rows = list(ech.basis()) + [zero] * (self.nrows - len(ech.pivots()))
+        return MatrixQ(rows), ech.pivots()
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -528,24 +570,10 @@ def solve_or_invert(M: MatrixQ) -> Optional[MatrixQ]:
     if not M.is_square:
         raise ValueError(f"cannot invert a {M.nrows}x{M.ncols} matrix")
     n = M.nrows
-    aug = [list(M.row(i)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return None
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        if pv != 1:
-            aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [aug[i][j] - f * aug[c][j] for j in range(2 * n)]
-    return MatrixQ([row[n:] for row in aug])
+    ech = Echelon(2 * n, [list(M.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+    if ech.pivots() != tuple(range(n)):
+        return None
+    return MatrixQ([row[n:] for row in ech.basis()])
 
 
 def solve_linear(M: MatrixQ, b: Sequence) -> Optional[Tuple[Scalar, ...]]:

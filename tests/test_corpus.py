@@ -5,6 +5,7 @@ independent of this package).
 """
 
 import dataclasses
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -33,7 +34,7 @@ from lieq.corpus import (
     verify_entries,
     verify_entry,
 )
-from lieq.liealg import LieAlgebra
+from lieq.liealg import MAX_DIM, LieAlgebra
 from lieq.linalg import MatrixQ
 
 N_APPENDIX_A = 44
@@ -213,6 +214,13 @@ def test_error_duplicate_dim():
 def test_error_bad_dim():
     err = _parse_error("algebra X\ndim zero\n")
     assert "expected a positive dimension" in str(err)
+
+
+def test_error_dim_above_max():
+    err = _parse_error("algebra X\nparam a : real\ndim 8\n")
+    assert f"dimension 8 exceeds the supported bound of {MAX_DIM}" in str(err)
+    assert (err.line, err.column) == (3, 5)
+    assert len(parse_corpus("algebra X\ndim 7\n")) == 1
 
 
 def test_error_bracket_out_of_range():
@@ -624,6 +632,20 @@ def test_report_text_format_and_determinism():
     lines = first.to_text().splitlines()
     assert len(lines) == len(first.records)
     assert all(line_re.fullmatch(line) for line in lines)
+
+
+def test_report_text_frozen_on_corpus_slice():
+    """Refactor guard: all of appendix A and every 25th appendix B entry
+    verify to the same report text, byte for byte, as the code that froze it."""
+    entries = list(packaged_corpus("appendix_a.lalg")) + list(
+        packaged_corpus("appendix_b.lalg")
+    )[::25]
+    text = verify_entries(entries, seed=1, k=3).to_text().encode("utf-8")
+    assert len(entries) == 74
+    assert len(text) == 37_096
+    assert hashlib.sha256(text).hexdigest() == (
+        "b54eb2026521ae95e26d6c1e4175e474ba9d02c0507850f0b224de5af2b9b8c6"
+    )
 
 
 def test_reference_tables_cover_all_refs():

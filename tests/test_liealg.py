@@ -322,12 +322,36 @@ def test_nilradical_codim_search():
 
 
 def test_nilpotent_elements_subspace():
-    assert SOLV2.nilpotent_elements_subspace() == span(2, [0])
-    assert SOLV5.nilpotent_elements_subspace() == span(5, [0, 1, 2, 3])
-    assert HEISENBERG3.nilpotent_elements_subspace() == Subspace.full(3)
-    assert ABELIAN2.nilpotent_elements_subspace() == Subspace.full(2)
+    assert SOLV2.nilradical_codim_search()[0] == span(2, [0])
+    assert SOLV5.nilradical_codim_search()[0] == span(5, [0, 1, 2, 3])
+    assert HEISENBERG3.nilradical_codim_search()[0] == Subspace.full(3)
+    assert ABELIAN2.nilradical_codim_search()[0] == Subspace.full(2)
     with pytest.raises(ValueError, match="requires a solvable algebra"):
-        SL2.nilpotent_elements_subspace()
+        SL2.nilradical_codim_search()
+
+
+def test_invariants_computed_once(monkeypatch):
+    # a fresh copy, so that no earlier test has filled its caches
+    g = LieAlgebra(SOLV5.dim, SOLV5.table)
+    calls = []
+    original = LieAlgebra._series_dims
+
+    def counting(self, step):
+        if self is g:
+            calls.append(step)
+        return original(self, step)
+
+    monkeypatch.setattr(LieAlgebra, "_series_dims", counting)
+    g.series_profile()
+    assert g.is_solvable()
+    assert not g.is_nilpotent()
+    assert g.verify_nilradical(span(5, [0, 1, 2, 3]))
+    # one derived and one lower central series; the restricted algebra's own
+    # series are not counted
+    assert len(calls) == 2
+    assert g.series_profile() is g.series_profile()
+    assert g.derived_algebra() is g.derived_algebra()
+    assert g.nilradical_codim_search()[0] is g.nilradical_codim_search()[0]
 
 
 # ----------------------------------------------------------------- base change

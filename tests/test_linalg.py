@@ -6,12 +6,14 @@ sympy script tests/oracles/linalg_oracle.py and frozen here.
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lieq.linalg import (
+    Echelon,
     FactorTerm,
     MatrixQ,
     PolyQ,
@@ -106,6 +108,109 @@ def test_inverse_roundtrip(entries):
     if Minv is not None:
         assert M @ Minv == MatrixQ.identity(2)
         assert Minv @ M == MatrixQ.identity(2)
+
+
+# ------------------------------------------------------ elimination kernel
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+        if rows[0][j] != 0
+    )
+
+
+def _rank_by_minors(rows):
+    """Largest size of a nonzero minor: a rank that uses no elimination."""
+    if not rows:
+        return 0
+    nr, nc = len(rows), len(rows[0])
+    for k in range(min(nr, nc), 0, -1):
+        for ri in combinations(range(nr), k):
+            for ci in combinations(range(nc), k):
+                if _det([[rows[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
+
+
+@st.composite
+def rational_matrices(draw):
+    """1x1 to 5x6 rational matrices of every rank, built as a product L @ R."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    left = [[draw(small_fractions) for _ in range(r)] for _ in range(nrows)]
+    right = [[draw(small_fractions) for _ in range(ncols)] for _ in range(r)]
+    return [
+        [sum((row[k] * right[k][j] for k in range(r)), F(0)) for j in range(ncols)]
+        for row in left
+    ]
+
+
+@seed(3)
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_rref_is_reduced_and_spans_the_rows(rows):
+    A = mat(rows)
+    R, pivots = A.rref()
+    assert len(pivots) == _rank_by_minors(rows)
+    assert list(pivots) == sorted(set(pivots))
+    for r in range(A.nrows):
+        if r >= len(pivots):
+            assert all(x == 0 for x in R.row(r))
+            continue
+        p = pivots[r]
+        assert all(x == 0 for x in R.row(r)[:p])
+        assert [R[i, p] for i in range(len(pivots))] == [int(i == r) for i in range(len(pivots))]
+    # every input row is the combination of pivot rows read off its pivot
+    # entries; with equal dimensions the two row spaces coincide
+    for row in rows:
+        combo = [sum((row[p] * R[r, j] for r, p in enumerate(pivots)), F(0)) for j in range(A.ncols)]
+        assert combo == row
+
+
+@seed(4)
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_rank_plus_nullity(rows):
+    A = mat(rows)
+    ns = nullspace(A)
+    assert A.rank() + len(ns) == A.ncols
+    for v in ns:
+        assert (A @ v).is_zero()
+
+
+@seed(5)
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_echelon_add_rejects_exactly_the_span(rows, data):
+    ncols = len(rows[0])
+    extra = data.draw(st.lists(small_fractions, min_size=ncols, max_size=ncols))
+    ech = Echelon(ncols)
+    for i, row in enumerate(rows + [extra]):
+        grew = _rank_by_minors(rows[:i] + [row]) > _rank_by_minors(rows[:i])
+        inside = ech.coordinates(row)
+        assert (inside is None) == grew
+        if inside is not None:
+            basis = ech.basis()
+            assert [sum((c * b[j] for c, b in zip(inside, basis)), F(0)) for j in range(ncols)] == row
+        assert ech.add(row) == grew
+    assert len(ech.pivots()) == len(ech.basis()) == _rank_by_minors(rows + [extra])
+
+
+@seed(6)
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_solve_or_invert_none_exactly_when_singular(rows):
+    n = min(len(rows), len(rows[0]))
+    S = mat([row[:n] for row in rows[:n]])
+    inv = solve_or_invert(S)
+    assert (inv is None) == (_rank_by_minors(S.row_list()) < n)
+    if inv is not None:
+        assert S @ inv == MatrixQ.identity(n)
 
 
 # ---------------------------------------------------------- char polynomial
