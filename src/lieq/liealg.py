@@ -31,6 +31,16 @@ def _zero(n: int) -> Tuple[Fraction, ...]:
     return tuple([Fraction(0)] * n)
 
 
+def _trace_product(A: MatrixQ, B: MatrixQ) -> Fraction:
+    """tr(A B) as the sum of A[p][q] B[q][p]: n² multiplies, zeros skipped."""
+    s = Fraction(0)
+    for p in range(A.nrows):
+        for a, b in zip(A.row(p), B.col(p)):
+            if a != 0 and b != 0:
+                s += a * b
+    return s
+
+
 class Subspace:
     """Subspace of Q^n with a unique reduced-echelon basis."""
 
@@ -103,7 +113,7 @@ class JacobiViolation:
 class LieAlgebra:
     """Lie algebra on basis e_1..e_n given by brackets [e_i, e_j] for i < j."""
 
-    __slots__ = ("dim", "table", "_profile", "_derived", "_nilradical")
+    __slots__ = ("dim", "table", "_profile", "_derived", "_nilradical", "_ads")
 
     def __init__(self, dim: int, table: Dict[Tuple[int, int], Sequence]):
         if not 1 <= dim <= MAX_DIM:
@@ -121,6 +131,7 @@ class LieAlgebra:
         self._profile: Optional[SeriesProfile] = None
         self._derived: Optional[Subspace] = None
         self._nilradical: Optional[Subspace] = None
+        self._ads: Optional[Tuple[MatrixQ, ...]] = None
 
     def structure_constant(self, i: int, j: int) -> Tuple[Fraction, ...]:
         """[e_i, e_j] as a coefficient vector, any index order."""
@@ -158,15 +169,23 @@ class LieAlgebra:
         return None
 
     def ad_matrix(self, x: Sequence) -> MatrixQ:
-        """Matrix of ad(x); column j holds [x, e_j]."""
-        cols = []
-        for j in range(self.dim):
-            ej = [1 if t == j else 0 for t in range(self.dim)]
-            cols.append(self.bracket(x, ej))
-        return MatrixQ([[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+        """Matrix of ad(x) = sum of x_i ad(e_i); column j holds [x, e_j]."""
+        n = self.dim
+        out = MatrixQ.zeros(n, n)
+        for i, c in enumerate(_vec(x, n)):
+            if c != 0:
+                out = out + self.ad_basis(i).scale(c)
+        return out
 
     def ad_basis(self, i: int) -> MatrixQ:
-        return self.ad_matrix([1 if t == i else 0 for t in range(self.dim)])
+        """ad(e_i), read off the table once: column j is [e_i, e_j]."""
+        if self._ads is None:
+            n = self.dim
+            self._ads = tuple(
+                MatrixQ(list(zip(*(self.structure_constant(k, j) for j in range(n)))))
+                for k in range(n)
+            )
+        return self._ads[i]
 
     # ------------------------------------------------------------- subspaces
 
@@ -214,9 +233,7 @@ class LieAlgebra:
         return self.series_profile().nilpotent
 
     def center(self) -> Subspace:
-        stacked = self.ad_basis(0)
-        for j in range(1, self.dim):
-            stacked = stacked.vstack(self.ad_basis(j))
+        stacked = MatrixQ([row for j in range(self.dim) for row in self.ad_basis(j).row_list()])
         return Subspace(self.dim, [v.col(0) for v in nullspace(stacked)])
 
     def is_ideal(self, s: Subspace) -> bool:
@@ -275,15 +292,12 @@ class LieAlgebra:
     def nilradical_codim_search(self) -> Tuple[Subspace, int]:
         """The nilradical of a solvable algebra and its codimension.
 
-        For solvable g the nilradical is the set of ad-nilpotent elements,
-        cut out by the linear conditions tr(ad(x) w) = 0 with w running over
-        the unital matrix algebra A generated by ad(g): ad(g) is
-        simultaneously triangularizable over the complex numbers, so
-        tr(ad(x) w) reads off a combination of the diagonal (weight) entries
-        of ad(x), all of which vanish exactly on the nilradical; conversely
-        w = (ad x)^(k-1) lies in A, so the conditions force tr((ad x)^k) = 0
-        for every k, hence ad(x) nilpotent.  The computation is rational,
-        deterministic and basis-independent.
+        For solvable g, ad(g) is triangular over C; N is where all diagonal
+        characters lambda_k vanish.  Each lambda_k kills [g, g], so it is fixed
+        on the span T of the basis vectors off the pivots of [g, g].  Diagonals
+        of words in ad(T) are the polynomials in those values, which separate
+        distinct weights, so tr(ad(x) w) = 0 for w in the unital algebra of
+        such words cuts out exactly N; all n columns ad(e_i) stay in the rows.
         """
         if not self.is_solvable():
             raise ValueError("nilradical search requires a solvable algebra")
@@ -292,26 +306,17 @@ class LieAlgebra:
             self._nilradical = Subspace.full(n)
         if self._nilradical is None:
             ads = [self.ad_basis(i) for i in range(n)]
+            derived_pivots = set(self.derived_algebra()._echelon.pivots())
+            gens = [ads[i] for i in range(n) if i not in derived_pivots]
             span = Echelon(n * n)
-            words: List[MatrixQ] = []
-            frontier: List[MatrixQ] = []
-            for W in [MatrixQ.identity(n), *ads]:
-                if span.add(W.flat()):
-                    words.append(W)
-                    frontier.append(W)
+            words = [W for W in [MatrixQ.identity(n), *gens] if span.add(W.flat())]
+            # the identity's products are the generators themselves
+            frontier = words[1:]
             while frontier:
-                fresh: List[MatrixQ] = []
-                for W in frontier:
-                    for A in ads:
-                        P = A @ W
-                        if span.add(P.flat()):
-                            words.append(P)
-                            fresh.append(P)
-                frontier = fresh
-            rows = [
-                [sum(a.row(p)[q] * W.row(q)[p] for p in range(n) for q in range(n)) for a in ads]
-                for W in words
-            ]
+                fresh = [A @ W for W in frontier for A in gens]
+                frontier = [P for P in fresh if span.add(P.flat())]
+                words += frontier
+            rows = [[_trace_product(a, W) for a in ads] for W in words]
             kernel = nullspace(MatrixQ(rows))
             self._nilradical = Subspace(n, [v.col(0) for v in kernel])
         return self._nilradical, n - self._nilradical.dim
@@ -353,10 +358,14 @@ class LieAlgebra:
         return None
 
     def killing_matrix(self) -> MatrixQ:
-        ads = [self.ad_basis(i) for i in range(self.dim)]
-        return MatrixQ(
-            [[(ads[i] @ ads[j]).trace() for j in range(self.dim)] for i in range(self.dim)]
-        )
+        """K[i][j] = tr(ad e_i ad e_j)."""
+        n = self.dim
+        ads = [self.ad_basis(i) for i in range(n)]
+        K = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                K[i][j] = K[j][i] = _trace_product(ads[i], ads[j])
+        return MatrixQ(K)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):

@@ -545,6 +545,29 @@ def test_fingerprint_invariant_under_basis_change():
             assert fingerprint(g.change_basis(P)) == fp
 
 
+def _unimodular(rng, n):
+    """Unit upper bidiagonal with entries in -2..2 above the diagonal and
+    random column signs: determinant +-1, so the inverse is integral."""
+    above = [rng.choice((-2, -1, 1, 2)) for _ in range(n - 1)]
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return MatrixQ(
+        [
+            [signs[j] * (int(i == j) + (above[i] if j == i + 1 else 0)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def test_fingerprint_invariant_over_appendix_b_sweep():
+    rng = random.Random(10)
+    entries = list(packaged_corpus("appendix_b.lalg"))[::10]
+    assert len(entries) == 74
+    for entry in entries:
+        (env,) = sample_parameters(entry, seed=1, k=1)
+        g = instantiate(entry, env)
+        assert fingerprint(g.change_basis(_unimodular(rng, g.dim))) == fingerprint(g), entry.id
+
+
 # ----------------------------------------------------------- claim reports
 
 

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from lieq.corpus import instantiate, packaged_corpus, sample_parameters
+from lieq.derivations import derivation_basis
 from lieq.liealg import JacobiViolation, LieAlgebra, SeriesProfile, Subspace
-from lieq.linalg import MatrixQ
+from lieq.linalg import Echelon, MatrixQ, nullspace
 
 N_RANDOM_BASE_CHANGES = 50
 N_BRACKET_SAMPLES = 100
@@ -29,6 +31,19 @@ def e(n, i, three=None):
 
 def span(n, indices):
     return Subspace(n, [e(n, i) for i in indices])
+
+
+def _appendix_b_entry(entry_id):
+    (entry,) = [e for e in packaged_corpus("appendix_b.lalg") if e.id == entry_id]
+    return entry
+
+
+def _unit_bidiagonal(n):
+    """A fixed unimodular base change: ones on the diagonal, +-1, +-2 above."""
+    above = (1, -2, 2, -1)
+    return MatrixQ(
+        [[int(i == j) + (above[i % 4] if j == i + 1 else 0) for j in range(n)] for i in range(n)]
+    )
 
 
 # All fixture tables use 0-based (i, j) keys with [e_i, e_j] = coeff vector.
@@ -250,6 +265,30 @@ def test_center_witnesses():
     assert NILP41.center() == span(4, [0, 3])
 
 
+def test_invariants_read_cached_ad_matrices(monkeypatch):
+    # a fresh copy of a solvable, non-nilpotent dim-6 algebra
+    entry = _appendix_b_entry("[6,[5,0],2,1]")
+    g0 = instantiate(entry, sample_parameters(entry, seed=1, k=1)[0])
+    g = LieAlgebra(g0.dim, g0.table)
+    p = g.series_profile()
+    assert p.solvable and not p.nilpotent
+    calls = []
+    original = LieAlgebra.bracket
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counting)
+    g.center()
+    g.killing_matrix()
+    g.nilradical_codim_search()
+    # rebuilding ad(e_i) through bracket for each of the three took 108 calls
+    assert calls == []
+    for i in range(g.dim):
+        assert g.ad_basis(i) is g.ad_basis(i)
+
+
 @pytest.mark.parametrize("tag", sorted(FIXTURES))
 def test_killing_rank(tag):
     assert FIXTURES[tag].killing_matrix().rank() == EXPECTED[tag][3]
@@ -257,6 +296,25 @@ def test_killing_rank(tag):
 
 def test_killing_matrix_sl2():
     assert SL2.killing_matrix() == MatrixQ([[0, 0, 4], [0, 8, 0], [4, 0, 0]])
+
+
+def _killing_cases():
+    yield "solv5", SOLV5
+    yield "nilp616", NILP616
+    yield "sl2", SL2
+    for entry_id in ("[5,[4,0],1,1]", "[6,[5,0],2,1]", "[7,[6,1],1,1]"):
+        entry = _appendix_b_entry(entry_id)
+        g = instantiate(entry, sample_parameters(entry, seed=1, k=1)[0])
+        yield entry_id, g.change_basis(_unit_bidiagonal(g.dim))
+
+
+def test_killing_matrix_matches_product_form():
+    for tag, g in _killing_cases():
+        n = g.dim
+        ads = [g.ad_basis(i) for i in range(n)]
+        K = g.killing_matrix()
+        assert K == MatrixQ([[(ads[i] @ ads[j]).trace() for j in range(n)] for i in range(n)]), tag
+        assert K == K.transpose(), tag
 
 
 def test_derived_algebra_solv5():
@@ -330,6 +388,52 @@ def test_nilpotent_elements_subspace():
         SL2.nilradical_codim_search()
 
 
+def _full_closure_nilradical(g):
+    """Reference: the kernel of tr(ad(x) w), w over the unital algebra
+    generated by all n matrices ad(e_i), each built column by column from
+    brackets.  Matrices are plain nested lists."""
+    n = g.dim
+    identity = [e(n, i) for i in range(n)]
+    ads = [list(zip(*(g.bracket(x, y) for y in identity))) for x in identity]
+    span = Echelon(n * n)
+    words = [W for W in [identity, *ads] if span.add([c for row in W for c in row])]
+    frontier = list(words)
+    while frontier:
+        fresh = [
+            [[sum(a * b for a, b in zip(row, col) if a) for col in zip(*W)] for row in A]
+            for W in frontier
+            for A in ads
+        ]
+        frontier = [P for P in fresh if span.add([c for row in P for c in row])]
+        words += frontier
+    rows = MatrixQ(
+        [
+            [sum(a[p][q] * W[q][p] for p in range(n) for q in range(n) if a[p][q]) for a in ads]
+            for W in words
+        ]
+    )
+    return Subspace(n, [v.col(0) for v in nullspace(rows)])
+
+
+def test_nilradical_matches_full_closure_reference():
+    entries = list(packaged_corpus("appendix_a.lalg")) + list(
+        packaged_corpus("appendix_b.lalg")
+    )[::25]
+    checked = 0
+    for entry in entries:
+        for env in sample_parameters(entry, seed=1, k=1):
+            g0 = instantiate(entry, env)
+            for g in (g0, g0.change_basis(_unit_bidiagonal(g0.dim))):
+                if not g.is_solvable():
+                    continue
+                nil = g.nilradical_codim_search()[0]
+                assert nil == _full_closure_nilradical(g), entry.id
+                for x in nil.basis:
+                    assert (g.ad_matrix(x) ** g.dim).is_zero(), entry.id
+                checked += 1
+    assert checked == 2 * len(entries)
+
+
 def test_invariants_computed_once(monkeypatch):
     # a fresh copy, so that no earlier test has filled its caches
     g = LieAlgebra(SOLV5.dim, SOLV5.table)
@@ -400,6 +504,9 @@ def test_invariants_under_random_base_change(tag):
     expected_profile = g.series_profile()
     expected_center = g.center().dim
     expected_killing = g.killing_matrix().rank()
+    if expected_profile.solvable:
+        expected_nilradical = g.nilradical_codim_search()[0].dim
+        expected_derivations = derivation_basis(g).dim
     rng = random.Random(1)
     for _ in range(N_RANDOM_BASE_CHANGES):
         moved = g.change_basis(_random_invertible(rng, g.dim))
@@ -407,6 +514,9 @@ def test_invariants_under_random_base_change(tag):
         assert moved.series_profile() == expected_profile
         assert moved.center().dim == expected_center
         assert moved.killing_matrix().rank() == expected_killing
+        if expected_profile.solvable:
+            assert moved.nilradical_codim_search()[0].dim == expected_nilradical
+            assert derivation_basis(moved).dim == expected_derivations
 
 
 # ------------------------------------------------------------- decomposability
