@@ -796,6 +796,8 @@ def sample_parameters(
     often enough to survive rejection.  Raises CorpusError when no
     admissible assignment exists in the grid; returns fewer than k when
     the admissible set is smaller than k (e.g. a single sign parameter).
+    No key is checked twice, and an entry whose parameters are all signs
+    stops drawing once all 3^m keys have been tried.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -804,8 +806,10 @@ def sample_parameters(
     digest = hashlib.sha256(f"{entry.id}|{seed}".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     real_names = [name for name, kind in entry.params if kind == "real"]
+    # a sign-only domain is finite: once every key is tried, no draw can add one
+    domain = None if real_names else len(_SIGN_VALUES) ** len(entry.params)
     found: List[Dict[str, Fraction]] = []
-    seen = set()
+    tried = set()
     for attempt in range(_SAMPLE_ATTEMPTS):
         env = {}
         for name, kind in entry.params:
@@ -825,16 +829,19 @@ def sample_parameters(
             ):
                 env[name] = value
         key = tuple(env[name] for name, _ in entry.params)
-        if key in seen or not _admissible(entry, env):
+        if key in tried:
             continue
-        seen.add(key)
-        found.append(env)
-        if len(found) == k:
-            return found
+        tried.add(key)
+        if _admissible(entry, env):
+            found.append(env)
+            if len(found) == k:
+                return found
+        if len(tried) == domain:
+            break
     if not found:
         raise CorpusError(
             f"no admissible parameter assignment found for entry {entry.id} "
-            f"after {_SAMPLE_ATTEMPTS} draws"
+            f"after {attempt + 1} draws"
         )
     return found
 

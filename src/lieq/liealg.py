@@ -5,6 +5,12 @@ vectors; everything else (Jacobi checking, adjoint matrices, derived and
 lower central series, centers, ideals, nilradical checks, base change) is
 derived from that table with exact arithmetic.
 
+The table is also kept as a sparse structure tensor, built once: for every
+ordered pair (i, j) the nonzero terms (k, c_ij^k) of [e_i, e_j], signs
+already applied for j < i.  Brackets run over the nonzero coordinates of
+their arguments only, and the Jacobi check contracts the tensor with itself
+without forming any bracket.
+
 Dimension is capped at 7.
 """
 
@@ -113,7 +119,10 @@ class JacobiViolation:
 class LieAlgebra:
     """Lie algebra on basis e_1..e_n given by brackets [e_i, e_j] for i < j."""
 
-    __slots__ = ("dim", "table", "_profile", "_derived", "_nilradical", "_ads")
+    __slots__ = (
+        "dim", "table", "_terms", "_profile", "_derived", "_nilradical", "_ads",
+        "_restrictions",
+    )
 
     def __init__(self, dim: int, table: Dict[Tuple[int, int], Sequence]):
         if not 1 <= dim <= MAX_DIM:
@@ -127,11 +136,18 @@ class LieAlgebra:
             if any(c != 0 for c in v):
                 clean[(i, j)] = v
         self.table = clean
+        # _terms[i][j]: the nonzero (k, c_ij^k) of [e_i, e_j], in both orders
+        terms: List[List[Tuple[Tuple[int, Fraction], ...]]] = [[()] * dim for _ in range(dim)]
+        for (i, j), v in clean.items():
+            terms[i][j] = tuple((k, c) for k, c in enumerate(v) if c != 0)
+            terms[j][i] = tuple((k, -c) for k, c in terms[i][j])
+        self._terms = terms
         # invariants, each computed on first use
         self._profile: Optional[SeriesProfile] = None
         self._derived: Optional[Subspace] = None
         self._nilradical: Optional[Subspace] = None
         self._ads: Optional[Tuple[MatrixQ, ...]] = None
+        self._restrictions: Dict[Subspace, LieAlgebra] = {}
 
     def structure_constant(self, i: int, j: int) -> Tuple[Fraction, ...]:
         """[e_i, e_j] as a coefficient vector, any index order."""
@@ -143,29 +159,50 @@ class LieAlgebra:
         return _zero(self.dim) if v is None else tuple(-c for c in v)
 
     def bracket(self, x: Sequence, y: Sequence) -> Tuple[Fraction, ...]:
+        """[x, y] = sum of x_i y_j [e_i, e_j] over nonzero x_i and y_j only.
+
+        Each [e_i, e_j] is read from the term table, so a pair costs one
+        multiply per nonzero structure constant and pairs with a zero
+        coordinate cost nothing.
+        """
         xv, yv = _vec(x, self.dim), _vec(y, self.dim)
+        return self._bracket_terms(
+            [(i, a) for i, a in enumerate(xv) if a],
+            [(j, b) for j, b in enumerate(yv) if b],
+        )
+
+    def _bracket_terms(
+        self, xs: Sequence[Tuple[int, Fraction]], ys: Sequence[Tuple[int, Fraction]]
+    ) -> Tuple[Fraction, ...]:
+        """[x, y] from the (index, value) pairs of the nonzero coordinates."""
         out = [Fraction(0)] * self.dim
-        for (i, j), cij in self.table.items():
-            f = xv[i] * yv[j] - xv[j] * yv[i]
-            if f != 0:
-                for k in range(self.dim):
-                    if cij[k] != 0:
-                        out[k] += f * cij[k]
+        for i, a in xs:
+            row = self._terms[i]
+            for j, b in ys:
+                terms = row[j]
+                if terms:
+                    ab = a * b
+                    for k, c in terms:
+                        out[k] += ab * c
         return tuple(out)
 
     def check_jacobi(self) -> Optional[JacobiViolation]:
-        """None when the Jacobi identity holds; else the first bad triple."""
-        n = self.dim
-        basis = [[1 if t == s else 0 for t in range(n)] for s in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    r1 = self.bracket(self.structure_constant(i, j), basis[k])
-                    r2 = self.bracket(self.structure_constant(j, k), basis[i])
-                    r3 = self.bracket(self.structure_constant(k, i), basis[j])
-                    res = tuple(a + b + c for a, b, c in zip(r1, r2, r3))
-                    if any(x != 0 for x in res):
-                        return JacobiViolation(i, j, k, res)
+        """None when the Jacobi identity holds; else the first bad triple.
+
+        Triples i < j < k are scanned in lexicographic order.  The residual
+        [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is contracted
+        straight from the term table, with no bracket call:
+        res_m = sum over l of c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m.
+        """
+        terms = self._terms
+        for i, j, k in combinations(range(self.dim), 3):
+            res = [Fraction(0)] * self.dim
+            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, a in terms[p][q]:
+                    for m, b in terms[l][r]:
+                        res[m] += a * b
+            if any(res):
+                return JacobiViolation(i, j, k, tuple(res))
         return None
 
     def ad_matrix(self, x: Sequence) -> MatrixQ:
@@ -237,15 +274,22 @@ class LieAlgebra:
         return Subspace(self.dim, [v.col(0) for v in nullspace(stacked)])
 
     def is_ideal(self, s: Subspace) -> bool:
-        for j in range(self.dim):
-            ej = [1 if t == j else 0 for t in range(self.dim)]
-            for u in s.basis:
-                if not s.contains_vector(self.bracket(ej, u)):
+        one = Fraction(1)
+        for u in s.basis:
+            us = [(i, a) for i, a in enumerate(u) if a]
+            for j in range(self.dim):
+                if not s.contains_vector(self._bracket_terms([(j, one)], us)):
                     return False
         return True
 
     def restrict(self, s: Subspace) -> "LieAlgebra":
-        """The bracket structure on s in its echelon basis; s must be closed."""
+        """The bracket structure on s in its echelon basis; s must be closed.
+
+        Memoised per subspace, so a second restriction to s is free.
+        """
+        inner = self._restrictions.get(s)
+        if inner is not None:
+            return inner
         k = s.dim
         table: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
         for i in range(k):
@@ -258,7 +302,8 @@ class LieAlgebra:
                         f"[u_{i + 1}, u_{j + 1}] lies outside"
                     )
                 table[(i, j)] = coords
-        return LieAlgebra(k, table)
+        inner = self._restrictions[s] = LieAlgebra(k, table)
+        return inner
 
     def verify_nilradical(self, s: Subspace) -> bool:
         """Check that s is the nilradical of a solvable algebra.

@@ -438,6 +438,36 @@ def test_sample_returns_fewer_when_domain_small():
     assert len(sample_parameters(square, seed=1, k=5)) == 2
 
 
+def test_sample_stops_once_sign_domain_exhausted(monkeypatch):
+    import lieq.corpus as corpus
+
+    calls = []
+    original = corpus._admissible
+
+    def counting(entry, env):
+        calls.append(dict(env))
+        return original(entry, env)
+
+    monkeypatch.setattr(corpus, "_admissible", counting)
+    (square, _, _) = parse_corpus(SIGN_BLOCKS)
+    assert len(sample_parameters(square, seed=1, k=5)) == 2
+    # each of the 3 keys is checked once; no draw after all 3 were tried
+    assert len(calls) <= 3
+    assert len({env["eps"] for env in calls}) == len(calls)
+
+    calls.clear()
+    text = (
+        "algebra no-signs-fit\ndim 2\nparam s : sign\nparam t : sign\n"
+        "constraint s^2+t^2 = 3\nbracket e1 e2 = s*e1\n"
+    )
+    (entry,) = parse_corpus(text)
+    with pytest.raises(CorpusError, match=r"entry no-signs-fit after (\d+) draws") as info:
+        sample_parameters(entry, seed=1, k=3)
+    assert len(calls) <= 3**2
+    draws = int(re.search(r"after (\d+) draws", str(info.value)).group(1))
+    assert len(calls) <= draws < 8000
+
+
 def test_sample_rejects_bad_k():
     (entry,) = parse_corpus(HEISENBERG_BLOCK)
     with pytest.raises(ValueError, match="k must be positive"):
@@ -668,6 +698,20 @@ def test_report_text_frozen_on_corpus_slice():
     assert len(text) == 37_096
     assert hashlib.sha256(text).hexdigest() == (
         "b54eb2026521ae95e26d6c1e4175e474ba9d02c0507850f0b224de5af2b9b8c6"
+    )
+
+
+def test_report_text_frozen_on_full_corpus():
+    """Refactor guard: the whole of appendices A and B verifies to the same
+    report text, byte for byte, as the code that froze it."""
+    entries = list(packaged_corpus("appendix_a.lalg")) + list(
+        packaged_corpus("appendix_b.lalg")
+    )
+    text = verify_entries(entries, seed=1, k=3).to_text().encode("utf-8")
+    assert len(entries) == N_APPENDIX_A + N_APPENDIX_B
+    assert len(text) == 768_472
+    assert hashlib.sha256(text).hexdigest() == (
+        "70982f1bd08ac3e221115e533817e777a7d1630472a4394e85acdae79f54dfc5"
     )
 
 

@@ -6,6 +6,7 @@ independent of this package).
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, seed, settings
@@ -205,6 +206,79 @@ def test_jacobi_violation_witness():
     assert v == JacobiViolation(0, 1, 2, (0, 0, -2))
 
 
+def _dense_bracket(g, x, y):
+    """Reference: the table scan, two multiplies per stored bracket."""
+    xv = [Fraction(c) for c in x]
+    yv = [Fraction(c) for c in y]
+    out = [Fraction(0)] * g.dim
+    for (i, j), cij in g.table.items():
+        f = xv[i] * yv[j] - xv[j] * yv[i]
+        if f != 0:
+            for k in range(g.dim):
+                if cij[k] != 0:
+                    out[k] += f * cij[k]
+    return tuple(out)
+
+
+def _dense_check_jacobi(g):
+    """Reference: three full brackets per triple i < j < k."""
+    n = g.dim
+    for i, j, k in combinations(range(n), 3):
+        r1 = _dense_bracket(g, g.structure_constant(i, j), e(n, k))
+        r2 = _dense_bracket(g, g.structure_constant(j, k), e(n, i))
+        r3 = _dense_bracket(g, g.structure_constant(k, i), e(n, j))
+        res = tuple(a + b + c for a, b, c in zip(r1, r2, r3))
+        if any(x != 0 for x in res):
+            return JacobiViolation(i, j, k, res)
+    return None
+
+
+@st.composite
+def _tables_and_vectors(draw):
+    """A table of dim 2-5, mostly not Lie, or a Lie fixture; plus int,
+    Fraction and zero vectors of its dimension."""
+    lie = [g for g in FIXTURES.values() if g.dim <= 5]
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(lie))
+    else:
+        n = draw(st.integers(min_value=2, max_value=5))
+        entries = st.one_of(st.just(0), small_fractions)
+        table = {}
+        for pair in combinations(range(n), 2):
+            if draw(st.booleans()):
+                table[pair] = draw(st.lists(entries, min_size=n, max_size=n))
+        g = LieAlgebra(n, table)
+    ints = st.tuples(*[st.integers(min_value=-3, max_value=3)] * g.dim)
+    fracs = st.tuples(*[small_fractions] * g.dim)
+    zero = st.just((0,) * g.dim)
+    return g, [draw(st.one_of(ints, fracs, zero)) for _ in range(4)]
+
+
+@seed(1)
+@settings(max_examples=200, deadline=None)
+@given(_tables_and_vectors())
+def test_sparse_kernels_match_dense_reference(case):
+    g, (x, y, z, w) = case
+    for a, b in ((x, y), (y, x), (z, w), (x, (0,) * g.dim)):
+        got = g.bracket(a, b)
+        assert got == _dense_bracket(g, a, b)
+        assert all(type(c) is Fraction for c in got)
+    expected = _dense_check_jacobi(g)
+    got = g.check_jacobi()
+    assert got == expected
+    if got is not None:
+        assert all(type(c) is Fraction for c in got.residual)
+
+
+def test_jacobi_reports_first_triple_in_scan_order():
+    # [e1,e2] = 2e3, [e1,e3] = -e4, [e3,e4] = e1: (0,1,2) holds, while both
+    # (0,1,3) and (1,2,3) fail
+    g = LieAlgebra(4, {(0, 1): [0, 0, 2, 0], (0, 2): [0, 0, 0, -1], (2, 3): [1, 0, 0, 0]})
+    expected = JacobiViolation(0, 1, 3, (2, 0, 0, 0))
+    assert g.check_jacobi() == expected
+    assert _dense_check_jacobi(g) == expected
+
+
 # -------------------------------------------------------------------- adjoints
 
 
@@ -335,6 +409,27 @@ def test_is_ideal():
 def test_restrict_to_nilradical_of_solv5():
     inner = SOLV5.restrict(span(5, [0, 1, 2, 3]))
     assert inner == LieAlgebra(4, {(1, 2): [1, 0, 0, 0]})
+
+
+def test_restriction_computed_once_per_span(monkeypatch):
+    # as in corpus verification: verify_nilradical, then restrict to the span
+    g = LieAlgebra(SOLV5.dim, SOLV5.table)
+    g.series_profile()
+    calls = []
+    original = LieAlgebra.bracket
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counting)
+    assert g.verify_nilradical(span(5, [0, 1, 2, 3]))
+    assert calls
+    done = len(calls)
+    inner = g.restrict(span(5, [0, 1, 2, 3]))
+    assert inner == LieAlgebra(4, {(1, 2): [1, 0, 0, 0]})
+    assert g.restrict(span(5, [0, 1, 2, 3])) is inner
+    assert len(calls) == done
 
 
 def test_restrict_rejects_unclosed_subspace():
