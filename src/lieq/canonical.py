@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .linalg import (
+    MAX_DIM,
     Echelon,
     MatrixQ,
     PolyQ,
@@ -154,10 +155,6 @@ _J_NP = _to_np(J_SP4)
 
 def _col_np(v: MatrixQ) -> np.ndarray:
     return np.array([float(x) for x in v.col(0)], dtype=float)
-
-
-def _kernel_np(M: MatrixQ) -> List[np.ndarray]:
-    return [_col_np(v) for v in nullspace(M)]
 
 
 def _omega(x: np.ndarray, y: np.ndarray) -> float:
@@ -319,22 +316,6 @@ def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[MatrixQ]]:
     return out
 
 
-def _rjcf_target(shape: RjcfShape) -> MatrixQ:
-    """Block-diagonal Jordan matrix for an all-rational shape in block order."""
-    n = sum(size for _, size in shape.blocks)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    offset = 0
-    for cls, size in shape.blocks:
-        if isinstance(cls, PolyQ):
-            raise ValueError("canonical Jordan matrix requires rational eigenvalue classes")
-        for i in range(size):
-            rows[offset + i][offset + i] = cls
-            if i + 1 < size:
-                rows[offset + i][offset + i + 1] = Fraction(1)
-        offset += size
-    return MatrixQ(rows)
-
-
 def _rjcf_witness(M: MatrixQ, shape: RjcfShape) -> MatrixQ:
     n = M.nrows
     by_class: Dict[Fraction, List[int]] = {}
@@ -409,8 +390,8 @@ def _partitions(n: int) -> List[Tuple[int, ...]]:
 
 def rjcf_catalog(dim: int) -> frozenset:
     """All anonymized real Jordan shapes of the given dimension."""
-    if not 1 <= dim <= 7:
-        raise ValueError(f"dimension {dim} outside supported range 1..7")
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
     keys = set()
     for cplx_total in range(dim // 2 + 1):
         for real_part in _partitions(dim - 2 * cplx_total):

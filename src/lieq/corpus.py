@@ -40,34 +40,9 @@ from functools import lru_cache
 from importlib import resources
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import MatrixQ
-from .liealg import MAX_DIM, LieAlgebra, Subspace
+from .linalg import MAX_DIM, MatrixQ
+from .liealg import LieAlgebra, Subspace
 from .derivations import derivation_basis
-
-__all__ = [
-    "Bracket",
-    "ClaimRecord",
-    "Constraint",
-    "ConstraintViolation",
-    "CorpusEntry",
-    "CorpusError",
-    "Fingerprint",
-    "ParseError",
-    "PolyExpr",
-    "VerificationReport",
-    "fingerprint",
-    "instantiate",
-    "load_matrices",
-    "packaged_corpus",
-    "packaged_matrices",
-    "packaged_text",
-    "parse_corpus",
-    "reference_nilradical_tables",
-    "sample_parameters",
-    "serialize_corpus",
-    "verify_entries",
-    "verify_entry",
-]
 
 
 class CorpusError(ValueError):

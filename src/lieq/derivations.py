@@ -3,8 +3,9 @@
 The derivation algebra of a structure-constant Lie algebra is computed as the
 exact nullspace of the Leibniz system in the n^2 matrix unknowns.  Companion
 helpers check single matrices (derivation / automorphism), exponentiate
-nilpotent derivations, verify commutator tables of explicit matrix families,
-and decide equivalence of matrix representations via the intertwiner space.
+nilpotent derivations, check explicit matrix families against the bracket
+relations of a `LieAlgebra`, and decide equivalence of matrix representations
+via the intertwiner space.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .liealg import LieAlgebra, Subspace
 from .linalg import MatrixQ, matrix_exp_nilpotent, nullspace, solve_linear, solve_or_invert
@@ -134,39 +135,6 @@ def exp_derivation(g: LieAlgebra, D: MatrixQ) -> MatrixQ:
     return matrix_exp_nilpotent(D)
 
 
-class BracketTableSpec:
-    """Expected commutator relations [M_i, M_j] for a family of m matrices.
-
-    The table maps (i, j) with i < j to the coefficient vector of
-    [M_i, M_j] over the family; missing pairs mean a vanishing commutator.
-    """
-
-    __slots__ = ("m", "table")
-
-    def __init__(self, m: int, table: Dict[Tuple[int, int], Sequence]):
-        if m < 1:
-            raise ValueError("need at least one generator")
-        self.m = m
-        clean: Dict[Tuple[int, int], Tuple] = {}
-        for (i, j), coeffs in table.items():
-            if not (0 <= i < j < m):
-                raise ValueError(f"table indices ({i + 1},{j + 1}) out of range for {m} generators")
-            v = tuple(coeffs)
-            if len(v) != m:
-                raise ValueError(f"coefficient vector of length {len(v)}, expected {m}")
-            if any(c != 0 for c in v):
-                clean[(i, j)] = v
-        self.table = clean
-
-    def expected(self, i: int, j: int, mats: Sequence[MatrixQ]) -> MatrixQ:
-        n = mats[0].nrows
-        out = MatrixQ.zeros(n, n)
-        for c, M in zip(self.table.get((i, j), ()), mats):
-            if c != 0:
-                out = out + M * c
-        return out
-
-
 @dataclass(frozen=True)
 class TableMismatch:
     i: int
@@ -175,20 +143,26 @@ class TableMismatch:
     actual: MatrixQ
 
 
-def check_bracket_table(
-    mats: Sequence[MatrixQ], spec: BracketTableSpec
-) -> Optional[TableMismatch]:
-    """None when every commutator matches the table; else the first mismatch."""
-    if len(mats) != spec.m:
-        raise ValueError(f"expected {spec.m} matrices, got {len(mats)}")
+def check_bracket_table(mats: Sequence[MatrixQ], g: LieAlgebra) -> Optional[TableMismatch]:
+    """None when the family satisfies the brackets of g; else the first mismatch.
+
+    The expected relations come from the structure constants of g:
+    [M_i, M_j] = sum over k of c_ij^k M_k, checked for i < j in
+    lexicographic order, so the family must have g.dim members.
+    """
+    if len(mats) != g.dim:
+        raise ValueError(f"expected {g.dim} matrices, got {len(mats)}")
     n = mats[0].nrows
     for M in mats:
         if M.shape() != (n, n):
             raise ValueError("matrices must be square and of equal size")
-    for i in range(spec.m):
-        for j in range(i + 1, spec.m):
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
             actual = mats[i] @ mats[j] - mats[j] @ mats[i]
-            expected = spec.expected(i, j, mats)
+            expected = MatrixQ.zeros(n, n)
+            for c, M in zip(g.structure_constant(i, j), mats):
+                if c != 0:
+                    expected = expected + M * c
             if actual != expected:
                 return TableMismatch(i, j, expected, actual)
     return None

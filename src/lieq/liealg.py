@@ -11,7 +11,7 @@ already applied for j < i.  Brackets run over the nonzero coordinates of
 their arguments only, and the Jacobi check contracts the tensor with itself
 without forming any bracket.
 
-Dimension is capped at 7.
+Dimension is capped at `MAX_DIM` (7).
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Echelon, MatrixQ, nullspace, solve_or_invert
-
-MAX_DIM = 7
+from .linalg import MAX_DIM, Echelon, MatrixQ, nullspace, solve_or_invert
 
 
 def _vec(entries: Sequence, n: int) -> Tuple[Fraction, ...]:
@@ -74,12 +72,6 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.basis)
-
-    def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
-
-    def add_vectors(self, vectors: Sequence[Sequence]) -> "Subspace":
-        return Subspace(self.ambient, list(self.basis) + [list(v) for v in vectors])
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -257,12 +249,6 @@ class LieAlgebra:
             self._profile = SeriesProfile(derived, lcs, solvable, nilpotent)
         return self._profile
 
-    def derived_series_dims(self) -> Tuple[int, ...]:
-        return self.series_profile().derived_dims
-
-    def lower_central_series_dims(self) -> Tuple[int, ...]:
-        return self.series_profile().lcs_dims
-
     def is_solvable(self) -> bool:
         return self.series_profile().solvable
 
@@ -382,25 +368,6 @@ class LieAlgebra:
                 w = self.bracket(P.col(i), P.col(j))
                 table[(i, j)] = Pinv.apply(w)
         return LieAlgebra(n, table)
-
-    def decomposability_heuristic(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """A pair of complementary coordinate ideals, or None when not found.
-
-        None means unknown: only splittings along the given basis are tried.
-        """
-        n = self.dim
-        rest = list(range(1, n))
-        for size in range(1, n):
-            for subset in combinations(rest, size - 1):
-                part_a = (0,) + subset
-                part_b = tuple(t for t in range(n) if t not in part_a)
-                if not part_b:
-                    continue
-                sa = Subspace(n, [[1 if t == idx else 0 for t in range(n)] for idx in part_a])
-                sb = Subspace(n, [[1 if t == idx else 0 for t in range(n)] for idx in part_b])
-                if self.is_ideal(sa) and self.is_ideal(sb):
-                    return part_a, part_b
-        return None
 
     def killing_matrix(self) -> MatrixQ:
         """K[i][j] = tr(ad e_i ad e_j)."""

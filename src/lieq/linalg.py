@@ -19,6 +19,9 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 Scalar = Union[Fraction, "QuadExt"]
 
+#: the package's scope: algebras of dimension, and matrices of size, up to 7
+MAX_DIM = 7
+
 
 def _as_scalar(x) -> Scalar:
     if isinstance(x, QuadExt):
@@ -514,14 +517,6 @@ class MatrixQ:
             raise ValueError("row mismatch in hstack")
         return MatrixQ([list(self._r[i]) + list(other._r[i]) for i in range(self.nrows)])
 
-    def vstack(self, other: "MatrixQ") -> "MatrixQ":
-        if self.ncols != other.ncols:
-            raise ValueError("column mismatch in vstack")
-        return MatrixQ(list(self._r) + list(other._r))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "MatrixQ":
-        return MatrixQ([[self._r[i][j] for j in col_idx] for i in row_idx])
-
     def flat(self) -> Tuple[Scalar, ...]:
         """Entries in row-major order."""
         return tuple(x for row in self._r for x in row)
@@ -605,10 +600,6 @@ class PolyQ:
     @classmethod
     def zero(cls) -> "PolyQ":
         return cls([])
-
-    @classmethod
-    def x_power(cls, k: int, c=1) -> "PolyQ":
-        return cls([0] * k + [c])
 
     @property
     def is_zero(self) -> bool:
@@ -709,9 +700,6 @@ class PolyQ:
                 acc = acc + MatrixQ.identity(M.nrows).scale(c)
         return acc
 
-    def derivative(self) -> "PolyQ":
-        return PolyQ([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self):
         if self.is_zero:
             return "0"
@@ -735,12 +723,12 @@ class PolyQ:
 
 
 def char_poly(M: MatrixQ) -> PolyQ:
-    """det(M - x*I) by Faddeev-LeVerrier; supported for sizes up to 7."""
+    """det(M - x*I) by Faddeev-LeVerrier; supported for sizes up to MAX_DIM."""
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.nrows
-    if n > 7:
-        raise ValueError(f"size {n} exceeds the supported bound of 7")
+    if n > MAX_DIM:
+        raise ValueError(f"size {n} exceeds the supported bound of {MAX_DIM}")
     # Faddeev-LeVerrier yields det(x*I - M) = x^n - c1 x^(n-1) - ... - cn
     cs = []
     Mk = M
@@ -758,7 +746,6 @@ def char_poly(M: MatrixQ) -> PolyQ:
 class FactorTerm(NamedTuple):
     poly: "PolyQ"  # monic irreducible over Q
     multiplicity: int
-    eigen_supported: bool  # degree <= 2, usable for eigen decomposition
 
 
 def _int_divisors(n: int) -> List[int]:
@@ -845,12 +832,11 @@ def factor_over_rationals(p: PolyQ) -> List[FactorTerm]:
     """Factor into monic irreducibles over Q (degree <= 7).
 
     The product of factors to their multiplicities equals p up to the rational
-    leading coefficient.  Factors of degree >= 3 are returned with
-    eigen_supported=False: they are irreducible but outside the scope of the
-    eigen machinery built on quadratic extensions.
+    leading coefficient.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
+    # the search's own bound: a degree-8 polynomial can split into two quartics, never tried
     if p.degree > 7:
         raise ValueError(f"degree {p.degree} exceeds the supported bound of 7")
     found: List[PolyQ] = []
@@ -903,7 +889,7 @@ def factor_over_rationals(p: PolyQ) -> List[FactorTerm]:
     for f in found:
         counted[f.coeffs] = counted.get(f.coeffs, 0) + 1
     out = [
-        FactorTerm(PolyQ(c), m, len(c) - 1 <= 2)
+        FactorTerm(PolyQ(c), m)
         for c, m in counted.items()
     ]
     out.sort(key=lambda t: (t.poly.degree, t.poly.coeffs))

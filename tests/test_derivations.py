@@ -12,7 +12,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lieq.derivations import (
-    BracketTableSpec,
     EquivalenceResult,
     TableMismatch,
     check_bracket_table,
@@ -214,20 +213,14 @@ def test_exp_of_nilpotent_basis_derivations_heisenberg():
 # --------------------------------------------------------- bracket table check
 
 
-def sl2_spec():
-    return BracketTableSpec(
-        3, {(0, 1): [-2, 0, 0], (0, 2): [0, 1, 0], (1, 2): [0, 0, -2]}
-    )
-
-
 def test_bracket_table_sl2_adjoint():
     mats = [SL2.ad_basis(i) for i in range(3)]
-    assert check_bracket_table(mats, sl2_spec()) is None
+    assert check_bracket_table(mats, SL2) is None
 
 
 def test_bracket_table_first_mismatch():
     mats = [SL2.ad_basis(i) for i in range(3)]
-    wrong = BracketTableSpec(
+    wrong = LieAlgebra(
         3, {(0, 1): [2, 0, 0], (0, 2): [0, 1, 0], (1, 2): [0, 0, -2]}
     )
     m = check_bracket_table(mats, wrong)
@@ -239,19 +232,12 @@ def test_bracket_table_first_mismatch():
 
 def test_bracket_table_shape_errors():
     with pytest.raises(ValueError, match="expected 3 matrices"):
-        check_bracket_table([MatrixQ.identity(2)], sl2_spec())
+        check_bracket_table([MatrixQ.identity(2)], SL2)
     with pytest.raises(ValueError, match="square and of equal size"):
         check_bracket_table(
             [MatrixQ.identity(2), MatrixQ.identity(3), MatrixQ.identity(3)],
-            sl2_spec(),
+            SL2,
         )
-
-
-def test_bracket_table_spec_validation():
-    with pytest.raises(ValueError, match=r"\(2,2\) out of range"):
-        BracketTableSpec(3, {(1, 1): [1, 0, 0]})
-    with pytest.raises(ValueError, match="length 2, expected 3"):
-        BracketTableSpec(3, {(0, 1): [1, 0]})
 
 
 # --------------------------------------------------- representation equivalence
