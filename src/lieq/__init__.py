@@ -1,8 +1,8 @@
 """Exact-arithmetic workbench for small real Lie algebras.
 
-Everything structural (brackets, series, derivations, canonical labels) is
-computed over the rationals or explicit quadratic extensions; floating point
-appears only in numeric witness matrices, which always carry residual bounds.
+Everything (brackets, series, derivations, canonical labels) is computed over
+the rationals or explicit quadratic extensions; canonical-form witnesses are
+rational matrices whose residuals are computed exactly and certified.
 """
 
 import types as _types
@@ -44,6 +44,7 @@ from .canonical import (
     RjcfShape,
     UnsupportedFactorError,
     Witness,
+    WitnessPrecisionError,
     J_SP4,
     J_HJ2_1,
     J_HJ2_2,

@@ -1,7 +1,6 @@
 """Canonical forms under the symplectic groups preserving one or two structure matrices.
 
-Three classifiers live here, all exact on the label side and numeric on the
-witness side:
+Three classifiers live here, all exact on the label side:
 
 * real Jordan shapes of rational matrices (block multisets, with an exact
   rational change of basis whenever every eigenvalue class is rational),
@@ -11,9 +10,9 @@ witness side:
   structures, labelled ``ThmEE-1`` .. ``ThmEE-3``.
 
 Labels carry exact parameters (Fraction or quadratic-extension values), so
-label equality decides conjugacy.  Witnesses are double-precision basis
-matrices W with residuals reported for both the similarity and the
-group-membership equations.
+label equality decides conjugacy.  Witnesses are exact or certified rational
+basis matrices W: both residuals are computed exactly and held to
+RESIDUAL_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .linalg import (
     MAX_DIM,
     Echelon,
@@ -35,15 +32,20 @@ from .linalg import (
     char_poly,
     factor_over_rationals,
     nullspace,
+    solve_or_invert,
     sqrt_exact,
     symmetric_signature,
 )
 
 Scalar = Union[int, Fraction, QuadExt]
+Vec = Tuple[Scalar, ...]
 
-#: residual bound a valid witness is expected to satisfy (documented contract,
-#: asserted by the test-suite rather than enforced here)
+#: residual bound every returned witness meets: both residuals are computed
+#: exactly and checked against it, and a witness that misses it is not returned
 RESIDUAL_TOLERANCE = 1e-9
+#: bits of the first rounded square roots in a witness, doubled up to the cap
+_PRECISION_START = 64
+_PRECISION_CAP = 4096
 
 J_SP4 = MatrixQ([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
 J_HJ2_1 = J_SP4
@@ -61,19 +63,22 @@ class UnsupportedFactorError(ValueError):
     """A characteristic-polynomial factor falls outside the supported catalog."""
 
 
+class WitnessPrecisionError(ArithmeticError):
+    """No witness meets RESIDUAL_TOLERANCE with square roots rounded to the precision cap."""
+
+
 # --------------------------------------------------------------------------
 # membership predicates
 # --------------------------------------------------------------------------
 
 def lie_membership(a: MatrixQ, family: str) -> bool:
-    """Exact test of a^T J + J a = 0 for every structure matrix of the family."""
+    """Exact test of a^T J + J a = 0, i.e. of J a symmetric, for each structure matrix J of the family."""
     mats = _LIE_FAMILIES.get(family)
     if mats is None:
         raise ValueError(f"unknown algebra family {family!r}; expected 'sp4' or 'hJ2'")
     if a.shape() != (4, 4):
         raise MembershipError(f"membership test needs a 4x4 matrix, got {a.nrows}x{a.ncols}")
-    at = a.transpose()
-    return all((at @ J + J @ a).is_zero() for J in mats)
+    return all(S == S.transpose() for S in (J @ a for J in mats))
 
 
 def group_membership(A: MatrixQ, family: str) -> bool:
@@ -135,43 +140,86 @@ def _label(family: str, *params: Tuple[str, object]) -> CanonicalLabel:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Numeric change of basis: columns of W express the canonical frame.
+    """Rational change of basis W (a MatrixQ of Fractions) onto the canonical frame.
 
-    ``residual_similarity`` is max|W^-1 a W - canonical| and ``residual_group``
-    is max|W^T J W - J| over the family's structure matrices.
+    ``residual_similarity`` is max|W^-1 a W - C| for the canonical matrix C and
+    ``residual_group`` is max|W^T J W - J| over the structure matrices, both
+    computed exactly, at most RESIDUAL_TOLERANCE, and rounded to float here.
+    ``precision_bits`` is 0 for an exact W (residuals 0.0), else the bits of
+    the rounded square roots W was built from.
     """
 
-    W: np.ndarray
+    W: MatrixQ
     residual_similarity: float
     residual_group: float
+    precision_bits: int
 
 
-def _to_np(M: MatrixQ) -> np.ndarray:
-    return np.array(M.to_float(), dtype=float)
+def _root(x: Fraction, bits: int) -> Fraction:
+    """sqrt(x) for a rational x >= 0: exact when rational, else isqrt(x 4^bits) / 2^bits."""
+    n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if n * n == x.numerator and d * d == x.denominator:
+        return Fraction(n, d)
+    return Fraction(math.isqrt(x.numerator * 4 ** bits // x.denominator), 2 ** bits)
 
 
-_J_NP = _to_np(J_SP4)
+def _rational(x: Scalar, bits: int) -> Fraction:
+    """x when rational; a + b sqrt(d) with the root rounded by _root otherwise."""
+    if not isinstance(x, QuadExt):
+        return x
+    r = _root(x.b * x.b * x.d, bits)
+    return x.a + (r if x.b > 0 else -r)
 
 
-def _col_np(v: MatrixQ) -> np.ndarray:
-    return np.array([float(x) for x in v.col(0)], dtype=float)
+def _assemble(cols: Sequence[Vec], bits: int) -> MatrixQ:
+    return MatrixQ([[_rational(c[i], bits) for c in cols] for i in range(4)])
 
 
-def _omega(x: np.ndarray, y: np.ndarray) -> float:
-    return float(x @ _J_NP @ y)
+def _int_form(M: MatrixQ) -> Tuple[List[List[int]], int]:
+    """Integer matrix N and common denominator D with M = N / D."""
+    D = math.lcm(*(x.denominator for x in M.flat()))
+    return [[x.numerator * (D // x.denominator) for x in M.row(i)] for i in range(M.nrows)], D
 
 
-def _max_abs(A: np.ndarray) -> float:
-    return float(np.max(np.abs(A))) if A.size else 0.0
+def _imatmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A]
 
 
-def _make_witness(a: MatrixQ, target: MatrixQ, W: np.ndarray, js: Sequence[MatrixQ]) -> Witness:
-    af = _to_np(a)
-    tf = _to_np(target)
-    Winv = np.linalg.inv(W)
-    res_sim = _max_abs(Winv @ af @ W - tf)
-    res_grp = max(_max_abs(W.T @ _to_np(J) @ W - _to_np(J)) for J in js)
-    return Witness(W=W, residual_similarity=res_sim, residual_group=res_grp)
+def _det3(m: Sequence[Sequence[int]]) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _make_witness(a: MatrixQ, target: MatrixQ, build: Callable[[int], MatrixQ],
+                  js: Sequence[MatrixQ]) -> Witness:
+    """The first build(bits), bits = 64, 128, ..., whose exact residuals meet RESIDUAL_TOLERANCE.
+
+    Over the integers, with W = Wi / D and a = Ai / E, W^-1 a W is
+    adj(Wi) Ai Wi / (det(Wi) E) and W^T J W is Wi^T J Wi / D^2.
+    """
+    tol = Fraction(RESIDUAL_TOLERANCE)
+    Ai, E = _int_form(a)
+    bits = _PRECISION_START
+    while bits <= _PRECISION_CAP:
+        W = build(bits)
+        Wi, D = _int_form(W)
+        adj = [[(-1) ** (i + j) * _det3([r[:i] + r[i + 1:] for k, r in enumerate(Wi) if k != j])
+                for j in range(4)] for i in range(4)]
+        det = sum(x * adj[k][0] for k, x in enumerate(Wi[0]))
+        if det:  # a singular W is no witness
+            N = _imatmul(_imatmul(adj, Ai), Wi)
+            sim = [abs(Fraction(N[i][j], det * E) - target[i, j]) for i in range(4) for j in range(4)]
+            grp = [abs(Fraction(g, D * D) - J[i, j]) for J in js
+                   for i, row in enumerate(_imatmul(list(zip(*Wi)), _imatmul(_int_form(J)[0], Wi)))
+                   for j, g in enumerate(row)]
+            if all(e <= tol for e in sim + grp):
+                exact = all(e == 0 for e in sim + grp)
+                return Witness(W, max(map(float, sim)), max(map(float, grp)), 0 if exact else bits)
+        bits *= 2
+    raise WitnessPrecisionError(
+        f"no witness within {RESIDUAL_TOLERANCE} from square roots rounded to {_PRECISION_CAP} bits"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -507,329 +555,270 @@ def _chain_sign(S: MatrixQ, basis_cols: Optional[Sequence[MatrixQ]]) -> int:
 
 
 # --------------------------------------------------------------------------
-# sp(4) witness constructions (numeric)
+# sp(4) witness constructions
 # --------------------------------------------------------------------------
+# Vectors are column tuples; every builder takes the bits to which it rounds
+# the square roots it cannot take exactly, and returns the rational W.
 
-def _eig_kernel(a: MatrixQ, lam: Scalar) -> List[MatrixQ]:
-    return nullspace(a - MatrixQ.identity(4) * lam)
-
-
-def _scaled_pair(v: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return v, w / _omega(v, w)
+_I4 = MatrixQ.identity(4)
+_UNITS = [_I4.col(j) for j in range(4)]
 
 
-def _first_col_outside_kernel(a: MatrixQ, cols: Sequence[MatrixQ]) -> MatrixQ:
-    for v in cols:
-        if not (a @ v).is_zero():
+def _omega(x: Vec, y: Vec) -> Scalar:
+    """The symplectic form x^T J y of J_SP4."""
+    return x[0] * y[2] + x[1] * y[3] - x[2] * y[0] - x[3] * y[1]
+
+
+def _lin(*terms: Tuple[Scalar, Vec]) -> Vec:
+    """The linear combination of (coefficient, vector) pairs."""
+    return tuple(sum(c * v[i] for c, v in terms) for i in range(4))
+
+
+def _kernel(M: MatrixQ) -> List[Vec]:
+    return [v.col(0) for v in nullspace(M)]
+
+
+def _plane(a: MatrixQ, m: Fraction) -> List[Vec]:
+    return _kernel(PolyQ([m, 0, 1]).eval_matrix(a))
+
+
+def _omega_perp(*vs: Vec) -> List[Vec]:
+    """Basis of the vectors omega-orthogonal to every v."""
+    return _kernel(MatrixQ([(-v[2], -v[3], v[0], v[1]) for v in vs]))
+
+
+def _outside_kernel(a: MatrixQ, vs: Sequence[Vec]) -> Vec:
+    for v in vs:
+        if any(x != 0 for x in a.apply(v)):
             return v
     raise ArithmeticError("no basis column escapes the kernel")
 
 
-def _plane_pair(a: MatrixQ, af: np.ndarray, m: Fraction) -> Tuple[np.ndarray, np.ndarray]:
-    """Scaled symplectic pair (u, t) spanning ker(a^2 + m), with a u = -+ sqrt(m) t."""
-    P = nullspace(PolyQ([m, 0, 1]).eval_matrix(a))
-    u = _col_np(P[0])
-    muf = math.sqrt(float(m))
-    t = -(af @ u) / muf
+def _frame(p: Tuple[Vec, Vec], q: Tuple[Vec, Vec], bits: int) -> MatrixQ:
+    """W = [p0, q0, p1, q1] from two Darboux pairs."""
+    return _assemble([p[0], q[0], p[1], q[1]], bits)
+
+
+def _pair(v: Vec, w: Vec) -> Tuple[Vec, Vec]:
+    """(v, w) with w rescaled so that omega(v, w) = 1."""
+    return v, _lin((1 / _omega(v, w), w))
+
+
+def _eigen_pair(a: MatrixQ, lam: Scalar) -> Tuple[Vec, Vec]:
+    """Darboux pair of +-lam eigenvectors, or of ker a when lam = 0."""
+    if lam == 0:
+        return _pair(*_kernel(a)[:2])
+    return _pair(_kernel(a - _I4 * lam)[0], _kernel(a + _I4 * lam)[0])
+
+
+def _chain_pair(a: MatrixQ, w: Vec, eps: int, bits: int) -> Tuple[Vec, Vec]:
+    """(eps a w, w) / sqrt|omega(a w, w)|: a Darboux pair when eps is the sign of omega(a w, w)."""
+    aw = a.apply(w)
+    s = 1 / _root(abs(_omega(aw, w)), bits)
+    return _lin((eps * s, aw)), _lin((s, w))
+
+
+def _plane_pair(a: MatrixQ, m: Fraction, u: Vec, bits: int) -> Tuple[Vec, Vec]:
+    """Scaled symplectic pair (u, t) spanning the a-plane of u in ker(a^2 + m), a u = -+sqrt(m) t."""
+    t = _lin((-1 / _root(m, bits), a.apply(u)))
     c = _omega(u, t)
-    if c < 0:
-        t, c = -t, -c
-    s = math.sqrt(c)
-    return u / s, t / s
+    s = 1 / _root(abs(c), bits)
+    return _lin((s, u)), _lin((s if c > 0 else -s, t))
 
 
-def _witness_e1_distinct(a: MatrixQ, lam: Scalar, mu: Scalar) -> np.ndarray:
-    vl = _col_np(_eig_kernel(a, lam)[0])
-    wl = _col_np(_eig_kernel(a, -lam)[0])
-    vm = _col_np(_eig_kernel(a, mu)[0])
-    wm = _col_np(_eig_kernel(a, -mu)[0])
-    vl, wl = _scaled_pair(vl, wl)
-    vm, wm = _scaled_pair(vm, wm)
-    return np.column_stack([vl, vm, wl, wm])
+def _witness_e1(a: MatrixQ, lam: Scalar, mu: Scalar, bits: int) -> MatrixQ:
+    return _frame(_eigen_pair(a, lam), _eigen_pair(a, mu), bits)
 
 
-def _witness_e1_double(a: MatrixQ, lam: Scalar) -> np.ndarray:
-    Vp = [_col_np(v) for v in _eig_kernel(a, lam)]
-    Vm = [_col_np(v) for v in _eig_kernel(a, -lam)]
-    G = np.array([[_omega(vp, vm) for vm in Vm] for vp in Vp])
-    Wm = np.column_stack(Vm) @ np.linalg.inv(G)
-    return np.column_stack([Vp[0], Vp[1], Wm[:, 0], Wm[:, 1]])
+def _witness_e1_double(a: MatrixQ, lam: Scalar, bits: int) -> MatrixQ:
+    Vp, Vm = _kernel(a - _I4 * lam), _kernel(a + _I4 * lam)
+    G = solve_or_invert(MatrixQ([[_omega(vp, vm) for vm in Vm] for vp in Vp]))
+    Wm = [_lin((G[0, j], Vm[0]), (G[1, j], Vm[1])) for j in range(2)]
+    return _assemble([Vp[0], Vp[1], Wm[0], Wm[1]], bits)
 
 
-def _witness_e1_semisimple_zero(a: MatrixQ, lam: Scalar) -> np.ndarray:
-    v1 = _col_np(_eig_kernel(a, lam)[0])
-    w1 = _col_np(_eig_kernel(a, -lam)[0])
-    v1, w1 = _scaled_pair(v1, w1)
-    K0 = nullspace(a)
-    u = _col_np(K0[0])
-    t = _col_np(K0[1])
-    u, t = _scaled_pair(u, t)
-    return np.column_stack([v1, u, w1, t])
+def _witness_e2(a: MatrixQ, lam: Scalar, eps: int, bits: int) -> MatrixQ:
+    """A chain pair, and the +-lam pair or (lam = 0) a pair omega-orthogonal to the chain."""
+    w = _outside_kernel(a, _kernel(a @ a))
+    pair = _eigen_pair(a, lam) if lam != 0 else _pair(*_omega_perp(a.apply(w), w))
+    return _frame(pair, _chain_pair(a, w, eps, bits), bits)
 
 
-def _witness_e2(a: MatrixQ, af: np.ndarray, lam: Scalar, eps: int) -> np.ndarray:
-    v1 = _col_np(_eig_kernel(a, lam)[0])
-    w1 = _col_np(_eig_kernel(a, -lam)[0])
-    v1, w1 = _scaled_pair(v1, w1)
-    K0 = nullspace(a @ a)
-    w2 = _col_np(_first_col_outside_kernel(a, K0))
-    av = af @ w2
-    c = _omega(av, w2)
-    s = math.sqrt(abs(c))
-    return np.column_stack([v1, (eps / s) * av, w1, w2 / s])
+def _witness_e3_hyperbolic(a: MatrixQ, lam: Scalar, bits: int) -> MatrixQ:
+    Ap, Am = a - _I4 * lam, a + _I4 * lam
+    v2 = _outside_kernel(Ap, _kernel(Ap @ Ap))
+    w2 = _outside_kernel(Am, _kernel(Am @ Am))
+    w1p = Am.apply(w2)
+    T, R = _omega(v2, w1p), _omega(v2, w2)
+    x3 = _lin((-1 / T, w2), (R / (T * T), w1p))
+    return _assemble([Ap.apply(v2), v2, x3, _lin((1 / T, w1p))], bits)
 
 
-def _witness_e2_nilrank1(a: MatrixQ, af: np.ndarray, eps: int) -> np.ndarray:
-    j = next(j for j in range(4) if any(x != 0 for x in a.col(j)))
-    w2x = MatrixQ.column([1 if i == j else 0 for i in range(4)])
-    v2x = a @ w2x
-    rows = MatrixQ([(J_SP4 @ v2x).col(0), (J_SP4 @ w2x).col(0)])
-    U = nullspace(rows)
-    u = _col_np(U[0])
-    t = _col_np(U[1])
-    u, t = _scaled_pair(u, t)
-    w2 = _col_np(w2x)
-    av = af @ w2
-    c = _omega(av, w2)
-    s = math.sqrt(abs(c))
-    return np.column_stack([u, (eps / s) * av, t, w2 / s])
-
-
-def _witness_e3_hyperbolic(a: MatrixQ, af: np.ndarray, lam: Scalar) -> np.ndarray:
-    lamf = float(lam)
-    I4 = MatrixQ.identity(4)
-    Ap = a - I4 * lam
-    Am = a + I4 * lam
-    v2 = _col_np(_first_col_outside_kernel(Ap, nullspace(Ap @ Ap)))
-    w2 = _col_np(_first_col_outside_kernel(Am, nullspace(Am @ Am)))
-    v1 = af @ v2 - lamf * v2
-    w1p = af @ w2 + lamf * w2
-    T = _omega(v2, w1p)
-    R = _omega(v2, w2)
-    x3 = -(w2 - (R / T) * w1p) / T
-    x4 = w1p / T
-    return np.column_stack([v1, v2, x3, x4])
-
-
-def _witness_e3_nilpotent(a: MatrixQ, af: np.ndarray) -> np.ndarray:
-    cols = [MatrixQ.column([1 if i == j else 0 for i in range(4)]) for j in range(4)]
+def _witness_e3_nilpotent(a: MatrixQ, bits: int) -> MatrixQ:
     i, j = next(
         (i, j) for i in range(4) for j in range(i + 1, 4)
-        if (a @ cols[i]).hstack(a @ cols[j]).rank() == 2
+        if MatrixQ([a.col(i), a.col(j)]).rank() == 2
     )
-    x = _col_np(cols[i])
-    y = _col_np(cols[j])
+    x, y = _UNITS[i], _UNITS[j]
     S = J_SP4 @ a
-    A, B, C = S[(i, i)], S[(i, j)], S[(j, j)]
+    A, B, C = S[i, i], S[i, j], S[j, j]
     if A == 0:
-        u1 = x
-        u2 = -float(C / (2 * B)) * x + y
+        u1, u2 = x, _lin((-C / (2 * B), x), (1, y))
     else:
-        disc = math.sqrt(float(B * B - A * C))
-        u1 = ((float(-B) + disc) / float(A)) * x + y
-        u2 = ((float(-B) - disc) / float(A)) * x + y
-    b = _omega(u1, af @ u2)
-    c = -1.0 / b
-    s = _omega(u1, u2)
-    z = -(c * s / b) * (af @ u2)
-    return np.column_stack([af @ u1, u1, c * u2 + z, -c * (af @ u2)])
+        disc = _root(B * B - A * C, bits)
+        u1, u2 = (_lin(((-B + disc) / A, x), (1, y)), _lin(((-B - disc) / A, x), (1, y)))
+    au2 = a.apply(u2)
+    b = _omega(u1, au2)
+    c = -1 / b
+    z = _lin((c, u2), (-c * _omega(u1, u2) / b, au2))
+    return _assemble([a.apply(u1), u1, z, _lin((-c, au2))], bits)
 
 
-def _witness_e4(a: MatrixQ, af: np.ndarray, eps: int) -> np.ndarray:
-    j = next(j for j in range(4) if any(x != 0 for x in a.col(j)))
-    u0 = MatrixQ.column([1 if i == j else 0 for i in range(4)])
-    u = _col_np(u0)
-    v1 = eps * (af @ u)
-    s1 = math.sqrt(_omega(v1, u))
-    rows = MatrixQ([(J_SP4 @ (a @ u0)).col(0), (J_SP4 @ u0).col(0)])
-    Uperp = nullspace(rows)
-    w2 = _col_np(_first_col_outside_kernel(a, Uperp))
-    v2 = eps * (af @ w2)
-    s2 = math.sqrt(_omega(v2, w2))
-    return np.column_stack([v1 / s1, v2 / s2, u / s1, w2 / s2])
+def _witness_e4(a: MatrixQ, eps: int, bits: int) -> MatrixQ:
+    u = _outside_kernel(a, _UNITS)
+    w = _outside_kernel(a, _omega_perp(a.apply(u), u))
+    return _frame(_chain_pair(a, u, eps, bits), _chain_pair(a, w, eps, bits), bits)
 
 
-def _witness_e5(a: MatrixQ, af: np.ndarray, eps: int) -> np.ndarray:
-    a3 = a @ a @ a
-    j = next(j for j in range(4) if any(x != 0 for x in a3.col(j)))
-    t = np.zeros(4)
-    t[j] = 1.0
-    at, a2t, a3t = af @ t, af @ af @ t, _to_np(a3) @ t
+def _witness_e5(a: MatrixQ, eps: int, bits: int) -> MatrixQ:
+    a2 = a @ a
+    a3 = a2 @ a
+    t = _outside_kernel(a3, _UNITS)
+    at, a2t, a3t = a.apply(t), a2.apply(t), a3.apply(t)
     q = _omega(a3t, t)
     gamma = _omega(t, at) / (2 * q)
-    t = t + gamma * a2t
-    at = at + gamma * a3t
-    beta = 1.0 / math.sqrt(abs(q))
-    return np.column_stack([-eps * beta * a3t, -eps * beta * a2t, beta * t, -beta * at])
+    t, at = _lin((1, t), (gamma, a2t)), _lin((1, at), (gamma, a3t))
+    beta = 1 / _root(abs(q), bits)
+    return _assemble([_lin((-eps * beta, a3t)), _lin((-eps * beta, a2t)),
+                      _lin((beta, t)), _lin((-beta, at))], bits)
 
 
-def _witness_e6(a: MatrixQ, af: np.ndarray, lam: Scalar, m: Fraction) -> np.ndarray:
-    if lam != 0:
-        v1 = _col_np(_eig_kernel(a, lam)[0])
-        w1 = _col_np(_eig_kernel(a, -lam)[0])
-    else:
-        K0 = nullspace(a)
-        v1, w1 = _col_np(K0[0]), _col_np(K0[1])
-    v1, w1 = _scaled_pair(v1, w1)
-    u, t = _plane_pair(a, af, m)
-    return np.column_stack([v1, u, w1, t])
+def _witness_e6(a: MatrixQ, lam: Scalar, m: Fraction, bits: int) -> MatrixQ:
+    return _frame(_eigen_pair(a, lam), _plane_pair(a, m, _plane(a, m)[0], bits), bits)
 
 
-def _witness_e7(a: MatrixQ, af: np.ndarray, m: Fraction, eps: int) -> np.ndarray:
-    K0 = nullspace(a @ a)
-    w1 = _col_np(_first_col_outside_kernel(a, K0))
-    v1 = eps * (af @ w1)
-    s1 = math.sqrt(_omega(v1, w1))
-    u, t = _plane_pair(a, af, m)
-    return np.column_stack([v1 / s1, u, w1 / s1, t])
+def _witness_e7(a: MatrixQ, m: Fraction, eps: int, bits: int) -> MatrixQ:
+    chain = _chain_pair(a, _outside_kernel(a, _kernel(a @ a)), eps, bits)
+    return _frame(chain, _plane_pair(a, m, _plane(a, m)[0], bits), bits)
 
 
-def _witness_e8(a: MatrixQ, af: np.ndarray, lam: Fraction, s: Fraction) -> np.ndarray:
-    lamf = float(lam)
-    muf = math.sqrt(float(s - lam * lam))
-    I4 = MatrixQ.identity(4)
-    fplus = a @ a - (a * (2 * lam)) + I4 * s
-    fminus = a @ a + (a * (2 * lam)) + I4 * s
-    u = _col_np(nullspace(fplus)[0])
-    z = _col_np(nullspace(fminus)[0])
-    v1 = u
-    v2 = -(af @ u - lamf * u) / muf
-    w2c = -(af @ z + lamf * z) / muf
-    alpha = _omega(v1, z)
-    beta = _omega(v1, w2c)
-    r = math.hypot(alpha, beta)
-    w1 = (alpha * z + beta * w2c) / r
-    w2 = (alpha * w2c - beta * z) / r
-    return np.column_stack([v1, v2, w1 / r, w2 / r])
+def _witness_e8(a: MatrixQ, lam: Fraction, s: Fraction, bits: int) -> MatrixQ:
+    mu = _root(s - lam * lam, bits)
+    a2 = a @ a
+    u = _kernel(a2 - a * (2 * lam) + _I4 * s)[0]
+    z = _kernel(a2 + a * (2 * lam) + _I4 * s)[0]
+    v2 = _lin((-1 / mu, a.apply(u)), (lam / mu, u))
+    w2c = _lin((-1 / mu, a.apply(z)), (-lam / mu, z))
+    alpha, beta = _omega(u, z), _omega(u, w2c)
+    n = alpha * alpha + beta * beta
+    return _assemble([u, v2, _lin((alpha / n, z), (beta / n, w2c)),
+                      _lin((alpha / n, w2c), (-beta / n, z))], bits)
 
 
-def _nullf_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    A = np.array(rows, dtype=float)
-    _, _, vh = np.linalg.svd(A)
-    return vh[len(rows):].T
+def _witness_e8_zero(a: MatrixQ, m: Fraction, bits: int) -> MatrixQ:
+    """a^2 = -m, J a of signature (2,2): R^4 splits into a positive and a negative a-plane.
 
+    In the basis (x, a x) of the a-plane of x the form J a is (x^T J a x) diag(1, m);
+    the omega-orthogonal plane is its J a-orthogonal complement, of the other sign.
+    """
+    mu = _root(m, bits)
 
-def _witness_e8_zero(a: MatrixQ, af: np.ndarray, m: Fraction) -> np.ndarray:
-    muf = math.sqrt(float(m))
-    S = _to_np(J_SP4 @ a)
-    _, vecs = np.linalg.eigh(S)
-    u1 = vecs[:, -1]
-    t1 = -(af @ u1) / muf
-    Wc = _nullf_rows([_J_NP @ u1, _J_NP @ t1])
-    u2 = Wc[:, 0]
-    u1 = u1 / math.sqrt(float(u1 @ S @ u1))
-    u2 = u2 / math.sqrt(float(-(u2 @ S @ u2)))
-    t1 = -(af @ u1) / muf
-    t2 = -(af @ u2) / muf
-    x = u1 + u2
-    y = t1 - t2
+    def q(v: Vec) -> Fraction:
+        return _omega(v, a.apply(v))
+
+    sums = [_lin((1, e), (1, f)) for k, e in enumerate(_UNITS) for f in _UNITS[k + 1:]]
+    x = next(v for v in _UNITS + sums if q(v) != 0)
+    y = _omega_perp(x, a.apply(x))[0]
+    u1, u2 = (x, y) if q(x) > 0 else (y, x)
+    u1, u2 = _lin((1 / _root(q(u1), bits), u1)), _lin((1 / _root(-q(u2), bits), u2))
+    x = _lin((1, u1), (1, u2))
+    y = _lin((-1 / mu, a.apply(u1)), (1 / mu, a.apply(u2)))
     c = _omega(x, y)
-    return np.column_stack([x, -(af @ x) / muf, y / c, -(af @ y) / (c * muf)])
+    return _assemble([x, _lin((-1 / mu, a.apply(x))), _lin((1 / c, y)),
+                      _lin((-1 / (c * mu), a.apply(y)))], bits)
 
 
-def _witness_e9_distinct(a: MatrixQ, af: np.ndarray, m1: Fraction, m2: Fraction) -> np.ndarray:
-    u1, t1 = _plane_pair(a, af, m1)
-    u2, t2 = _plane_pair(a, af, m2)
-    return np.column_stack([u1, u2, t1, t2])
+def _witness_e9_distinct(a: MatrixQ, m1: Fraction, m2: Fraction, bits: int) -> MatrixQ:
+    return _frame(_plane_pair(a, m1, _plane(a, m1)[0], bits),
+                  _plane_pair(a, m2, _plane(a, m2)[0], bits), bits)
 
 
-def _witness_e9_equal(a: MatrixQ, af: np.ndarray, m: Fraction) -> np.ndarray:
-    muf = math.sqrt(float(m))
-    e1x = MatrixQ.column([1, 0, 0, 0])
-    rows = MatrixQ([(J_SP4 @ e1x).col(0), (J_SP4 @ (a @ e1x)).col(0)])
-    U = nullspace(rows)
-
-    def pair(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        t = -(af @ u) / muf
-        c = _omega(u, t)
-        if c < 0:
-            t, c = -t, -c
-        s = math.sqrt(c)
-        return u / s, t / s
-
-    u1, t1 = pair(_col_np(e1x))
-    u2, t2 = pair(_col_np(U[0]))
-    return np.column_stack([u1, u2, t1, t2])
+def _witness_e9_equal(a: MatrixQ, m: Fraction, bits: int) -> MatrixQ:
+    u2 = _omega_perp(_UNITS[0], a.col(0))[0]
+    return _frame(_plane_pair(a, m, _UNITS[0], bits), _plane_pair(a, m, u2, bits), bits)
 
 
-def _witness_e10(a: MatrixQ, af: np.ndarray, m: Fraction) -> np.ndarray:
-    muf = math.sqrt(float(m))
-    I4 = MatrixQ.identity(4)
-    b = a @ a + I4 * m
+def _witness_e10(a: MatrixQ, m: Fraction, bits: int) -> MatrixQ:
+    mu = _root(m, bits)
+    b = a @ a + _I4 * m
     c = a @ b
     Jc = J_SP4 @ c
-    i = max(range(4), key=lambda k: abs(float(Jc[(k, k)])))
-    u = np.zeros(4)
-    u[i] = 1.0
-    bf, cf = _to_np(b), _to_np(c)
-    q1 = -(bf @ u) / (2 * muf)
-    p1 = -(cf @ u) / (2 * muf * muf)
-    q2 = (p1 - af @ u) / muf
-    p2 = u
-    corr = _omega(p2, q2) / (2 * _omega(p2, p1))
-    p2 = p2 + corr * q1
-    q2 = q2 - corr * p1
+    u = _UNITS[max(range(4), key=lambda k: abs(Jc[k, k]))]
+    q1 = _lin((-1 / (2 * mu), b.apply(u)))
+    p1 = _lin((-1 / (2 * m), c.apply(u)))
+    q2 = _lin((1 / mu, p1), (-1 / mu, a.apply(u)))
+    corr = _omega(u, q2) / (2 * _omega(u, p1))
+    p2, q2 = _lin((1, u), (corr, q1)), _lin((1, q2), (-corr, p1))
     kappa = _omega(p1, p2)
-    if kappa < 0:
-        p2, q2, kappa = -p2, -q2, -kappa
-    s = math.sqrt(kappa)
-    return np.column_stack([p1 / s, q1 / s, p2 / s, q2 / s])
+    s = 1 / _root(abs(kappa), bits)
+    t = s if kappa > 0 else -s
+    return _assemble([_lin((s, p1)), _lin((s, q1)), _lin((t, p2)), _lin((t, q2))], bits)
 
 
 # --------------------------------------------------------------------------
 # sp(4) classifier
 # --------------------------------------------------------------------------
 
-def _classify_all_real(a: MatrixQ, af: np.ndarray, roots: Sequence[Scalar]):
+def _classify_all_real(a: MatrixQ, roots: Sequence[Scalar]):
     lam, mu = _paired_nonnegative(roots)
     Ja = J_SP4 @ a
     if mu != 0 and lam != mu:
-        return _label("ThmE-1", ("lambda", lam), ("mu", mu)), lambda: _witness_e1_distinct(a, lam, mu)
+        return _label("ThmE-1", ("lambda", lam), ("mu", mu)), lambda bits: _witness_e1(a, lam, mu, bits)
     if mu != 0:
         lam2 = _normalize_scalar(lam * lam)
         if a @ a == MatrixQ.diagonal([lam2] * 4):
-            return _label("ThmE-1", ("lambda", lam), ("mu", lam)), lambda: _witness_e1_double(a, lam)
-        return _label("ThmE-3", ("lambda", lam)), lambda: _witness_e3_hyperbolic(a, af, lam)
+            return _label("ThmE-1", ("lambda", lam), ("mu", lam)), lambda bits: _witness_e1_double(a, lam, bits)
+        return _label("ThmE-3", ("lambda", lam)), lambda bits: _witness_e3_hyperbolic(a, lam, bits)
     if lam != 0:
         lam2 = _normalize_scalar(lam * lam)
         if a @ a @ a == a * lam2:
             return (_label("ThmE-1", ("lambda", lam), ("mu", 0)),
-                    lambda: _witness_e1_semisimple_zero(a, lam))
+                    lambda bits: _witness_e1(a, lam, 0, bits))
         eps = _chain_sign(Ja, nullspace(a @ a))
-        return _label("ThmE-2", ("lambda", lam), ("epsilon", eps)), lambda: _witness_e2(a, af, lam, eps)
+        return _label("ThmE-2", ("lambda", lam), ("epsilon", eps)), lambda bits: _witness_e2(a, lam, eps, bits)
     if a.is_zero():
-        return _label("ThmE-1", ("lambda", 0), ("mu", 0)), lambda: np.eye(4)
+        return _label("ThmE-1", ("lambda", 0), ("mu", 0)), lambda bits: MatrixQ.identity(4)
     if (a @ a).is_zero():
         if a.rank() == 1:
             eps = _chain_sign(Ja, None)
             return (_label("ThmE-2", ("lambda", 0), ("epsilon", eps)),
-                    lambda: _witness_e2_nilrank1(a, af, eps))
+                    lambda bits: _witness_e2(a, 0, eps, bits))
         pos, neg, _ = symmetric_signature(Ja)
         if (pos, neg) == (1, 1):
-            return _label("ThmE-3", ("lambda", 0)), lambda: _witness_e3_nilpotent(a, af)
+            return _label("ThmE-3", ("lambda", 0)), lambda bits: _witness_e3_nilpotent(a, bits)
         eps = 1 if (pos, neg) == (0, 2) else -1
-        return _label("ThmE-4", ("epsilon", eps)), lambda: _witness_e4(a, af, eps)
+        return _label("ThmE-4", ("epsilon", eps)), lambda bits: _witness_e4(a, eps, bits)
     pos, neg, _ = symmetric_signature(J_SP4 @ a @ a @ a)
     if (pos, neg) not in ((1, 0), (0, 1)):
         raise ArithmeticError(f"unexpected signature ({pos},{neg}) for a nilpotent chain of length 4")
     eps = 1 if (pos, neg) == (1, 0) else -1
-    return _label("ThmE-5", ("epsilon", eps)), lambda: _witness_e5(a, af, eps)
+    return _label("ThmE-5", ("epsilon", eps)), lambda bits: _witness_e5(a, eps, bits)
 
 
-def _classify_mixed(a: MatrixQ, af: np.ndarray, roots: Sequence[Scalar], m: Fraction):
+def _classify_mixed(a: MatrixQ, roots: Sequence[Scalar], m: Fraction):
     lam = roots[0] if roots[0] >= 0 else roots[1]
     mu = sqrt_exact(m)
     P = nullspace(PolyQ([m, 0, 1]).eval_matrix(a))
     plane_sign = -_definite_sign(J_SP4 @ a, P)
     if lam != 0 or (a @ PolyQ([m, 0, 1]).eval_matrix(a)).is_zero():
         return (_label("ThmE-6", ("lambda", lam), ("mu", mu), ("epsilon", plane_sign)),
-                lambda: _witness_e6(a, af, lam, m))
+                lambda bits: _witness_e6(a, lam, m, bits))
     eps = _chain_sign(J_SP4 @ a, nullspace(a @ a))
     return (_label("ThmE-7", ("mu", mu), ("epsilon", eps), ("delta", plane_sign)),
-            lambda: _witness_e7(a, af, m, eps))
+            lambda bits: _witness_e7(a, m, eps, bits))
 
 
-def _classify_imaginary(a: MatrixQ, af: np.ndarray, imag: Sequence[Tuple[Fraction, int]]):
+def _classify_imaginary(a: MatrixQ, imag: Sequence[Tuple[Fraction, int]]):
     Ja = J_SP4 @ a
     if len(imag) == 2:
         (m1, _), (m2, _) = sorted(imag, reverse=True)
@@ -839,47 +828,45 @@ def _classify_imaginary(a: MatrixQ, af: np.ndarray, imag: Sequence[Tuple[Fractio
         f2 = sqrt_exact(m2)
         eta = f2 if s1 == s2 else -f2
         return (_label("ThmE-9", ("mu", mu), ("epsilon", s1), ("eta", eta)),
-                lambda: _witness_e9_distinct(a, af, m1, m2))
+                lambda bits: _witness_e9_distinct(a, m1, m2, bits))
     (m, _), = imag
     mu = sqrt_exact(m)
     if PolyQ([m, 0, 1]).eval_matrix(a).is_zero():
         pos, neg, _ = symmetric_signature(Ja)
         if (pos, neg) == (2, 2):
-            return _label("ThmE-8", ("lambda", 0), ("mu", mu)), lambda: _witness_e8_zero(a, af, m)
+            return _label("ThmE-8", ("lambda", 0), ("mu", mu)), lambda bits: _witness_e8_zero(a, m, bits)
         eps = 1 if (pos, neg) == (0, 4) else -1
         return (_label("ThmE-9", ("mu", mu), ("epsilon", eps), ("eta", mu)),
-                lambda: _witness_e9_equal(a, af, m))
+                lambda bits: _witness_e9_equal(a, m, bits))
     c = a @ a @ a + a * m
     pos, neg, _ = symmetric_signature(J_SP4 @ c)
     if (pos, neg) not in ((2, 0), (0, 2)):
         raise ArithmeticError(f"unexpected signature ({pos},{neg}) for a repeated imaginary pair")
     eps = 1 if (pos, neg) == (2, 0) else -1
-    return _label("ThmE-10", ("mu", mu), ("epsilon", eps)), lambda: _witness_e10(a, af, m)
+    return _label("ThmE-10", ("mu", mu), ("epsilon", eps)), lambda bits: _witness_e10(a, m, bits)
 
 
-def _sp4_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[], np.ndarray]]:
-    af = _to_np(a)
+def _sp4_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]:
     spectrum = _sp4_spectrum(char_poly(a))
     if spectrum.complex_pair is not None:
         lam, s = spectrum.complex_pair
         mu = sqrt_exact(s - lam * lam)
         return (_label("ThmE-8", ("lambda", lam), ("mu", mu)),
-                lambda: _witness_e8(a, af, lam, s))
+                lambda bits: _witness_e8(a, lam, s, bits))
     if len(spectrum.real_roots) == 4:
-        return _classify_all_real(a, af, spectrum.real_roots)
+        return _classify_all_real(a, spectrum.real_roots)
     if len(spectrum.real_roots) == 2:
         (m, _), = spectrum.imag
-        return _classify_mixed(a, af, spectrum.real_roots, m)
-    return _classify_imaginary(a, af, spectrum.imag)
+        return _classify_mixed(a, spectrum.real_roots, m)
+    return _classify_imaginary(a, spectrum.imag)
 
 
 def sp4_canonical_form(a: MatrixQ) -> Tuple[CanonicalLabel, Witness]:
-    """Exact canonical label and numeric Sp(4,R) witness for a member of sp(4,R)."""
+    """Exact canonical label and certified Sp(4,R) witness for a member of sp(4,R)."""
     if not lie_membership(a, "sp4"):
         raise MembershipError("matrix is not in sp(4,R): a^T J + J a != 0")
     label, build = _sp4_classify(a)
-    W = build()
-    return label, _make_witness(a, sp4_canonical_matrix(label), W, (J_SP4,))
+    return label, _make_witness(a, sp4_canonical_matrix(label), build, (J_SP4,))
 
 
 def symplectically_similar(a: MatrixQ, b: MatrixQ) -> bool:
@@ -914,51 +901,68 @@ def _complexify_matrix(a: MatrixQ):
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 
-def _complex_eigvec(T: np.ndarray, w: complex) -> np.ndarray:
-    v1 = np.array([T[0, 1], w - T[0, 0]])
-    v2 = np.array([w - T[1, 1], T[1, 0]])
-    v = v1 if np.abs(v1).sum() >= np.abs(v2).sum() else v2
-    return v / np.linalg.norm(v)
+#: multiplication by i in the complex coordinates above
+_K = J_HJ2_1 @ J_HJ2_2
 
 
-def _realify_basis(T: np.ndarray) -> np.ndarray:
-    cols = []
-    for z in (np.array([1, 0]), np.array([-1j, 0]), np.array([0, 1]), np.array([0, 1j])):
-        img = T @ z
-        cols.append([img[0].real, -img[0].imag, img[1].real, img[1].imag])
-    return np.array(cols).T
+def _cscale(c, x: Vec) -> Vec:
+    """The complex multiple (c0 + i c1) x of a real vector x."""
+    return _lin((c[0], x), (c[1], _K.apply(x)))
 
 
-def _hJ2_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[], np.ndarray]]:
+def _cinv(c):
+    n = c[0] * c[0] + c[1] * c[1]
+    return c[0] / n, -c[1] / n
+
+
+def _cform(x: Vec, y: Vec):
+    """The complex determinant of the columns x, y: real part omega_1, imaginary part omega_2."""
+    return _omega(x, y), -_omega(x, _K.apply(y))
+
+
+def _csqrt(z, bits: int):
+    """A square root of the Gaussian rational z != 0, from roots rounded by _root."""
+    x, y = z
+    r = _root((_root(x * x + y * y, bits) + abs(x)) / 2, bits)
+    return (r, y / (2 * r)) if x >= 0 else (y / (2 * r), r)
+
+
+def _realify_basis(x1: Vec, x2: Vec, bits: int) -> MatrixQ:
+    """Real basis of the complex frame with columns x1, x2: x1, -i x1, x2, i x2."""
+    return _assemble([x1, _cscale((0, -1), x1), x2, _cscale((0, 1), x2)], bits)
+
+
+def _witness_ee_eigen(a: MatrixQ, w, bits: int) -> MatrixQ:
+    """Complex eigenvectors for w and -w, the second divided by their determinant."""
+    shift = _I4 * w[0] + _K * w[1]
+    xp, xm = _kernel(a - shift)[0], _kernel(a + shift)[0]
+    return _realify_basis(xp, _cscale(_cinv(_cform(xp, xm)), xm), bits)
+
+
+def _witness_ee_chain(a: MatrixQ, bits: int) -> MatrixQ:
+    """T = [a u, u] for u outside ker a, divided by a square root of det T."""
+    u = _outside_kernel(a, _UNITS)
+    au = a.apply(u)
+    r = _cinv(_csqrt(_cform(au, u), bits))
+    return _realify_basis(_cscale(r, au), _cscale(r, u), bits)
+
+
+def _hJ2_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]:
     ac = _complexify_matrix(a)
     (z11, z12), (z21, z22) = ac
     det = tuple(x - y for x, y in zip(_cmul(z11, z22), _cmul(z21, z12)))
     p, q = -det[0], -det[1]  # w^2 = -det, eigenvalues are +-w
-    acf = np.array([[complex(z11[0], z11[1]), complex(z12[0], z12[1])],
-                    [complex(z21[0], z21[1]), complex(z22[0], z22[1])]])
-
-    def diagonalizing(wv: complex) -> np.ndarray:
-        vp = _complex_eigvec(acf, wv)
-        vm = _complex_eigvec(acf, -wv)
-        T = np.column_stack([vp, vm])
-        return np.column_stack([vp, vm / np.linalg.det(T)])
-
     if q == 0:
         if all(x == 0 and y == 0 for x, y in (z11, z12, z21, z22)):
-            return _label("ThmEE-1", ("lambda", 0)), lambda: np.eye(2, dtype=complex)
+            return _label("ThmEE-1", ("lambda", 0)), lambda bits: MatrixQ.identity(4)
         if p == 0:
-            def chain() -> np.ndarray:
-                col0_nonzero = any(x != 0 for x in (*z11, *z21))
-                u = np.array([1.0 + 0j, 0]) if col0_nonzero else np.array([0, 1.0 + 0j])
-                T = np.column_stack([acf @ u, u])
-                return T / np.sqrt(np.linalg.det(T) + 0j)
-            return _label("ThmEE-2"), chain
+            return _label("ThmEE-2"), lambda bits: _witness_ee_chain(a, bits)
         if p > 0:
             lam = sqrt_exact(p)
-            return _label("ThmEE-1", ("lambda", lam)), lambda: diagonalizing(math.sqrt(float(p)))
+            return _label("ThmEE-1", ("lambda", lam)), lambda bits: _witness_ee_eigen(a, (lam, 0), bits)
         mu = sqrt_exact(-p)
         return (_label("ThmEE-3", ("lambda", 0), ("mu", mu), ("epsilon", 1)),
-                lambda: diagonalizing(1j * math.sqrt(float(-p))))
+                lambda bits: _witness_ee_eigen(a, (0, mu), bits))
     quartic = PolyQ([p * p + q * q, 0, -2 * p, 0, 1])
     terms = factor_over_rationals(quartic)
     pair = [t.poly for t in terms if t.poly.degree == 2]
@@ -972,18 +976,16 @@ def _hJ2_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[], np.ndarray]]
         raise ArithmeticError("eigenvalue quartic factorization is inconsistent")
     mu = sqrt_exact(s - lam * lam)
     eps = 1 if q > 0 else -1
-    wv = complex(float(lam), eps * math.sqrt(float(s - lam * lam)))
     return (_label("ThmEE-3", ("lambda", lam), ("mu", mu), ("epsilon", eps)),
-            lambda: diagonalizing(wv))
+            lambda bits: _witness_ee_eigen(a, (lam, eps * mu), bits))
 
 
 def hJ2_canonical_form(a: MatrixQ) -> Tuple[CanonicalLabel, Witness]:
-    """Exact canonical label and numeric H(J2) witness for a member of h(J2)."""
+    """Exact canonical label and certified H(J2) witness for a member of h(J2)."""
     if not lie_membership(a, "hJ2"):
         raise MembershipError("matrix is not in h(J2): a^T J_i + J_i a != 0 for a structure matrix")
     label, build = _hJ2_classify(a)
-    W = _realify_basis(build())
-    return label, _make_witness(a, hJ2_canonical_matrix(label), W, (J_HJ2_1, J_HJ2_2))
+    return label, _make_witness(a, hJ2_canonical_matrix(label), build, (J_HJ2_1, J_HJ2_2))
 
 
 def hJ2_similar(a: MatrixQ, b: MatrixQ) -> bool:

@@ -262,13 +262,12 @@ class QuadExt:
         if self.b == 0:
             return float(self.a)
         if self.d < 0:
-            raise ValueError(f"{self} is complex; use complex()")
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __complex__(self):
-        if self.d < 0 and self.b != 0:
-            return complex(float(self.a), float(self.b) * math.sqrt(-self.d))
-        return complex(float(self))
+            raise ValueError(f"{self} is complex")
+        r = float(self.b) * math.sqrt(self.d)
+        if (self.a < 0) == (self.b < 0):
+            return float(self.a) + r
+        # a and b sqrt(d) nearly cancel: divide the exact norm by the conjugate
+        return float(self.a * self.a - self.b * self.b * self.d) / (float(self.a) - r)
 
     def __repr__(self):
         if self.b == 0:
@@ -530,9 +529,6 @@ class MatrixQ:
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def to_float(self) -> List[List[float]]:
-        return [[float(x) for x in row] for row in self._r]
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self._r)

@@ -1,5 +1,5 @@
 """Canonical-form tests: membership predicates, real Jordan shapes, and the
-two exact 4x4 classifiers with their numeric witnesses.
+two exact 4x4 classifiers with their certified rational witnesses.
 
 Frozen expectations (Jordan block multisets, shape-catalog counts, and the
 dissimilarity of the sign pairs) come from tests/oracles/canonical_oracle.py,
@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from lieq import canonical
 from lieq.canonical import (
     CanonicalLabel,
     MembershipError,
     UnsupportedFactorError,
+    WitnessPrecisionError,
     J_SP4,
     J_HJ2_1,
     J_HJ2_2,
@@ -107,6 +109,31 @@ def test_membership_needs_4x4():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         lie_membership(MatrixQ.zeros(4, 4), "sp6")
+
+
+def _sp4_member(vals):
+    a11, a12, a21, a22, b1, b2, b3, c1, c2, c3 = vals
+    return MatrixQ([
+        [a11, a12, b1, b2],
+        [a21, a22, b2, b3],
+        [c1, c2, -a11, -a21],
+        [c2, c3, -a12, -a22],
+    ])
+
+
+@seed(3)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=16, max_size=16))
+def test_lie_membership_matches_defining_equation(vals):
+    # lie_membership tests that J a is symmetric; compare with a^T J + J a = 0
+    def defining(a, js):
+        return all((a.transpose() @ J + J @ a).is_zero() for J in js)
+
+    member = _sp4_member(vals[:10])
+    assert lie_membership(member, "sp4")
+    for a in (MatrixQ([vals[4 * i:4 * i + 4] for i in range(4)]), member):
+        assert lie_membership(a, "sp4") == defining(a, [J_SP4])
+        assert lie_membership(a, "hJ2") == defining(a, [J_HJ2_1, J_HJ2_2])
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +367,31 @@ def test_ten_form_idempotence(lbl):
     assert_good_witness(wit)
 
 
-def _rand_sym2(rng):
-    a, b, c = (F(rng.randint(-2, 2)) for _ in range(3))
+def _rand_sym2(rng, bound):
+    a, b, c = (F(rng.randint(-bound, bound)) for _ in range(3))
     return [[a, b], [b, c]]
 
 
-def _rand_nilpotent_sp4(rng):
+def _rand_nilpotent_sp4(rng, bound):
     kind = rng.randrange(3)
     if kind == 0:
-        B = _rand_sym2(rng)
+        B = _rand_sym2(rng, bound)
         return MatrixQ([[0, 0, B[0][0], B[0][1]], [0, 0, B[1][0], B[1][1]],
                         [0, 0, 0, 0], [0, 0, 0, 0]])
     if kind == 1:
-        C = _rand_sym2(rng)
+        C = _rand_sym2(rng, bound)
         return MatrixQ([[0, 0, 0, 0], [0, 0, 0, 0],
                         [C[0][0], C[0][1], 0, 0], [C[1][0], C[1][1], 0, 0]])
-    x = F(rng.randint(-2, 2))
+    x = F(rng.randint(-bound, bound))
     return MatrixQ([[0, x, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -x, 0]])
 
 
-def random_symplectic(rng, steps=3):
-    """Exact symplectic matrix: product of exponentials of nilpotent members."""
+def random_symplectic(rng, steps=3, bound=2):
+    """Exact symplectic matrix: product of exponentials of square-zero members
+    with entries in [-bound, bound]."""
     W = MatrixQ.identity(4)
     for _ in range(steps):
-        W = W @ matrix_exp_nilpotent(_rand_nilpotent_sp4(rng))
+        W = W @ matrix_exp_nilpotent(_rand_nilpotent_sp4(rng, bound))
     return W
 
 
@@ -474,13 +502,7 @@ def test_eigen_pairing_examples():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=10, max_size=10))
 def test_eigen_pairing_random_members(vals):
-    a11, a12, a21, a22, b1, b2, b3, c1, c2, c3 = (F(v) for v in vals)
-    a = MatrixQ([
-        [a11, a12, b1, b2],
-        [a21, a22, b2, b3],
-        [c1, c2, -a11, -a21],
-        [c2, c3, -a12, -a22],
-    ])
+    a = _sp4_member([F(v) for v in vals])
     assert lie_membership(a, "sp4")
     assert eigen_pairing_check(a)
 
@@ -559,15 +581,15 @@ def _cmul2(A, B):
     return out
 
 
-def random_structure_group_element(rng):
-    """Exact group element: realified product of complex shears with det 1."""
-    def z():
-        return (F(rng.randint(-2, 2)), F(rng.randint(-2, 2)))
+def random_structure_group_element(rng, steps=3, bound=2):
+    """Exact group element: realified product of alternating upper and lower
+    complex shears with entries in [-bound, bound]^2, so det 1."""
     one, zero = (F(1), F(0)), (F(0), F(0))
-    upper = [[one, z()], [zero, one]]
-    lower = [[one, zero], [z(), one]]
-    upper2 = [[one, z()], [zero, one]]
-    return _realify_complex_pairs(_cmul2(_cmul2(upper, lower), upper2))
+    T = [[one, zero], [zero, one]]
+    for k in range(steps):
+        z = (F(rng.randint(-bound, bound)), F(rng.randint(-bound, bound)))
+        T = _cmul2(T, [[one, z], [zero, one]] if k % 2 == 0 else [[one, zero], [z, one]])
+    return _realify_complex_pairs(T)
 
 
 def test_two_structure_label_invariance():
@@ -625,6 +647,73 @@ def test_hJ2_requires_membership():
     assert not lie_membership(a, "hJ2")
     with pytest.raises(MembershipError):
         hJ2_canonical_form(a)
+
+
+# ---------------------------------------------------------------------------
+# the witness contract
+# ---------------------------------------------------------------------------
+
+def test_witness_contract_under_deep_shear_conjugation():
+    # every nonzero representative, conjugated by products of 10 square-zero
+    # shears with entries in [-4, 4]: the witness is certified, it is an exact
+    # group element exactly when its group residual is 0, and an exact witness
+    # conjugates exactly to the representative
+    rng = random.Random(23)
+    trials = 0
+    for lbl in SP4_SAMPLE_LABELS + HJ2_SAMPLE_LABELS:
+        sp4 = lbl.family.startswith("ThmE-")
+        m = sp4_canonical_matrix(lbl) if sp4 else hJ2_canonical_matrix(lbl)
+        if m.is_zero():
+            continue
+        for _ in range(4):
+            if sp4:
+                W = random_symplectic(rng, steps=10, bound=4)
+            else:
+                W = random_structure_group_element(rng, steps=10, bound=4)
+            a = solve_or_invert(W) @ m @ W
+            got, wit = sp4_canonical_form(a) if sp4 else hJ2_canonical_form(a)
+            assert got == lbl
+            assert_good_witness(wit)
+            assert all(isinstance(x, F) for x in wit.W.flat())
+            assert group_membership(wit.W, "Sp4" if sp4 else "HJ2") == (wit.residual_group == 0)
+            if wit.precision_bits == 0:
+                assert solve_or_invert(wit.W) @ a @ wit.W == m
+            trials += 1
+    assert trials >= 130
+
+
+def test_rational_roots_give_exact_witnesses():
+    # every square root these constructions take is rational, so W is exact
+    W = random_structure_group_element(random.Random(5))
+    ee3 = label("ThmEE-3", lambda_=F(2), mu=F(3), epsilon=-1)
+    cases = [
+        (diag(3, 5, -3, -5), label("ThmE-1", lambda_=F(5), mu=F(3))),
+        (solve_or_invert(W) @ hJ2_canonical_matrix(ee3) @ W, ee3),
+    ]
+    for a, lbl in cases:
+        sp4 = lbl.family.startswith("ThmE-")
+        got, wit = sp4_canonical_form(a) if sp4 else hJ2_canonical_form(a)
+        assert got == lbl
+        assert (wit.residual_similarity, wit.residual_group, wit.precision_bits) == (0.0, 0.0, 0)
+        assert group_membership(wit.W, "Sp4" if sp4 else "HJ2")
+        target = sp4_canonical_matrix(lbl) if sp4 else hJ2_canonical_matrix(lbl)
+        assert solve_or_invert(wit.W) @ a @ wit.W == target
+
+
+def test_witness_out_of_tolerance_fails_loudly(monkeypatch):
+    # ThmE-2 whose chain pair needs sqrt(2): certified at the default tolerance,
+    # and no rounded root meets a tolerance of 0
+    m = MatrixQ([[2, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0], [0, 0, 0, 0]])
+    W = MatrixQ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]])
+    assert group_membership(W, "Sp4")
+    a = solve_or_invert(W) @ m @ W
+    lbl, wit = sp4_canonical_form(a)
+    assert lbl == label("ThmE-2", lambda_=F(2), epsilon=1)
+    assert wit.precision_bits > 0
+    assert_good_witness(wit)
+    monkeypatch.setattr(canonical, "RESIDUAL_TOLERANCE", 0)
+    with pytest.raises(WitnessPrecisionError):
+        sp4_canonical_form(a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""The public surface that the benchmark in perfbench/ relies on.
+"""The public surface that the benchmark in perfbench/ relies on, and the
+packaging metadata.
 
 The tracer reports a target it cannot find only as ``trace.missing``, so a
 renamed or removed entry point would not fail a benchmark run.  These tests
 make it fail here instead: every traced target and every ``lieq.<name>`` the
 workloads call must resolve, and ``lieq.__all__`` must list each public name
-once.
+once.  The package declares no dependencies, so it may import only itself and
+the standard library.
 """
 
+import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,7 +22,9 @@ import pytest
 
 import lieq
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "lieq"
 
 
 def _tracing():
@@ -57,3 +65,37 @@ def test_all_lists_each_public_name_once():
         assert not name.startswith("_"), name
         assert hasattr(lieq, name), name
         assert not isinstance(getattr(lieq, name), types.ModuleType), name
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "lieq" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_pyproject_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert meta["project"]["dependencies"] == []
+
+
+def test_classifies_with_numpy_unimportable():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import lieq\n"
+        "a = lieq.MatrixQ([[2, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0], [0, 0, 0, 0]])\n"
+        "b = lieq.MatrixQ([[1, 1, 0, 0], [-1, 1, 0, 0], [0, 0, -1, 1], [0, 0, -1, -1]])\n"
+        "print(lieq.sp4_canonical_form(a)[0], '|', lieq.hJ2_canonical_form(b)[0])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert out.stdout.strip() == "ThmE-2 lambda=2 epsilon=1 | ThmEE-3 lambda=1 mu=1 epsilon=1"
