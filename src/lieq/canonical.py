@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg import (
@@ -326,7 +325,7 @@ def _block_sizes(N: MatrixQ, multiplicity: int, step: int) -> List[int]:
     return sorted(sizes, reverse=True)
 
 
-def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[MatrixQ]]:
+def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[Vec]]:
     """Exact Jordan chains for a nilpotent-on-its-kernel-tower map N = M - lam*I.
 
     ``sizes`` lists the wanted chain lengths in descending order; the returned
@@ -338,25 +337,25 @@ def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[MatrixQ]]:
     for _ in range(top_size):
         powers.append(powers[-1] @ N)
     kernels = [nullspace(powers[h]) for h in range(top_size + 1)]
-    tops: List[Tuple[int, MatrixQ]] = []
-    carried: List[MatrixQ] = []
+    tops: List[Tuple[int, Vec]] = []
+    carried: List[Vec] = []
     for h in range(top_size, 0, -1):
         wanted = sizes.count(h)
-        span = Echelon(N.nrows, [w.col(0) for w in kernels[h - 1] + carried])
-        fresh: List[MatrixQ] = []
+        span = Echelon(N.nrows, kernels[h - 1] + carried)
+        fresh: List[Vec] = []
         for v in kernels[h]:
             if len(fresh) == wanted:
                 break
-            if span.add(v.col(0)):
+            if span.add(v):
                 fresh.append(v)
         if len(fresh) != wanted:
             raise ArithmeticError("Jordan chain selection failed to reach the required block count")
         tops.extend((h, v) for v in fresh)
-        carried = [N @ w for w in carried + fresh]
-    chains: Dict[int, List[List[MatrixQ]]] = {}
+        carried = [N.apply(w) for w in carried + fresh]
+    chains: Dict[int, List[List[Vec]]] = {}
     for s, t in tops:
-        chains.setdefault(s, []).append([powers[s - 1 - j] @ t for j in range(s)])
-    out: List[List[MatrixQ]] = []
+        chains.setdefault(s, []).append([powers[s - 1 - j].apply(t) for j in range(s)])
+    out: List[List[Vec]] = []
     used: Dict[int, int] = {}
     for s in sizes:
         out.append(chains[s][used.get(s, 0)])
@@ -369,20 +368,19 @@ def _rjcf_witness(M: MatrixQ, shape: RjcfShape) -> MatrixQ:
     by_class: Dict[Fraction, List[int]] = {}
     for cls, size in shape.blocks:
         by_class.setdefault(cls, []).append(size)
-    chain_pool: Dict[Fraction, List[List[MatrixQ]]] = {}
+    chain_pool: Dict[Fraction, List[List[Vec]]] = {}
     for lam, sizes in by_class.items():
         ordered = sorted(sizes, reverse=True)
         chain_pool[lam] = _jordan_chains(M - MatrixQ.identity(n) * lam, ordered)
     taken: Dict[Fraction, Dict[int, int]] = {lam: {} for lam in by_class}
-    cols: List[MatrixQ] = []
+    cols: List[Vec] = []
     for cls, size in shape.blocks:
         ordered = sorted(by_class[cls], reverse=True)
         pool = chain_pool[cls]
         idx = taken[cls].get(size, ordered.index(size))
         cols.extend(pool[idx])
         taken[cls][size] = idx + 1
-    P = reduce(MatrixQ.hstack, cols)
-    return P
+    return MatrixQ(list(zip(*cols)))
 
 
 def rjcf_shape(M: MatrixQ) -> Tuple[RjcfShape, Optional[MatrixQ]]:
@@ -529,19 +527,19 @@ def _paired_nonnegative(roots: Sequence[Scalar]) -> Tuple[Scalar, Scalar]:
     return lam, mu
 
 
-def _restricted_signature(S: MatrixQ, basis_cols: Sequence[MatrixQ]) -> Tuple[int, int, int]:
-    B = reduce(MatrixQ.hstack, basis_cols)
+def _restricted_signature(S: MatrixQ, basis_cols: Sequence[Vec]) -> Tuple[int, int, int]:
+    B = MatrixQ(list(zip(*basis_cols)))
     return symmetric_signature(B.transpose() @ S @ B)
 
 
-def _definite_sign(S: MatrixQ, basis_cols: Sequence[MatrixQ]) -> int:
+def _definite_sign(S: MatrixQ, basis_cols: Sequence[Vec]) -> int:
     pos, neg, zero = _restricted_signature(S, basis_cols)
     if zero or (pos and neg):
         raise ArithmeticError("restricted form is unexpectedly indefinite")
     return 1 if pos else -1
 
 
-def _chain_sign(S: MatrixQ, basis_cols: Optional[Sequence[MatrixQ]]) -> int:
+def _chain_sign(S: MatrixQ, basis_cols: Optional[Sequence[Vec]]) -> int:
     """Sign parameter from a rank-1 restriction: one negative direction -> +1."""
     if basis_cols is None:
         pos, neg, _ = symmetric_signature(S)
@@ -557,8 +555,9 @@ def _chain_sign(S: MatrixQ, basis_cols: Optional[Sequence[MatrixQ]]) -> int:
 # --------------------------------------------------------------------------
 # sp(4) witness constructions
 # --------------------------------------------------------------------------
-# Vectors are column tuples; every builder takes the bits to which it rounds
-# the square roots it cannot take exactly, and returns the rational W.
+# Vectors are column tuples.  A builder takes the kernels and matrices
+# (a^2, a^2 + m, ...) that its classifier computed, and the bits to which it
+# rounds the square roots it cannot take exactly; it returns the rational W.
 
 _I4 = MatrixQ.identity(4)
 _UNITS = [_I4.col(j) for j in range(4)]
@@ -574,17 +573,9 @@ def _lin(*terms: Tuple[Scalar, Vec]) -> Vec:
     return tuple(sum(c * v[i] for c, v in terms) for i in range(4))
 
 
-def _kernel(M: MatrixQ) -> List[Vec]:
-    return [v.col(0) for v in nullspace(M)]
-
-
-def _plane(a: MatrixQ, m: Fraction) -> List[Vec]:
-    return _kernel(PolyQ([m, 0, 1]).eval_matrix(a))
-
-
 def _omega_perp(*vs: Vec) -> List[Vec]:
     """Basis of the vectors omega-orthogonal to every v."""
-    return _kernel(MatrixQ([(-v[2], -v[3], v[0], v[1]) for v in vs]))
+    return nullspace(MatrixQ([(-v[2], -v[3], v[0], v[1]) for v in vs]))
 
 
 def _outside_kernel(a: MatrixQ, vs: Sequence[Vec]) -> Vec:
@@ -607,8 +598,8 @@ def _pair(v: Vec, w: Vec) -> Tuple[Vec, Vec]:
 def _eigen_pair(a: MatrixQ, lam: Scalar) -> Tuple[Vec, Vec]:
     """Darboux pair of +-lam eigenvectors, or of ker a when lam = 0."""
     if lam == 0:
-        return _pair(*_kernel(a)[:2])
-    return _pair(_kernel(a - _I4 * lam)[0], _kernel(a + _I4 * lam)[0])
+        return _pair(*nullspace(a)[:2])
+    return _pair(nullspace(a - _I4 * lam)[0], nullspace(a + _I4 * lam)[0])
 
 
 def _chain_pair(a: MatrixQ, w: Vec, eps: int, bits: int) -> Tuple[Vec, Vec]:
@@ -631,23 +622,23 @@ def _witness_e1(a: MatrixQ, lam: Scalar, mu: Scalar, bits: int) -> MatrixQ:
 
 
 def _witness_e1_double(a: MatrixQ, lam: Scalar, bits: int) -> MatrixQ:
-    Vp, Vm = _kernel(a - _I4 * lam), _kernel(a + _I4 * lam)
+    Vp, Vm = nullspace(a - _I4 * lam), nullspace(a + _I4 * lam)
     G = solve_or_invert(MatrixQ([[_omega(vp, vm) for vm in Vm] for vp in Vp]))
     Wm = [_lin((G[0, j], Vm[0]), (G[1, j], Vm[1])) for j in range(2)]
     return _assemble([Vp[0], Vp[1], Wm[0], Wm[1]], bits)
 
 
-def _witness_e2(a: MatrixQ, lam: Scalar, eps: int, bits: int) -> MatrixQ:
+def _witness_e2(a: MatrixQ, lam: Scalar, eps: int, ker_a2: Sequence[Vec], bits: int) -> MatrixQ:
     """A chain pair, and the +-lam pair or (lam = 0) a pair omega-orthogonal to the chain."""
-    w = _outside_kernel(a, _kernel(a @ a))
+    w = _outside_kernel(a, ker_a2)
     pair = _eigen_pair(a, lam) if lam != 0 else _pair(*_omega_perp(a.apply(w), w))
     return _frame(pair, _chain_pair(a, w, eps, bits), bits)
 
 
 def _witness_e3_hyperbolic(a: MatrixQ, lam: Scalar, bits: int) -> MatrixQ:
     Ap, Am = a - _I4 * lam, a + _I4 * lam
-    v2 = _outside_kernel(Ap, _kernel(Ap @ Ap))
-    w2 = _outside_kernel(Am, _kernel(Am @ Am))
+    v2 = _outside_kernel(Ap, nullspace(Ap @ Ap))
+    w2 = _outside_kernel(Am, nullspace(Am @ Am))
     w1p = Am.apply(w2)
     T, R = _omega(v2, w1p), _omega(v2, w2)
     x3 = _lin((-1 / T, w2), (R / (T * T), w1p))
@@ -680,8 +671,7 @@ def _witness_e4(a: MatrixQ, eps: int, bits: int) -> MatrixQ:
     return _frame(_chain_pair(a, u, eps, bits), _chain_pair(a, w, eps, bits), bits)
 
 
-def _witness_e5(a: MatrixQ, eps: int, bits: int) -> MatrixQ:
-    a2 = a @ a
+def _witness_e5(a: MatrixQ, a2: MatrixQ, eps: int, bits: int) -> MatrixQ:
     a3 = a2 @ a
     t = _outside_kernel(a3, _UNITS)
     at, a2t, a3t = a.apply(t), a2.apply(t), a3.apply(t)
@@ -693,20 +683,10 @@ def _witness_e5(a: MatrixQ, eps: int, bits: int) -> MatrixQ:
                       _lin((beta, t)), _lin((-beta, at))], bits)
 
 
-def _witness_e6(a: MatrixQ, lam: Scalar, m: Fraction, bits: int) -> MatrixQ:
-    return _frame(_eigen_pair(a, lam), _plane_pair(a, m, _plane(a, m)[0], bits), bits)
-
-
-def _witness_e7(a: MatrixQ, m: Fraction, eps: int, bits: int) -> MatrixQ:
-    chain = _chain_pair(a, _outside_kernel(a, _kernel(a @ a)), eps, bits)
-    return _frame(chain, _plane_pair(a, m, _plane(a, m)[0], bits), bits)
-
-
-def _witness_e8(a: MatrixQ, lam: Fraction, s: Fraction, bits: int) -> MatrixQ:
+def _witness_e8(a: MatrixQ, a2: MatrixQ, lam: Fraction, s: Fraction, bits: int) -> MatrixQ:
     mu = _root(s - lam * lam, bits)
-    a2 = a @ a
-    u = _kernel(a2 - a * (2 * lam) + _I4 * s)[0]
-    z = _kernel(a2 + a * (2 * lam) + _I4 * s)[0]
+    u = nullspace(a2 - a * (2 * lam) + _I4 * s)[0]
+    z = nullspace(a2 + a * (2 * lam) + _I4 * s)[0]
     v2 = _lin((-1 / mu, a.apply(u)), (lam / mu, u))
     w2c = _lin((-1 / mu, a.apply(z)), (-lam / mu, z))
     alpha, beta = _omega(u, z), _omega(u, w2c)
@@ -738,21 +718,15 @@ def _witness_e8_zero(a: MatrixQ, m: Fraction, bits: int) -> MatrixQ:
                       _lin((-1 / (c * mu), a.apply(y)))], bits)
 
 
-def _witness_e9_distinct(a: MatrixQ, m1: Fraction, m2: Fraction, bits: int) -> MatrixQ:
-    return _frame(_plane_pair(a, m1, _plane(a, m1)[0], bits),
-                  _plane_pair(a, m2, _plane(a, m2)[0], bits), bits)
-
-
 def _witness_e9_equal(a: MatrixQ, m: Fraction, bits: int) -> MatrixQ:
     u2 = _omega_perp(_UNITS[0], a.col(0))[0]
     return _frame(_plane_pair(a, m, _UNITS[0], bits), _plane_pair(a, m, u2, bits), bits)
 
 
-def _witness_e10(a: MatrixQ, m: Fraction, bits: int) -> MatrixQ:
+def _witness_e10(a: MatrixQ, m: Fraction, b: MatrixQ, c: MatrixQ, Jc: MatrixQ,
+                 bits: int) -> MatrixQ:
+    """b = a^2 + m, c = a b and Jc = J c, all from the classifier."""
     mu = _root(m, bits)
-    b = a @ a + _I4 * m
-    c = a @ b
-    Jc = J_SP4 @ c
     u = _UNITS[max(range(4), key=lambda k: abs(Jc[k, k]))]
     q1 = _lin((-1 / (2 * mu), b.apply(u)))
     p1 = _lin((-1 / (2 * m), c.apply(u)))
@@ -769,96 +743,105 @@ def _witness_e10(a: MatrixQ, m: Fraction, bits: int) -> MatrixQ:
 # sp(4) classifier
 # --------------------------------------------------------------------------
 
-def _classify_all_real(a: MatrixQ, roots: Sequence[Scalar]):
+def _classify_all_real(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, roots: Sequence[Scalar]):
     lam, mu = _paired_nonnegative(roots)
-    Ja = J_SP4 @ a
     if mu != 0 and lam != mu:
         return _label("ThmE-1", ("lambda", lam), ("mu", mu)), lambda bits: _witness_e1(a, lam, mu, bits)
     if mu != 0:
         lam2 = _normalize_scalar(lam * lam)
-        if a @ a == MatrixQ.diagonal([lam2] * 4):
+        if a2 == MatrixQ.diagonal([lam2] * 4):
             return _label("ThmE-1", ("lambda", lam), ("mu", lam)), lambda bits: _witness_e1_double(a, lam, bits)
         return _label("ThmE-3", ("lambda", lam)), lambda bits: _witness_e3_hyperbolic(a, lam, bits)
     if lam != 0:
         lam2 = _normalize_scalar(lam * lam)
-        if a @ a @ a == a * lam2:
+        if a @ a2 == a * lam2:
             return (_label("ThmE-1", ("lambda", lam), ("mu", 0)),
                     lambda bits: _witness_e1(a, lam, 0, bits))
-        eps = _chain_sign(Ja, nullspace(a @ a))
-        return _label("ThmE-2", ("lambda", lam), ("epsilon", eps)), lambda bits: _witness_e2(a, lam, eps, bits)
+        ker_a2 = nullspace(a2)
+        eps = _chain_sign(Ja, ker_a2)
+        return (_label("ThmE-2", ("lambda", lam), ("epsilon", eps)),
+                lambda bits: _witness_e2(a, lam, eps, ker_a2, bits))
     if a.is_zero():
         return _label("ThmE-1", ("lambda", 0), ("mu", 0)), lambda bits: MatrixQ.identity(4)
-    if (a @ a).is_zero():
+    if a2.is_zero():
         if a.rank() == 1:
             eps = _chain_sign(Ja, None)
             return (_label("ThmE-2", ("lambda", 0), ("epsilon", eps)),
-                    lambda bits: _witness_e2(a, 0, eps, bits))
+                    lambda bits: _witness_e2(a, 0, eps, _UNITS, bits))
         pos, neg, _ = symmetric_signature(Ja)
         if (pos, neg) == (1, 1):
             return _label("ThmE-3", ("lambda", 0)), lambda bits: _witness_e3_nilpotent(a, bits)
         eps = 1 if (pos, neg) == (0, 2) else -1
         return _label("ThmE-4", ("epsilon", eps)), lambda bits: _witness_e4(a, eps, bits)
-    pos, neg, _ = symmetric_signature(J_SP4 @ a @ a @ a)
+    pos, neg, _ = symmetric_signature(Ja @ a2)
     if (pos, neg) not in ((1, 0), (0, 1)):
         raise ArithmeticError(f"unexpected signature ({pos},{neg}) for a nilpotent chain of length 4")
     eps = 1 if (pos, neg) == (1, 0) else -1
-    return _label("ThmE-5", ("epsilon", eps)), lambda bits: _witness_e5(a, eps, bits)
+    return _label("ThmE-5", ("epsilon", eps)), lambda bits: _witness_e5(a, a2, eps, bits)
 
 
-def _classify_mixed(a: MatrixQ, roots: Sequence[Scalar], m: Fraction):
+def _classify_mixed(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, roots: Sequence[Scalar], m: Fraction):
     lam = roots[0] if roots[0] >= 0 else roots[1]
     mu = sqrt_exact(m)
-    P = nullspace(PolyQ([m, 0, 1]).eval_matrix(a))
-    plane_sign = -_definite_sign(J_SP4 @ a, P)
-    if lam != 0 or (a @ PolyQ([m, 0, 1]).eval_matrix(a)).is_zero():
+    b = a2 + _I4 * m
+    plane = nullspace(b)
+    plane_sign = -_definite_sign(Ja, plane)
+    if lam != 0 or (a @ b).is_zero():
         return (_label("ThmE-6", ("lambda", lam), ("mu", mu), ("epsilon", plane_sign)),
-                lambda bits: _witness_e6(a, lam, m, bits))
-    eps = _chain_sign(J_SP4 @ a, nullspace(a @ a))
+                lambda bits: _frame(_eigen_pair(a, lam), _plane_pair(a, m, plane[0], bits), bits))
+    ker_a2 = nullspace(a2)
+    eps = _chain_sign(Ja, ker_a2)
     return (_label("ThmE-7", ("mu", mu), ("epsilon", eps), ("delta", plane_sign)),
-            lambda bits: _witness_e7(a, m, eps, bits))
+            lambda bits: _frame(_chain_pair(a, _outside_kernel(a, ker_a2), eps, bits),
+                                _plane_pair(a, m, plane[0], bits), bits))
 
 
-def _classify_imaginary(a: MatrixQ, imag: Sequence[Tuple[Fraction, int]]):
-    Ja = J_SP4 @ a
+def _classify_imaginary(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, imag: Sequence[Tuple[Fraction, int]]):
     if len(imag) == 2:
         (m1, _), (m2, _) = sorted(imag, reverse=True)
-        s1 = -_definite_sign(Ja, nullspace(PolyQ([m1, 0, 1]).eval_matrix(a)))
-        s2 = -_definite_sign(Ja, nullspace(PolyQ([m2, 0, 1]).eval_matrix(a)))
+        plane1, plane2 = nullspace(a2 + _I4 * m1), nullspace(a2 + _I4 * m2)
+        s1 = -_definite_sign(Ja, plane1)
+        s2 = -_definite_sign(Ja, plane2)
         mu = sqrt_exact(m1)
         f2 = sqrt_exact(m2)
         eta = f2 if s1 == s2 else -f2
         return (_label("ThmE-9", ("mu", mu), ("epsilon", s1), ("eta", eta)),
-                lambda bits: _witness_e9_distinct(a, m1, m2, bits))
+                lambda bits: _frame(_plane_pair(a, m1, plane1[0], bits),
+                                    _plane_pair(a, m2, plane2[0], bits), bits))
     (m, _), = imag
     mu = sqrt_exact(m)
-    if PolyQ([m, 0, 1]).eval_matrix(a).is_zero():
+    b = a2 + _I4 * m
+    if b.is_zero():
         pos, neg, _ = symmetric_signature(Ja)
         if (pos, neg) == (2, 2):
             return _label("ThmE-8", ("lambda", 0), ("mu", mu)), lambda bits: _witness_e8_zero(a, m, bits)
         eps = 1 if (pos, neg) == (0, 4) else -1
         return (_label("ThmE-9", ("mu", mu), ("epsilon", eps), ("eta", mu)),
                 lambda bits: _witness_e9_equal(a, m, bits))
-    c = a @ a @ a + a * m
-    pos, neg, _ = symmetric_signature(J_SP4 @ c)
+    c = a @ b
+    Jc = J_SP4 @ c
+    pos, neg, _ = symmetric_signature(Jc)
     if (pos, neg) not in ((2, 0), (0, 2)):
         raise ArithmeticError(f"unexpected signature ({pos},{neg}) for a repeated imaginary pair")
     eps = 1 if (pos, neg) == (2, 0) else -1
-    return _label("ThmE-10", ("mu", mu), ("epsilon", eps)), lambda bits: _witness_e10(a, m, bits)
+    return _label("ThmE-10", ("mu", mu), ("epsilon", eps)), lambda bits: _witness_e10(a, m, b, c, Jc, bits)
 
 
 def _sp4_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]:
     spectrum = _sp4_spectrum(char_poly(a))
+    a2 = a @ a
     if spectrum.complex_pair is not None:
         lam, s = spectrum.complex_pair
         mu = sqrt_exact(s - lam * lam)
         return (_label("ThmE-8", ("lambda", lam), ("mu", mu)),
-                lambda bits: _witness_e8(a, lam, s, bits))
+                lambda bits: _witness_e8(a, a2, lam, s, bits))
+    Ja = J_SP4 @ a
     if len(spectrum.real_roots) == 4:
-        return _classify_all_real(a, spectrum.real_roots)
+        return _classify_all_real(a, a2, Ja, spectrum.real_roots)
     if len(spectrum.real_roots) == 2:
         (m, _), = spectrum.imag
-        return _classify_mixed(a, spectrum.real_roots, m)
-    return _classify_imaginary(a, spectrum.imag)
+        return _classify_mixed(a, a2, Ja, spectrum.real_roots, m)
+    return _classify_imaginary(a, a2, Ja, spectrum.imag)
 
 
 def sp4_canonical_form(a: MatrixQ) -> Tuple[CanonicalLabel, Witness]:
@@ -881,27 +864,8 @@ def symplectically_similar(a: MatrixQ, b: MatrixQ) -> bool:
 # the two-structure family: complexification classifier
 # --------------------------------------------------------------------------
 
-def _cmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _complexify_matrix(a: MatrixQ):
-    """The 2x2 complex matrix (as exact re/im pairs) induced on the K-eigencoordinates.
-
-    Real coordinates (w1,w2,w3,w4) correspond to complex pairs
-    (w1 - i w2, w3 + i w4); the two complex columns are the images of the real
-    basis vectors e1 and e3.
-    """
-    def pack(col):
-        w1, w2, w3, w4 = col
-        return ((Fraction(w1), -Fraction(w2)), (Fraction(w3), Fraction(w4)))
-
-    c1 = pack(a.col(0))
-    c2 = pack(a.col(2))
-    return ((c1[0], c2[0]), (c1[1], c2[1]))
-
-
-#: multiplication by i in the complex coordinates above
+#: multiplication by i in the complex coordinates (w1 - i w2, w3 + i w4) of a
+#: real vector (w1, w2, w3, w4); a member of h(J2) is complex-linear in them
 _K = J_HJ2_1 @ J_HJ2_2
 
 
@@ -935,7 +899,7 @@ def _realify_basis(x1: Vec, x2: Vec, bits: int) -> MatrixQ:
 def _witness_ee_eigen(a: MatrixQ, w, bits: int) -> MatrixQ:
     """Complex eigenvectors for w and -w, the second divided by their determinant."""
     shift = _I4 * w[0] + _K * w[1]
-    xp, xm = _kernel(a - shift)[0], _kernel(a + shift)[0]
+    xp, xm = nullspace(a - shift)[0], nullspace(a + shift)[0]
     return _realify_basis(xp, _cscale(_cinv(_cform(xp, xm)), xm), bits)
 
 
@@ -948,12 +912,11 @@ def _witness_ee_chain(a: MatrixQ, bits: int) -> MatrixQ:
 
 
 def _hJ2_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]:
-    ac = _complexify_matrix(a)
-    (z11, z12), (z21, z22) = ac
-    det = tuple(x - y for x, y in zip(_cmul(z11, z22), _cmul(z21, z12)))
+    # a as a complex 2x2 matrix has the columns a e1 and a e3
+    det = _cform(a.col(0), a.col(2))
     p, q = -det[0], -det[1]  # w^2 = -det, eigenvalues are +-w
     if q == 0:
-        if all(x == 0 and y == 0 for x, y in (z11, z12, z21, z22)):
+        if a.is_zero():
             return _label("ThmEE-1", ("lambda", 0)), lambda bits: MatrixQ.identity(4)
         if p == 0:
             return _label("ThmEE-2"), lambda bits: _witness_ee_chain(a, bits)

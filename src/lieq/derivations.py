@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-from .liealg import LieAlgebra, Subspace
+from .liealg import LieAlgebra
 from .linalg import MatrixQ, matrix_exp_nilpotent, nullspace, solve_linear, solve_or_invert
 
 # the invertible-intertwiner search enumerates an integer coefficient grid
@@ -38,16 +37,9 @@ class DerivationBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def _span(self) -> Subspace:
-        n = self.algebra_dim
-        return Subspace(n * n, [D.flat() for D in self.basis])
-
     def contains(self, M: MatrixQ) -> bool:
-        """Exact membership of M in the computed span."""
-        if M.shape() != (self.algebra_dim, self.algebra_dim):
-            return False
-        return self._span.contains_vector(M.flat())
+        """Exact membership of M in the computed span, decided by coordinates()."""
+        return self.coordinates(M) is not None
 
     def coordinates(self, M: MatrixQ) -> Optional[Tuple[Fraction, ...]]:
         """Coefficients of M over the listed basis, or None when outside."""
@@ -55,9 +47,13 @@ class DerivationBasis:
             return None
         if not self.basis:
             return () if M.is_zero() else None
-        flats = [D.flat() for D in self.basis]
-        cols = MatrixQ([[f[r] for f in flats] for r in range(len(flats[0]))])
+        cols = MatrixQ(list(zip(*(D.flat() for D in self.basis))))
         return solve_linear(cols, M.flat())
+
+
+def _square(v: Sequence, n: int) -> MatrixQ:
+    """The n x n matrix with v[p*n+q] at (p, q): a kernel vector of n^2 matrix unknowns."""
+    return MatrixQ([v[p * n:(p + 1) * n] for p in range(n)])
 
 
 def derivation_basis(g: LieAlgebra) -> DerivationBasis:
@@ -84,14 +80,9 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
                     if cip[k] != 0:
                         row[p * n + j] -= cip[k]
                 rows.append(row)
-    if not rows:
-        kernel = [MatrixQ.column([1 if t == s else 0 for t in range(n * n)]) for s in range(n * n)]
-    else:
-        kernel = nullspace(MatrixQ(rows))
-    mats = tuple(
-        MatrixQ([[v[(p * n + q, 0)] for q in range(n)] for p in range(n)]) for v in kernel
-    )
-    return DerivationBasis(n, mats)
+    # n = 1 has no conditions: every unknown is free
+    kernel = nullspace(MatrixQ(rows or [[0] * (n * n)]))
+    return DerivationBasis(n, tuple(_square(v, n) for v in kernel))
 
 
 def is_derivation(g: LieAlgebra, D: MatrixQ) -> bool:
@@ -219,9 +210,7 @@ def representation_equivalence(
     d = len(kernel)
     if d == 0:
         return EquivalenceResult(None, True, 0)
-    basis = [
-        MatrixQ([[v[(p * n + q, 0)] for q in range(n)] for p in range(n)]) for v in kernel
-    ]
+    basis = [_square(v, n) for v in kernel]
     # grid values: enough distinct points that a nonvanishing determinant
     # polynomial cannot be zero on the whole grid
     values: List[Fraction] = [Fraction(0)]

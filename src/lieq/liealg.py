@@ -46,13 +46,17 @@ def _trace_product(A: MatrixQ, B: MatrixQ) -> Fraction:
 
 
 class Subspace:
-    """Subspace of Q^n with a unique reduced-echelon basis."""
+    """Subspace of Q^n with a unique reduced-echelon basis.
+
+    Vectors are taken as `Echelon` takes them: entries int, Fraction, str or
+    QuadExt, and a float is rejected with TypeError.
+    """
 
     __slots__ = ("ambient", "basis", "_echelon")
 
     def __init__(self, ambient: int, vectors: Sequence[Sequence] = ()):
         self.ambient = ambient
-        self._echelon = Echelon(ambient, (_vec(v, ambient) for v in vectors))
+        self._echelon = Echelon(ambient, vectors)
         self.basis = self._echelon.basis()
 
     @classmethod
@@ -68,7 +72,7 @@ class Subspace:
 
     def coordinates(self, v: Sequence) -> Optional[Tuple[Fraction, ...]]:
         """Coordinates of v in the echelon basis, or None when v is outside."""
-        return self._echelon.coordinates(_vec(v, self.ambient))
+        return self._echelon.coordinates(v)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.basis)
@@ -256,8 +260,8 @@ class LieAlgebra:
         return self.series_profile().nilpotent
 
     def center(self) -> Subspace:
-        stacked = MatrixQ([row for j in range(self.dim) for row in self.ad_basis(j).row_list()])
-        return Subspace(self.dim, [v.col(0) for v in nullspace(stacked)])
+        stacked = MatrixQ([self.ad_basis(j).row(i) for j in range(self.dim) for i in range(self.dim)])
+        return Subspace(self.dim, nullspace(stacked))
 
     def is_ideal(self, s: Subspace) -> bool:
         one = Fraction(1)
@@ -348,8 +352,7 @@ class LieAlgebra:
                 frontier = [P for P in fresh if span.add(P.flat())]
                 words += frontier
             rows = [[_trace_product(a, W) for a in ads] for W in words]
-            kernel = nullspace(MatrixQ(rows))
-            self._nilradical = Subspace(n, [v.col(0) for v in kernel])
+            self._nilradical = Subspace(n, nullspace(MatrixQ(rows)))
         return self._nilradical, n - self._nilradical.dim
 
     # ------------------------------------------------------------ base change

@@ -6,9 +6,9 @@ reduction never pivots by magnitude, and characteristic polynomials are
 computed by the Faddeev-LeVerrier recursion.  Floating point appears nowhere
 in this module.
 
-`Echelon` is the single elimination kernel: `MatrixQ.rref`, `rank`,
-`nullspace`, `solve_linear`, `solve_or_invert` and every span, membership
-and coordinate question elsewhere in the package reduce rows through it.
+`Echelon` is the single elimination kernel: `MatrixQ.rank`, `nullspace`,
+`solve_linear`, `solve_or_invert` and every span, membership and coordinate
+question elsewhere in the package reduce rows through it.
 """
 
 from __future__ import annotations
@@ -375,10 +375,6 @@ class MatrixQ:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def column(cls, entries: Sequence) -> "MatrixQ":
-        return cls([[x] for x in entries])
-
-    @classmethod
     def diagonal(cls, entries: Sequence) -> "MatrixQ":
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -392,9 +388,6 @@ class MatrixQ:
 
     def col(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(r[j] for r in self._r)
-
-    def row_list(self) -> List[List[Scalar]]:
-        return [list(r) for r in self._r]
 
     @property
     def is_square(self) -> bool:
@@ -511,24 +504,12 @@ class MatrixQ:
             out.append(s)
         return tuple(out)
 
-    def hstack(self, other: "MatrixQ") -> "MatrixQ":
-        if self.nrows != other.nrows:
-            raise ValueError("row mismatch in hstack")
-        return MatrixQ([list(self._r[i]) + list(other._r[i]) for i in range(self.nrows)])
-
     def flat(self) -> Tuple[Scalar, ...]:
         """Entries in row-major order."""
         return tuple(x for row in self._r for x in row)
 
-    def rref(self) -> Tuple["MatrixQ", Tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns (deterministic, exact)."""
-        ech = Echelon(self.ncols, self._r)
-        zero = [Fraction(0)] * self.ncols
-        rows = list(ech.basis()) + [zero] * (self.nrows - len(ech.pivots()))
-        return MatrixQ(rows), ech.pivots()
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(Echelon(self.ncols, self._r).pivots())
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self._r)
@@ -539,20 +520,21 @@ class MatrixQ:
             raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
-def nullspace(M: MatrixQ) -> List[MatrixQ]:
-    """Deterministic kernel basis: RREF with unit assignment to each free variable."""
-    R, pivots = M.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(M.ncols) if c not in pivot_set]
+def nullspace(M: MatrixQ) -> List[Tuple[Scalar, ...]]:
+    """Kernel basis as tuples: for each free column f of the reduced rows, in order,
+    1 at f, -row[f] at the pivot column of each row, and 0 elsewhere."""
+    ech = Echelon(M.ncols, M._r)
+    rows = dict(zip(ech.pivots(), ech.basis()))
     basis = []
-    for fc in free:
+    for f in range(M.ncols):
+        if f in rows:
+            continue
         v = [Fraction(0)] * M.ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            coef = R[r, fc]
-            if coef != 0:
-                v[pc] = -coef
-        basis.append(MatrixQ.column(v))
+        v[f] = Fraction(1)
+        for p, row in rows.items():
+            if row[f] != 0:
+                v[p] = -row[f]
+        basis.append(tuple(v))
     return basis
 
 
@@ -572,13 +554,12 @@ def solve_linear(M: MatrixQ, b: Sequence) -> Optional[Tuple[Scalar, ...]]:
     bb = [_as_scalar(x) for x in b]
     if len(bb) != M.nrows:
         raise ValueError("right-hand side length mismatch")
-    aug = MatrixQ([list(M.row(i)) + [bb[i]] for i in range(M.nrows)])
-    R, pivots = aug.rref()
-    if M.ncols in pivots:
+    ech = Echelon(M.ncols + 1, [list(M.row(i)) + [bb[i]] for i in range(M.nrows)])
+    if M.ncols in ech.pivots():
         return None
     x = [Fraction(0)] * M.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, M.ncols]
+    for p, row in zip(ech.pivots(), ech.basis()):
+        x[p] = row[M.ncols]
     return tuple(x)
 
 

@@ -7,6 +7,7 @@ which recomputes them with sympy's jordan_form and by solving the intertwiner
 systems symbolically.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -714,6 +715,38 @@ def test_witness_out_of_tolerance_fails_loudly(monkeypatch):
     monkeypatch.setattr(canonical, "RESIDUAL_TOLERANCE", 0)
     with pytest.raises(WitnessPrecisionError):
         sp4_canonical_form(a)
+
+
+def test_witness_digest_frozen():
+    # label text, repr(W), both residuals and precision_bits of 70 witnesses,
+    # hashed: every nonzero representative and the two irrational-spectrum
+    # members of test_irrational_parameter_labels, each conjugated by 3 and by
+    # 6 shears.  A refactor of the builders must keep every byte.
+    irrational = [
+        MatrixQ([[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 3, 0, 0]]),
+        MatrixQ([[0, 0, 1, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -5, 0, 0]]),
+    ]
+    cases = ([(sp4_canonical_matrix(lbl), True) for lbl in SP4_SAMPLE_LABELS]
+             + [(m, True) for m in irrational]
+             + [(hJ2_canonical_matrix(lbl), False) for lbl in HJ2_SAMPLE_LABELS])
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    count = 0
+    for m, sp4 in cases:
+        if m.is_zero():
+            continue
+        for steps in (3, 6):
+            if sp4:
+                W = random_symplectic(rng, steps=steps)
+            else:
+                W = random_structure_group_element(rng, steps=steps)
+            a = solve_or_invert(W) @ m @ W
+            lbl, wit = sp4_canonical_form(a) if sp4 else hJ2_canonical_form(a)
+            digest.update(f"{lbl}|{wit.W!r}|{wit.residual_similarity!r}|"
+                          f"{wit.residual_group!r}|{wit.precision_bits}\n".encode())
+            count += 1
+    assert count == 70
+    assert digest.hexdigest() == "5095d6eb771d575b8e5b0477a8886a71d4f7485466bf93f5783603e3868c634b"
 
 
 # ---------------------------------------------------------------------------

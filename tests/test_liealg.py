@@ -505,7 +505,7 @@ def _full_closure_nilradical(g):
             for W in words
         ]
     )
-    return Subspace(n, [v.col(0) for v in nullspace(rows)])
+    return Subspace(n, nullspace(rows))
 
 
 def test_nilradical_matches_full_closure_reference():
@@ -622,6 +622,11 @@ def test_subspace_coordinates_and_membership():
     assert s.coordinates([2, 2, 5]) == (2, 5)
     assert s.coordinates([1, 0, 0]) is None
     assert not s.contains_vector([1, 0, 0])
+    # entries are exact scalars, as Echelon takes them: a float is rejected
+    with pytest.raises(TypeError):
+        Subspace(3, [[0.5, 0, 0]])
+    with pytest.raises(TypeError):
+        s.coordinates([0.5, 0.5, 0])
 
 
 def test_subspace_canonical_equality():

@@ -99,3 +99,45 @@ def test_classifies_with_numpy_unimportable():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
     assert out.stdout.strip() == "ThmE-2 lambda=2 epsilon=1 | ThmEE-3 lambda=1 mu=1 epsilon=1"
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions(tree):
+    """Each private module-level function, class and constant, and each private method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and _private(target.id):
+                    yield target.id, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _private(item.name):
+                    yield item.name, item
+
+
+def test_every_private_helper_is_used():
+    # a helper whose last caller went is dead code: each private name must be
+    # read somewhere in the package outside its own definition
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    uses = []  # (name, node id) of every read of a name, attribute or imported name
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                uses.append((node.id, id(node)))
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                uses.append((node.attr, id(node)))
+            elif isinstance(node, ast.alias):
+                uses.append((node.name, id(node)))
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(n) for n in ast.walk(definition)}
+            if not any(used == name and nid not in inside for used, nid in uses):
+                unused.append(f"{module}: {name}")
+    assert unused == []
