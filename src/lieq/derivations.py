@@ -1,11 +1,12 @@
 """Derivation algebras, automorphism checks, and representation comparisons.
 
 The derivation algebra of a structure-constant Lie algebra is computed as the
-exact nullspace of the Leibniz system in the n^2 matrix unknowns.  Companion
-helpers check single matrices (derivation / automorphism), exponentiate
-nilpotent derivations, check explicit matrix families against the bracket
-relations of a `LieAlgebra`, and decide equivalence of matrix representations
-via the intertwiner space.
+exact nullspace of the Leibniz system in the n^2 matrix unknowns; a single
+matrix is a derivation when it satisfies every row of that same system, and
+an automorphism when base change by it leaves the structure constants fixed.
+Companion helpers exponentiate nilpotent derivations, check explicit matrix
+families against the bracket relations of a `LieAlgebra`, and decide
+equivalence of matrix representations via the intertwiner space.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
 from .liealg import LieAlgebra
@@ -56,67 +57,54 @@ def _square(v: Sequence, n: int) -> MatrixQ:
     return MatrixQ([v[p * n:(p + 1) * n] for p in range(n)])
 
 
-def derivation_basis(g: LieAlgebra) -> DerivationBasis:
-    """Solve D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] for all i < j exactly.
+def _leibniz_rows(g: LieAlgebra) -> List[List[Fraction]]:
+    """Rows of D[e_i,e_j] = [De_i,e_j] + [e_i,De_j], one per i < j and coordinate k.
 
-    The unknown D is an n x n matrix; the Leibniz conditions form a linear
-    system over its n^2 entries (unknown (p,q) at index p*n+q).
+    The unknowns are the n^2 entries of D, (p,q) at index p*n+q as in `MatrixQ.flat`.
     """
     n = g.dim
     rows: List[List[Fraction]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = g.structure_constant(i, j)
-            for k in range(n):
-                row = [Fraction(0)] * (n * n)
-                for q in range(n):
-                    if cij[q] != 0:
-                        row[k * n + q] += cij[q]
-                for p in range(n):
-                    cpj = g.structure_constant(p, j)
-                    if cpj[k] != 0:
-                        row[p * n + i] -= cpj[k]
-                    cip = g.structure_constant(i, p)
-                    if cip[k] != 0:
-                        row[p * n + j] -= cip[k]
-                rows.append(row)
+    for i, j in combinations(range(n), 2):
+        cij = g.structure_constant(i, j)
+        cpj = [g.structure_constant(p, j) for p in range(n)]
+        cip = [g.structure_constant(i, p) for p in range(n)]
+        for k in range(n):
+            row = [Fraction(0)] * (n * n)
+            for q in range(n):
+                if cij[q] != 0:
+                    row[k * n + q] += cij[q]
+            for p in range(n):
+                if cpj[p][k] != 0:
+                    row[p * n + i] -= cpj[p][k]
+                if cip[p][k] != 0:
+                    row[p * n + j] -= cip[p][k]
+            rows.append(row)
+    return rows
+
+
+def derivation_basis(g: LieAlgebra) -> DerivationBasis:
+    """The exact nullspace of the Leibniz system of g, as n x n matrices."""
+    n = g.dim
     # n = 1 has no conditions: every unknown is free
-    kernel = nullspace(MatrixQ(rows or [[0] * (n * n)]))
+    kernel = nullspace(MatrixQ(_leibniz_rows(g) or [[0] * (n * n)]))
     return DerivationBasis(n, tuple(_square(v, n) for v in kernel))
 
 
 def is_derivation(g: LieAlgebra, D: MatrixQ) -> bool:
-    """Leibniz check of D on all basis pairs of g."""
+    """True iff the entries of D satisfy every row of the Leibniz system of g."""
     if D.shape() != (g.dim, g.dim):
         raise ValueError(f"derivation candidate must be {g.dim}x{g.dim}")
-    n = g.dim
-    for i in range(n):
-        ei = [1 if t == i else 0 for t in range(n)]
-        for j in range(i + 1, n):
-            ej = [1 if t == j else 0 for t in range(n)]
-            lhs = D.apply(g.structure_constant(i, j))
-            rhs = tuple(
-                a + b
-                for a, b in zip(g.bracket(D.col(i), ej), g.bracket(ei, D.col(j)))
-            )
-            if tuple(lhs) != rhs:
-                return False
-    return True
+    d = D.flat()
+    return all(sum(r * x for r, x in zip(row, d) if r) == 0 for row in _leibniz_rows(g))
 
 
 def is_automorphism(g: LieAlgebra, A: MatrixQ) -> bool:
-    """True iff A is invertible and A[x,y] = [Ax,Ay] on all basis pairs."""
+    """True iff A is invertible and A[x,y] = [Ax,Ay], i.e. g.change_basis(A) == g."""
     if A.shape() != (g.dim, g.dim):
         raise ValueError(f"automorphism candidate must be {g.dim}x{g.dim}")
     if solve_or_invert(A) is None:
         return False
-    n = g.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = tuple(A.apply(g.structure_constant(i, j)))
-            if lhs != g.bracket(A.col(i), A.col(j)):
-                return False
-    return True
+    return g.change_basis(A) == g
 
 
 def exp_derivation(g: LieAlgebra, D: MatrixQ) -> MatrixQ:

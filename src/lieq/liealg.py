@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import MAX_DIM, Echelon, MatrixQ, nullspace, solve_or_invert
@@ -29,6 +29,11 @@ def _vec(entries: Sequence, n: int) -> Tuple[Fraction, ...]:
     if len(out) != n:
         raise ValueError(f"coefficient vector of length {len(out)}, expected {n}")
     return out
+
+
+def _nonzero(v: Sequence) -> List[Tuple[int, Fraction]]:
+    """The (index, value) pairs of the nonzero coordinates of v."""
+    return [(i, a) for i, a in enumerate(v) if a]
 
 
 def _zero(n: int) -> Tuple[Fraction, ...]:
@@ -135,7 +140,7 @@ class LieAlgebra:
         # _terms[i][j]: the nonzero (k, c_ij^k) of [e_i, e_j], in both orders
         terms: List[List[Tuple[Tuple[int, Fraction], ...]]] = [[()] * dim for _ in range(dim)]
         for (i, j), v in clean.items():
-            terms[i][j] = tuple((k, c) for k, c in enumerate(v) if c != 0)
+            terms[i][j] = tuple(_nonzero(v))
             terms[j][i] = tuple((k, -c) for k, c in terms[i][j])
         self._terms = terms
         # invariants, each computed on first use
@@ -162,10 +167,7 @@ class LieAlgebra:
         coordinate cost nothing.
         """
         xv, yv = _vec(x, self.dim), _vec(y, self.dim)
-        return self._bracket_terms(
-            [(i, a) for i, a in enumerate(xv) if a],
-            [(j, b) for j, b in enumerate(yv) if b],
-        )
+        return self._bracket_terms(_nonzero(xv), _nonzero(yv))
 
     def _bracket_terms(
         self, xs: Sequence[Tuple[int, Fraction]], ys: Sequence[Tuple[int, Fraction]]
@@ -205,9 +207,8 @@ class LieAlgebra:
         """Matrix of ad(x) = sum of x_i ad(e_i); column j holds [x, e_j]."""
         n = self.dim
         out = MatrixQ.zeros(n, n)
-        for i, c in enumerate(_vec(x, n)):
-            if c != 0:
-                out = out + self.ad_basis(i).scale(c)
+        for i, c in _nonzero(_vec(x, n)):
+            out = out + self.ad_basis(i).scale(c)
         return out
 
     def ad_basis(self, i: int) -> MatrixQ:
@@ -223,9 +224,13 @@ class LieAlgebra:
     # ------------------------------------------------------------- subspaces
 
     def product_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of [x, y] over basis pairs of a and b."""
-        vecs = [self.bracket(u, v) for u in a.basis for v in b.basis]
-        return Subspace(self.dim, [v for v in vecs if any(c != 0 for c in v)])
+        """Span of [x, y] over basis pairs of a and b.
+
+        For a == b over unordered pairs only, as [u, u] = 0 and [v, u] = -[u, v].
+        """
+        xs = [_nonzero(u) for u in a.basis]
+        pairs = combinations(xs, 2) if a == b else product(xs, [_nonzero(v) for v in b.basis])
+        return Subspace(self.dim, [self._bracket_terms(x, y) for x, y in pairs])
 
     def derived_algebra(self) -> Subspace:
         """[g, g], spanned by the brackets of basis pairs."""
@@ -264,13 +269,8 @@ class LieAlgebra:
         return Subspace(self.dim, nullspace(stacked))
 
     def is_ideal(self, s: Subspace) -> bool:
-        one = Fraction(1)
-        for u in s.basis:
-            us = [(i, a) for i, a in enumerate(u) if a]
-            for j in range(self.dim):
-                if not s.contains_vector(self._bracket_terms([(j, one)], us)):
-                    return False
-        return True
+        """[g, s] lies in s."""
+        return s.contains(self.product_space(Subspace.full(self.dim), s))
 
     def restrict(self, s: Subspace) -> "LieAlgebra":
         """The bracket structure on s in its echelon basis; s must be closed.
@@ -280,43 +280,35 @@ class LieAlgebra:
         inner = self._restrictions.get(s)
         if inner is not None:
             return inner
-        k = s.dim
+        xs = [_nonzero(u) for u in s.basis]
         table: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                w = self.bracket(s.basis[i], s.basis[j])
-                coords = s.coordinates(w)
-                if coords is None:
-                    raise ValueError(
-                        f"subspace is not closed under the bracket: "
-                        f"[u_{i + 1}, u_{j + 1}] lies outside"
-                    )
-                table[(i, j)] = coords
-        inner = self._restrictions[s] = LieAlgebra(k, table)
+        for i, j in combinations(range(s.dim), 2):
+            coords = s.coordinates(self._bracket_terms(xs[i], xs[j]))
+            if coords is None:
+                raise ValueError(
+                    f"subspace is not closed under the bracket: "
+                    f"[u_{i + 1}, u_{j + 1}] lies outside"
+                )
+            table[(i, j)] = coords
+        inner = self._restrictions[s] = LieAlgebra(s.dim, table)
         return inner
 
     def verify_nilradical(self, s: Subspace) -> bool:
         """Check that s is the nilradical of a solvable algebra.
 
-        Requires solvability; confirms s is a nilpotent ideal containing the
-        derived algebra and that no nilpotent ideal is strictly larger.  Every
-        nilpotent ideal lies inside the nilradical, so maximality amounts to
-        s having the nilradical's dimension: at codimension 1 that is just g
-        itself not being nilpotent, and in general s must equal the set of
-        ad-nilpotent elements.
+        Requires solvability; confirms s contains the derived algebra, is
+        nilpotent, and that no nilpotent ideal is strictly larger.  Containing
+        [g, g] makes s an ideal, since [g, s] lies in [g, g], and so closed
+        under the bracket.  Every nilpotent ideal lies inside the nilradical,
+        so maximality amounts to s having the nilradical's dimension: at
+        codimension 1 that is just g itself not being nilpotent, and in
+        general s must equal the set of ad-nilpotent elements.
         """
         if not self.is_solvable():
             raise ValueError("nilradical verification requires a solvable algebra")
-        if not self.is_ideal(s):
-            return False
-        if s.dim > 0:
-            try:
-                inner = self.restrict(s)
-            except ValueError:
-                return False
-            if not inner.is_nilpotent():
-                return False
         if not s.contains(self.derived_algebra()):
+            return False
+        if s.dim > 0 and not self.restrict(s).is_nilpotent():
             return False
         if s.dim == self.dim:
             return True
@@ -365,11 +357,10 @@ class LieAlgebra:
         if Pinv is None:
             raise ValueError("base change matrix is singular")
         n = self.dim
+        cols = [_nonzero(P.col(i)) for i in range(n)]
         table: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = self.bracket(P.col(i), P.col(j))
-                table[(i, j)] = Pinv.apply(w)
+        for i, j in combinations(range(n), 2):
+            table[(i, j)] = Pinv.apply(self._bracket_terms(cols[i], cols[j]))
         return LieAlgebra(n, table)
 
     def killing_matrix(self) -> MatrixQ:

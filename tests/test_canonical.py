@@ -491,6 +491,19 @@ def test_irrational_parameter_labels():
     root2 = sqrt_exact(F(2))
     assert lblb.param("eta") in (root2, root2 * F(-1))
     assert_good_witness(witb)
+    # char poly (x^2 - 2x - 1)(x^2 + 2x - 1): irrational roots of quadratics
+    # with a linear term, 1 +- sqrt(2) and -1 +- sqrt(2)
+    c = MatrixQ([[1, 2, 0, 0], [1, 1, 0, 0], [0, 0, -1, -1], [0, 0, -2, -1]])
+    assert lie_membership(c, "sp4")
+    lblc, witc = sp4_canonical_form(c)
+    assert lblc.family == "ThmE-1"
+    assert lblc.param("lambda") == root2 + 1
+    assert lblc.param("mu") == root2 - 1
+    assert_good_witness(witc)
+    W = random_symplectic(random.Random(7))
+    lblw, witw = sp4_canonical_form(solve_or_invert(W) @ c @ W)
+    assert lblw == lblc
+    assert_good_witness(witw)
 
 
 def test_eigen_pairing_examples():

@@ -701,6 +701,24 @@ def test_report_text_frozen_on_corpus_slice():
     )
 
 
+def test_corpus_verification_skips_public_bracket_and_ideal_test(monkeypatch):
+    """Internal products read the term table directly, and verify_nilradical
+    does not re-prove ideal-ness, which containing [g, g] already gives."""
+    entries = list(packaged_corpus("appendix_a.lalg")) + list(
+        packaged_corpus("appendix_b.lalg")
+    )[::25]
+    calls = {"bracket": 0, "is_ideal": 0}
+    for name in calls:
+
+        def counting(self, *args, _name=name, _original=getattr(LieAlgebra, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(LieAlgebra, name, counting)
+    verify_entries(entries, seed=1, k=3)
+    assert calls == {"bracket": 0, "is_ideal": 0}
+
+
 def test_report_text_frozen_on_full_corpus():
     """Refactor guard: the whole of appendices A and B verifies to the same
     report text, byte for byte, as the code that froze it."""

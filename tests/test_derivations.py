@@ -12,6 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lieq.derivations import (
+    INTERTWINER_GRID_BUDGET,
     EquivalenceResult,
     TableMismatch,
     check_bracket_table,
@@ -281,6 +282,23 @@ def test_equivalence_undetermined():
     assert res.intertwiner is None
     assert not res.certain
     assert res.nullspace_dim == 2
+    assert res.equivalent is None
+
+
+def test_equivalence_random_fallback():
+    # n = 4 takes the grid values 0, +-1, +-2, and 5^d points exceed the
+    # budget for d = 16 and d = 12, so the search draws random coefficients
+    assert 5 ** 12 > INTERTWINER_GRID_BUDGET
+    Z = MatrixQ.zeros(4, 4)
+    res = representation_equivalence([Z], [Z])
+    assert res.nullspace_dim == 16
+    assert res.certain and res.equivalent is True
+    assert res.intertwiner.rank() == 4
+    # T * 0 = E_12 * T forces the second row of T to vanish
+    res = representation_equivalence([Z], [unit(4, 0, 1)])
+    assert res.nullspace_dim == 12
+    assert res.intertwiner is None
+    assert not res.certain
     assert res.equivalent is None
 
 

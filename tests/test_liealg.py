@@ -414,13 +414,13 @@ def test_restriction_computed_once_per_span(monkeypatch):
     g = LieAlgebra(SOLV5.dim, SOLV5.table)
     g.series_profile()
     calls = []
-    original = LieAlgebra.bracket
+    original = LieAlgebra._bracket_terms
 
-    def counting(self, x, y):
-        calls.append((x, y))
-        return original(self, x, y)
+    def counting(self, xs, ys):
+        calls.append((xs, ys))
+        return original(self, xs, ys)
 
-    monkeypatch.setattr(LieAlgebra, "bracket", counting)
+    monkeypatch.setattr(LieAlgebra, "_bracket_terms", counting)
     assert g.verify_nilradical(span(5, [0, 1, 2, 3]))
     assert calls
     done = len(calls)
@@ -450,11 +450,20 @@ def test_verify_nilradical_solv5():
     assert not SOLV5.verify_nilradical(span(5, [0, 1, 2]))
     # the whole algebra is not nilpotent
     assert not SOLV5.verify_nilradical(Subspace.full(5))
+    # ... but a nilpotent algebra is its own nilradical
+    assert HEISENBERG3.verify_nilradical(Subspace.full(3))
 
 
 def test_verify_nilradical_solv2():
     assert SOLV2.verify_nilradical(span(2, [0]))
     assert not SOLV2.verify_nilradical(Subspace(2, []))
+    # codimension 2: r2+r2 with [e1,e2] = e2, [e3,e4] = e4, and r2+R^2
+    r2_r2 = LieAlgebra(4, {(0, 1): [0, 1, 0, 0], (2, 3): [0, 0, 0, 1]})
+    assert r2_r2.verify_nilradical(span(4, [1, 3]))
+    r2_abelian2 = LieAlgebra(4, {(0, 1): [0, 1, 0, 0]})
+    # contains [g, g] and is nilpotent, but N = span(e2, e3, e4) is larger
+    assert not r2_abelian2.verify_nilradical(span(4, [1, 2]))
+    assert r2_abelian2.verify_nilradical(span(4, [1, 2, 3]))
 
 
 def test_verify_nilradical_requires_solvable():
