@@ -15,10 +15,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import MatrixQ, matrix_exp_nilpotent, nullspace, solve_linear, solve_or_invert
+from .linalg import MatrixQ, _kernel, matrix_exp_nilpotent, nullspace, solve_linear, solve_or_invert
 
 # the invertible-intertwiner search enumerates an integer coefficient grid
 # exhaustively when it is no larger than this; for bigger intertwiner spaces
@@ -57,37 +57,29 @@ def _square(v: Sequence, n: int) -> MatrixQ:
     return MatrixQ([v[p * n:(p + 1) * n] for p in range(n)])
 
 
-def _leibniz_rows(g: LieAlgebra) -> List[List[Fraction]]:
+def _leibniz_rows(g: LieAlgebra) -> List[Dict[int, Fraction]]:
     """Rows of D[e_i,e_j] = [De_i,e_j] + [e_i,De_j], one per i < j and coordinate k.
 
     The unknowns are the n^2 entries of D, (p,q) at index p*n+q as in `MatrixQ.flat`.
+    Each row is {unknown: coefficient} with zeros left out, read off the signed
+    term table of g; rows that vanish are dropped.
     """
-    n = g.dim
-    rows: List[List[Fraction]] = []
+    n, terms = g.dim, g._terms
+    rows: List[Dict[int, Fraction]] = []
     for i, j in combinations(range(n), 2):
-        cij = g.structure_constant(i, j)
-        cpj = [g.structure_constant(p, j) for p in range(n)]
-        cip = [g.structure_constant(i, p) for p in range(n)]
-        for k in range(n):
-            row = [Fraction(0)] * (n * n)
-            for q in range(n):
-                if cij[q] != 0:
-                    row[k * n + q] += cij[q]
-            for p in range(n):
-                if cpj[p][k] != 0:
-                    row[p * n + i] -= cpj[p][k]
-                if cip[p][k] != 0:
-                    row[p * n + j] -= cip[p][k]
-            rows.append(row)
+        block = [{k * n + q: c for q, c in terms[i][j]} for k in range(n)]
+        for p in range(n):
+            for u, ts in ((p * n + i, terms[p][j]), (p * n + j, terms[i][p])):
+                for k, c in ts:
+                    block[k][u] = block[k].get(u, 0) - c
+        rows += filter(None, ({u: c for u, c in r.items() if c} for r in block))
     return rows
 
 
 def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     """The exact nullspace of the Leibniz system of g, as n x n matrices."""
     n = g.dim
-    # n = 1 has no conditions: every unknown is free
-    kernel = nullspace(MatrixQ(_leibniz_rows(g) or [[0] * (n * n)]))
-    return DerivationBasis(n, tuple(_square(v, n) for v in kernel))
+    return DerivationBasis(n, tuple(_square(v, n) for v in _kernel(n * n, _leibniz_rows(g))))
 
 
 def is_derivation(g: LieAlgebra, D: MatrixQ) -> bool:
@@ -95,7 +87,7 @@ def is_derivation(g: LieAlgebra, D: MatrixQ) -> bool:
     if D.shape() != (g.dim, g.dim):
         raise ValueError(f"derivation candidate must be {g.dim}x{g.dim}")
     d = D.flat()
-    return all(sum(r * x for r, x in zip(row, d) if r) == 0 for row in _leibniz_rows(g))
+    return all(sum(c * d[u] for u, c in row.items()) == 0 for row in _leibniz_rows(g))
 
 
 def is_automorphism(g: LieAlgebra, A: MatrixQ) -> bool:
@@ -139,9 +131,8 @@ def check_bracket_table(mats: Sequence[MatrixQ], g: LieAlgebra) -> Optional[Tabl
         for j in range(i + 1, g.dim):
             actual = mats[i] @ mats[j] - mats[j] @ mats[i]
             expected = MatrixQ.zeros(n, n)
-            for c, M in zip(g.structure_constant(i, j), mats):
-                if c != 0:
-                    expected = expected + M * c
+            for k, c in g._terms[i][j]:
+                expected = expected + mats[k] * c
             if actual != expected:
                 return TableMismatch(i, j, expected, actual)
     return None

@@ -36,10 +36,6 @@ def _nonzero(v: Sequence) -> List[Tuple[int, Fraction]]:
     return [(i, a) for i, a in enumerate(v) if a]
 
 
-def _zero(n: int) -> Tuple[Fraction, ...]:
-    return tuple([Fraction(0)] * n)
-
-
 def _trace_product(A: MatrixQ, B: MatrixQ) -> Fraction:
     """tr(A B) as the sum of A[p][q] B[q][p]: n² multiplies, zeros skipped."""
     s = Fraction(0)
@@ -151,13 +147,13 @@ class LieAlgebra:
         self._restrictions: Dict[Subspace, LieAlgebra] = {}
 
     def structure_constant(self, i: int, j: int) -> Tuple[Fraction, ...]:
-        """[e_i, e_j] as a coefficient vector, any index order."""
-        if i == j:
-            return _zero(self.dim)
-        if i < j:
-            return self.table.get((i, j), _zero(self.dim))
-        v = self.table.get((j, i))
-        return _zero(self.dim) if v is None else tuple(-c for c in v)
+        """[e_i, e_j] as a coefficient vector, any order of indices in 0..n-1."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"basis index pair ({i}, {j}) outside 0..{self.dim - 1}")
+        out = [Fraction(0)] * self.dim
+        for k, c in self._terms[i][j]:
+            out[k] = c
+        return tuple(out)
 
     def bracket(self, x: Sequence, y: Sequence) -> Tuple[Fraction, ...]:
         """[x, y] = sum of x_i y_j [e_i, e_j] over nonzero x_i and y_j only.

@@ -8,7 +8,8 @@ in this module.
 
 `Echelon` is the single elimination kernel: `MatrixQ.rank`, `nullspace`,
 `solve_linear`, `solve_or_invert` and every span, membership and coordinate
-question elsewhere in the package reduce rows through it.
+question elsewhere in the package reduce rows through it, as sparse rows that
+over Q are primitive integer rows combined fraction-free (Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -201,6 +202,9 @@ class QuadExt:
             return self.a == other.a and self.b == other.b and self.d == other.d
         return NotImplemented
 
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
@@ -289,62 +293,99 @@ def sqrt_exact(q) -> Scalar:
     return r.a if r.b == 0 else r
 
 
-def _subtract_multiple(w: List[Scalar], c: Scalar, row: Sequence[Scalar]) -> None:
-    """w -= c * row in place, touching only the nonzero entries of row."""
-    if c != 0:
-        for k, b in enumerate(row):
-            if b != 0:
-                w[k] = w[k] - c * b
+def _sparse(v: Sequence, ncols: int) -> Dict[int, Scalar]:
+    """The nonzero entries of v by column: ints as they are, the rest through `_as_scalar`."""
+    if len(v) != ncols:
+        raise ValueError(f"vector length {len(v)} vs {ncols} columns")
+    w = {k: x if type(x) is int else _as_scalar(x) for k, x in enumerate(v)}
+    return {k: x for k, x in w.items() if x}
+
+
+def _primitive(w: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    """A nonzero sparse row as stored: over Q the primitive integer multiple with a
+    positive pivot; a row holding a QuadExt entry is divided by its pivot instead."""
+    pv = w[min(w)]
+    if any(isinstance(x, QuadExt) for x in w.values()):
+        w = {k: _as_scalar(x) for k, x in w.items()}
+        return w if pv == 1 else {k: x / pv for k, x in w.items()}
+    den = math.lcm(*[x.denominator for x in w.values()])
+    w = {k: x.numerator * (den // x.denominator) for k, x in w.items()}
+    g = math.gcd(*w.values()) * (1 if pv > 0 else -1)
+    return w if g == 1 else {k: x // g for k, x in w.items()}
+
+
+def _eliminate(w: Dict[int, Scalar], p: int, row: Dict[int, Scalar]) -> None:
+    """Clear column p of w in place, fraction-free: w <- pv*w - w[p]*row, pv = row[p]."""
+    c, pv = w[p], row[p]
+    if pv != 1:
+        for k in w:
+            w[k] *= pv
+    for k, b in row.items():
+        x = w.get(k, 0) - c * b
+        if x:
+            w[k] = x
+        else:
+            del w[k]
 
 
 class Echelon:
     """Incremental reduced row echelon form over Q or a quadratic field Q(sqrt d).
 
-    Rows are stored by pivot column and kept fully reduced: each has a unit
-    pivot and zeros in every other row's pivot column.  Since the reduced
-    echelon form of a row space is unique, the basis does not depend on the
-    order in which vectors are added.
+    Rows are sparse ({column: nonzero entry}), stored by pivot column in the
+    form `_primitive` gives, combined fraction-free by `_eliminate` and kept
+    zero in every other row's pivot column; `basis()` divides each by its
+    pivot.  The reduced echelon form of a row space is unique, so the basis
+    does not depend on the order in which vectors are added.
     """
 
     __slots__ = ("ncols", "_rows")
 
     def __init__(self, ncols: int, rows: Iterable[Sequence] = ()):
         self.ncols = ncols
-        self._rows: Dict[int, List[Scalar]] = {}
+        self._rows: Dict[int, Dict[int, Scalar]] = {}
         for r in rows:
             self.add(r)
 
-    def _reduce(self, v: Sequence) -> List[Scalar]:
-        if len(v) != self.ncols:
-            raise ValueError(f"vector length {len(v)} vs {self.ncols} columns")
-        w = [_as_scalar(x) for x in v]
-        # rows are reduced, so the multiplier of row p is the entry v[p]
-        for p, row in self._rows.items():
-            _subtract_multiple(w, w[p], row)
+    def _reduce(self, w: Dict[int, Scalar]) -> Dict[int, Scalar]:
+        """A multiple of the sparse row w, zero in every pivot column."""
+        if w:
+            w = _primitive(w)
+            for p, row in self._rows.items():
+                if p in w:
+                    _eliminate(w, p, row)
         return w
 
-    def add(self, v: Sequence) -> bool:
-        """Reduce v into the span; False when v already lies in it."""
-        w = self._reduce(v)
-        p = next((k for k, x in enumerate(w) if x != 0), None)
-        if p is None:
+    def _add(self, w: Dict[int, Scalar]) -> bool:
+        w = self._reduce(w)
+        if not w:
             return False
-        pv = w[p]
-        if pv != 1:
-            w = [x / pv for x in w]
-        for row in self._rows.values():
-            _subtract_multiple(row, row[p], w)
+        w = _primitive(w)
+        p = min(w)
+        for q, row in self._rows.items():
+            if p in row:
+                _eliminate(row, p, w)
+                self._rows[q] = _primitive(row)
         self._rows[p] = w
         return True
 
+    def add(self, v: Sequence) -> bool:
+        """Reduce v into the span; False when v already lies in it."""
+        return self._add(_sparse(v, self.ncols))
+
     def coordinates(self, v: Sequence) -> Optional[Tuple[Scalar, ...]]:
         """Coefficients of v over basis(), or None when v is outside the span."""
-        if any(x != 0 for x in self._reduce(v)):
+        if self._reduce(_sparse(v, self.ncols)):
             return None
         return tuple(_as_scalar(v[p]) for p in self.pivots())
 
     def basis(self) -> Tuple[Tuple[Scalar, ...], ...]:
-        return tuple(tuple(self._rows[p]) for p in self.pivots())
+        out = []
+        for p in self.pivots():
+            v = [Fraction(0)] * self.ncols
+            for k, x in self._rows[p].items():
+                v[k] = Fraction(x, self._rows[p][p]) if type(x) is int else x
+            out.append(tuple(v))
+        return tuple(out)
 
     def pivots(self) -> Tuple[int, ...]:
         return tuple(sorted(self._rows))
@@ -440,20 +481,15 @@ class MatrixQ:
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
-        oc = other.ncols
+        cols = tuple(zip(*other._r))
         out = []
-        for i in range(self.nrows):
-            ri = self._r[i]
-            row = []
-            for j in range(oc):
-                s = Fraction(0)
-                for k in range(self.ncols):
-                    a = ri[k]
-                    if a != 0:
-                        s = s + a * other._r[k][j]
-                row.append(s)
-            out.append(row)
-        return MatrixQ(out)
+        for ri in self._r:
+            nz = [(k, a) for k, a in enumerate(ri) if a]
+            sums = (sum([a * col[k] for k, a in nz if col[k]]) for col in cols)
+            out.append(tuple(s or Fraction(0) for s in sums))  # an empty sum is int 0
+        product = MatrixQ.__new__(MatrixQ)
+        product.nrows, product.ncols, product._r = self.nrows, other.ncols, tuple(out)
+        return product
 
     def __pow__(self, k: int) -> "MatrixQ":
         if not self.is_square:
@@ -520,22 +556,29 @@ class MatrixQ:
             raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
-def nullspace(M: MatrixQ) -> List[Tuple[Scalar, ...]]:
-    """Kernel basis as tuples: for each free column f of the reduced rows, in order,
-    1 at f, -row[f] at the pivot column of each row, and 0 elsewhere."""
-    ech = Echelon(M.ncols, M._r)
-    rows = dict(zip(ech.pivots(), ech.basis()))
+def _kernel(ncols: int, rows: Iterable[Dict[int, Scalar]]) -> List[Tuple[Scalar, ...]]:
+    """`nullspace` of the sparse rows {column: nonzero entry}."""
+    ech = Echelon(ncols)
+    for w in rows:
+        ech._add(w)
+    reduced = dict(zip(ech.pivots(), ech.basis()))
     basis = []
-    for f in range(M.ncols):
-        if f in rows:
+    for f in range(ncols):
+        if f in reduced:
             continue
-        v = [Fraction(0)] * M.ncols
+        v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for p, row in rows.items():
+        for p, row in reduced.items():
             if row[f] != 0:
                 v[p] = -row[f]
         basis.append(tuple(v))
     return basis
+
+
+def nullspace(M: MatrixQ) -> List[Tuple[Scalar, ...]]:
+    """Kernel basis as tuples: for each free column f of the reduced rows, in order,
+    1 at f, -row[f] at the pivot column of each row, and 0 elsewhere."""
+    return _kernel(M.ncols, (_sparse(r, M.ncols) for r in M._r))
 
 
 def solve_or_invert(M: MatrixQ) -> Optional[MatrixQ]:

@@ -4,6 +4,7 @@ Expected derivation-algebra dimensions are frozen from
 tests/oracles/structure_oracle.py (independent sympy Leibniz nullspace).
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from lieq.corpus import instantiate, packaged_corpus, sample_parameters
 from lieq.derivations import (
     INTERTWINER_GRID_BUDGET,
     EquivalenceResult,
@@ -25,6 +27,7 @@ from lieq.derivations import (
 from lieq.liealg import LieAlgebra
 from lieq.linalg import MatrixQ, solve_or_invert
 
+from test_corpus import _unimodular
 from test_liealg import FIXTURES, HEISENBERG3, SL2, SOLV2
 
 N_INNER_SAMPLES = 50
@@ -79,6 +82,25 @@ def test_derivation_basis_elements_are_derivations(tag):
     g = FIXTURES[tag]
     for D in derivation_basis(g).basis:
         assert is_derivation(g, D)
+
+
+def test_derivation_basis_digest_frozen():
+    """sha256 over repr of every derivation basis of appendix A and every 7th
+    appendix-B entry, each after a seeded unimodular base change.  It pins the
+    Leibniz rows and the kernel: the reduced echelon form is unique, so any
+    exact elimination must reproduce it byte for byte."""
+    rng = random.Random(11)
+    entries = list(packaged_corpus("appendix_a.lalg")) + list(packaged_corpus("appendix_b.lalg"))[::7]
+    assert len(entries) == 149
+    digest = hashlib.sha256()
+    for entry in entries:
+        (env,) = sample_parameters(entry, seed=1, k=1)
+        g = instantiate(entry, env)
+        der = derivation_basis(g.change_basis(_unimodular(rng, g.dim)))
+        digest.update(f"{entry.id}|{der.basis!r}\n".encode())
+    assert digest.hexdigest() == (
+        "77796108390ef438b8f9045d8cccb7c99acd69e8c86aea13fcdbe4f5b56c6fa8"
+    )
 
 
 @pytest.mark.parametrize("tag", ["heisenberg3", "sl2", "nilp69", "solv5"])

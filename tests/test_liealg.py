@@ -171,6 +171,12 @@ def test_structure_constant_both_orders():
     assert SL2.structure_constant(0, 2) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("i, j", [(5, 2), (0, 9), (-1, 1), (3, 0), (0, -3)])
+def test_structure_constant_rejects_bad_indices(i, j):
+    with pytest.raises(IndexError, match=rf"\({i}, {j}\) outside 0\.\.2"):
+        HEISENBERG3.structure_constant(i, j)
+
+
 @seed(1)
 @settings(max_examples=N_BRACKET_SAMPLES, deadline=None)
 @given(

@@ -210,6 +210,98 @@ def test_solve_or_invert_none_exactly_when_singular(rows):
         assert S @ inv == MatrixQ.identity(n)
 
 
+def _reference_rref(ncols, rows):
+    """Dense Gauss-Jordan over Fraction/QuadExt, written independently of Echelon.
+
+    Returns whether each row grew the span, and the unit-pivot reduced rows by
+    pivot column.  Zero tests are `!= 0`, never truthiness.
+    """
+    reduced, grew = {}, []
+    for v in rows:
+        w = [x if isinstance(x, QuadExt) else F(x) for x in v]
+        for p, row in reduced.items():
+            if w[p] != 0:
+                c = w[p]
+                w = [a - c * b for a, b in zip(w, row)]
+        p = next((k for k, x in enumerate(w) if x != 0), None)
+        grew.append(p is not None)
+        if p is None:
+            continue
+        w = [x / w[p] for x in w]
+        for q, row in reduced.items():
+            if row[p] != 0:
+                c = row[p]
+                reduced[q] = [a - c * b for a, b in zip(row, w)]
+        reduced[p] = w
+    return grew, dict(sorted(reduced.items()))
+
+
+R2 = QuadExt(0, 1, 2)
+_small_ints = st.integers(-3, 3)
+KERNEL_ENTRIES = {
+    "int": _small_ints,
+    "mixed_denominators": st.one_of(_small_ints, st.fractions(-3, 3, max_denominator=6)),
+    "sqrt2": st.one_of(
+        _small_ints,
+        st.fractions(-2, 2, max_denominator=3),
+        st.builds(lambda a, b: QuadExt(a, b, 2), _small_ints, _small_ints),
+    ),
+}
+
+
+@st.composite
+def kernel_rows(draw, entries):
+    """Up to 4 drawn rows and up to 3 combinations of them, shuffled, plus a probe vector."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, max_size=4))
+    combos = []
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(entries, min_size=len(base), max_size=len(base)))
+        combos.append([sum((c * r[j] for c, r in zip(coeffs, base)), 0) for j in range(ncols)])
+    rows = draw(st.permutations(base + combos))
+    probe = draw(st.one_of(row, st.sampled_from(combos or [[0] * ncols])))
+    return ncols, rows, probe
+
+
+def _exact_entries(vectors):
+    return all(type(x) in (F, QuadExt) for v in vectors for x in v)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_ENTRIES))
+@seed(7)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_echelon_matches_dense_reference(kind, data):
+    ncols, rows, probe = data.draw(kernel_rows(KERNEL_ENTRIES[kind]))
+    grew, reduced = _reference_rref(ncols, rows)
+    ech = Echelon(ncols)
+    assert [ech.add(r) for r in rows] == grew
+    assert ech.pivots() == tuple(reduced)
+    assert ech.basis() == tuple(tuple(r) for r in reduced.values())
+    assert _exact_entries(ech.basis())
+    inside = not _reference_rref(ncols, rows + [probe])[0][-1]
+    expected = tuple(F(probe[p]) if not isinstance(probe[p], QuadExt) else probe[p] for p in reduced)
+    assert ech.coordinates(probe) == (expected if inside else None)
+    kernel = nullspace(MatrixQ(rows)) if rows else []
+    assert _exact_entries(kernel)
+    for v in kernel:
+        assert all(sum((a * x for a, x in zip(r, v)), 0) == 0 for r in rows)
+    if rows:
+        assert len(kernel) == ncols - len(reduced)
+
+
+def test_zero_quadext_is_falsy():
+    assert not QuadExt(0)
+    assert not (QuadExt(0, 1, 2) - QuadExt(0, 1, 2))
+    assert R2 and QuadExt(1, -1, 2) and QuadExt(F(1, 2))
+    # [2, sqrt2] = sqrt2 * [sqrt2, 1] cancels to zero against the stored row
+    ech = Echelon(2, [[R2, 1]])
+    assert ech.add([2, R2]) is False
+    assert ech.coordinates([2, R2]) == (2,)
+    assert ech.basis() == ((1, R2 / 2),)
+
+
 # ---------------------------------------------------------- char polynomial
 
 def test_char_poly_frozen():
