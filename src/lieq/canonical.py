@@ -72,12 +72,24 @@ class WitnessPrecisionError(ArithmeticError):
 
 def lie_membership(a: MatrixQ, family: str) -> bool:
     """Exact test of a^T J + J a = 0, i.e. of J a symmetric, for each structure matrix J of the family."""
+    return _lie_products(a, family) is not None
+
+
+def _lie_products(a: MatrixQ, family: str) -> Optional[Tuple[MatrixQ, ...]]:
+    """The products J a over the family's structure matrices J when all are
+    symmetric (a is a member), else None; the sp(4) classifier reuses J a."""
     mats = _LIE_FAMILIES.get(family)
     if mats is None:
         raise ValueError(f"unknown algebra family {family!r}; expected 'sp4' or 'hJ2'")
     if a.shape() != (4, 4):
         raise MembershipError(f"membership test needs a 4x4 matrix, got {a.nrows}x{a.ncols}")
-    return all(S == S.transpose() for S in (J @ a for J in mats))
+    products = []
+    for J in mats:
+        S = J @ a
+        if S != S.transpose():
+            return None
+        products.append(S)
+    return tuple(products)
 
 
 def group_membership(A: MatrixQ, family: str) -> bool:
@@ -827,7 +839,8 @@ def _classify_imaginary(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, imag: Sequence[Tup
     return _label("ThmE-10", ("mu", mu), ("epsilon", eps)), lambda bits: _witness_e10(a, m, b, c, Jc, bits)
 
 
-def _sp4_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]:
+def _sp4_classify(a: MatrixQ, Ja: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]:
+    """Label and witness builder of a member a of sp(4,R), given Ja = J_SP4 @ a."""
     spectrum = _sp4_spectrum(char_poly(a))
     a2 = a @ a
     if spectrum.complex_pair is not None:
@@ -835,7 +848,6 @@ def _sp4_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]
         mu = sqrt_exact(s - lam * lam)
         return (_label("ThmE-8", ("lambda", lam), ("mu", mu)),
                 lambda bits: _witness_e8(a, a2, lam, s, bits))
-    Ja = J_SP4 @ a
     if len(spectrum.real_roots) == 4:
         return _classify_all_real(a, a2, Ja, spectrum.real_roots)
     if len(spectrum.real_roots) == 2:
@@ -844,20 +856,24 @@ def _sp4_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]
     return _classify_imaginary(a, a2, Ja, spectrum.imag)
 
 
+def _sp4_product(a: MatrixQ) -> MatrixQ:
+    """J_SP4 @ a for a member a of sp(4,R); MembershipError otherwise."""
+    products = _lie_products(a, "sp4")
+    if products is None:
+        raise MembershipError("matrix is not in sp(4,R): a^T J + J a != 0")
+    return products[0]
+
+
 def sp4_canonical_form(a: MatrixQ) -> Tuple[CanonicalLabel, Witness]:
     """Exact canonical label and certified Sp(4,R) witness for a member of sp(4,R)."""
-    if not lie_membership(a, "sp4"):
-        raise MembershipError("matrix is not in sp(4,R): a^T J + J a != 0")
-    label, build = _sp4_classify(a)
+    label, build = _sp4_classify(a, _sp4_product(a))
     return label, _make_witness(a, sp4_canonical_matrix(label), build, (J_SP4,))
 
 
 def symplectically_similar(a: MatrixQ, b: MatrixQ) -> bool:
     """Whether two sp(4,R) members are conjugate under Sp(4,R), by label equality."""
-    for m in (a, b):
-        if not lie_membership(m, "sp4"):
-            raise MembershipError("matrix is not in sp(4,R): a^T J + J a != 0")
-    return _sp4_classify(a)[0] == _sp4_classify(b)[0]
+    Ja, Jb = _sp4_product(a), _sp4_product(b)
+    return _sp4_classify(a, Ja)[0] == _sp4_classify(b, Jb)[0]
 
 
 # --------------------------------------------------------------------------

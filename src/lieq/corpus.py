@@ -36,9 +36,9 @@ import random
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import MAX_DIM, MatrixQ
 from .liealg import LieAlgebra, Subspace
@@ -978,7 +978,8 @@ def _reference_algebra(
 def _verify_one(
     entry: CorpusEntry,
     env: Mapping[str, Fraction],
-    tables: Mapping[str, CorpusEntry],
+    span: Subspace,
+    reference: Callable[[], LieAlgebra],
 ) -> List[ClaimRecord]:
     label = _assignment_text(entry, env)
     records: List[ClaimRecord] = []
@@ -1020,7 +1021,6 @@ def _verify_one(
         "-" if not profile.nilpotent else "lower central series reaches 0",
     )
 
-    span = _nilradical_span(entry.dim)
     contained = span.contains(g.derived_algebra())
     record(
         "derived_in_nilradical",
@@ -1047,8 +1047,7 @@ def _verify_one(
             f"span(e1..e{entry.dim - 1}) is not closed under the bracket",
         )
         return records
-    expected = _reference_algebra(ref, tables, entry.id)
-    same = restricted == expected
+    same = restricted == reference()
     record(
         "nilradical_table",
         same,
@@ -1079,9 +1078,12 @@ def verify_entry(
     if assignments is None:
         assignments = sample_parameters(entry, seed=seed, k=k)
     tables = reference_tables if reference_tables is not None else reference_nilradical_tables()
+    # shared by every assignment; the reference is resolved on first use only
+    span = _nilradical_span(entry.dim)
+    reference = cache(lambda: _reference_algebra(entry.nilradical_ref, tables, entry.id))
     records: List[ClaimRecord] = []
     for env in assignments:
-        records.extend(_verify_one(entry, env, tables))
+        records.extend(_verify_one(entry, env, span, reference))
     return VerificationReport(tuple(records))
 
 

@@ -7,9 +7,16 @@ derived from that table with exact arithmetic.
 
 The table is also kept as a sparse structure tensor, built once: for every
 ordered pair (i, j) the nonzero terms (k, c_ij^k) of [e_i, e_j], signs
-already applied for j < i.  Brackets run over the nonzero coordinates of
-their arguments only, and the Jacobi check contracts the tensor with itself
-without forming any bracket.
+already applied for j < i, with integral constants held as `int`.  Brackets
+run over the nonzero coordinates of their arguments only, and the Jacobi
+check contracts the tensor with itself without forming any bracket.
+
+A `Subspace` is a view of the sparse rows its `Echelon` stores, which over Q
+are primitive integer rows.  Series, derived algebras, ideal and nilradical
+tests and restrictions bracket those rows as {index: value} maps from end to
+end; dense `Fraction` vectors are built only where they leave the module:
+`Subspace.basis` (on first read), `coordinates`, `bracket`,
+`structure_constant` and the tables of new algebras.
 
 Dimension is capped at `MAX_DIM` (7).
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import MAX_DIM, Echelon, MatrixQ, nullspace, solve_or_invert
 
@@ -36,13 +43,24 @@ def _nonzero(v: Sequence) -> List[Tuple[int, Fraction]]:
     return [(i, a) for i, a in enumerate(v) if a]
 
 
+def _dense(w: Dict[int, object], n: int) -> Tuple[Fraction, ...]:
+    """The length-n vector of the sparse map w, every entry a Fraction."""
+    out = [Fraction(0)] * n
+    for k, x in w.items():
+        out[k] = Fraction(x) if type(x) is int else x
+    return tuple(out)
+
+
 def _trace_product(A: MatrixQ, B: MatrixQ) -> Fraction:
     """tr(A B) as the sum of A[p][q] B[q][p]: n² multiplies, zeros skipped."""
+    brows = [B.row(q) for q in range(B.nrows)]
     s = Fraction(0)
     for p in range(A.nrows):
-        for a, b in zip(A.row(p), B.col(p)):
-            if a != 0 and b != 0:
-                s += a * b
+        for q, a in enumerate(A.row(p)):
+            if a:
+                b = brows[q][p]
+                if b:
+                    s += a * b
     return s
 
 
@@ -50,23 +68,47 @@ class Subspace:
     """Subspace of Q^n with a unique reduced-echelon basis.
 
     Vectors are taken as `Echelon` takes them: entries int, Fraction, str or
-    QuadExt, and a float is rejected with TypeError.
+    QuadExt, and a float is rejected with TypeError.  The subspace is a view
+    of its echelon's stored sparse rows, primitive integer rows over Q: `dim`
+    counts their pivots, `contains` reduces them, and the dense `Fraction`
+    basis is built on first read.  Equality and hashing mean "same basis".
     """
 
-    __slots__ = ("ambient", "basis", "_echelon")
+    __slots__ = ("ambient", "_echelon", "_basis")
 
     def __init__(self, ambient: int, vectors: Sequence[Sequence] = ()):
         self.ambient = ambient
         self._echelon = Echelon(ambient, vectors)
-        self.basis = self._echelon.basis()
+        self._basis: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
+
+    @classmethod
+    def _spanned(cls, ambient: int, rows: Iterable[Dict[int, object]]) -> "Subspace":
+        """The span of sparse rows {index: nonzero value}, each reduced by `Echelon._add`."""
+        s = cls(ambient)
+        for w in rows:
+            s._echelon._add(w)
+        return s
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        s = cls(n)
+        s._echelon._rows = {i: {i: 1} for i in range(n)}
+        return s
+
+    @property
+    def basis(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        if self._basis is None:
+            self._basis = self._echelon.basis()
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._echelon._rows)
+
+    def _rows(self) -> List[Dict[int, object]]:
+        """The stored sparse rows in pivot order: nonzero multiples of the basis vectors."""
+        rows = self._echelon._rows
+        return [rows[p] for p in sorted(rows)]
 
     def contains_vector(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None
@@ -76,15 +118,16 @@ class Subspace:
         return self._echelon.coordinates(v)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.basis)
+        return not any(self._echelon._reduce(dict(w)) for w in other._echelon._rows.values())
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and (self is other or self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        # equal bases have equal pivots; the pivots alone spare building the basis
+        return hash((self.ambient, self._echelon.pivots()))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient})"
@@ -130,13 +173,16 @@ class LieAlgebra:
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket indices ({i + 1},{j + 1}) out of range for dim {dim}")
             v = _vec(coeffs, dim)
-            if any(c != 0 for c in v):
+            if any(v):
                 clean[(i, j)] = v
         self.table = clean
-        # _terms[i][j]: the nonzero (k, c_ij^k) of [e_i, e_j], in both orders
+        # _terms[i][j]: the nonzero (k, c_ij^k) of [e_i, e_j], in both orders,
+        # an integral constant held as int
         terms: List[List[Tuple[Tuple[int, Fraction], ...]]] = [[()] * dim for _ in range(dim)]
         for (i, j), v in clean.items():
-            terms[i][j] = tuple(_nonzero(v))
+            terms[i][j] = tuple(
+                (k, c.numerator if c.denominator == 1 else c) for k, c in _nonzero(v)
+            )
             terms[j][i] = tuple((k, -c) for k, c in terms[i][j])
         self._terms = terms
         # invariants, each computed on first use
@@ -150,10 +196,7 @@ class LieAlgebra:
         """[e_i, e_j] as a coefficient vector, any order of indices in 0..n-1."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError(f"basis index pair ({i}, {j}) outside 0..{self.dim - 1}")
-        out = [Fraction(0)] * self.dim
-        for k, c in self._terms[i][j]:
-            out[k] = c
-        return tuple(out)
+        return _dense(dict(self._terms[i][j]), self.dim)
 
     def bracket(self, x: Sequence, y: Sequence) -> Tuple[Fraction, ...]:
         """[x, y] = sum of x_i y_j [e_i, e_j] over nonzero x_i and y_j only.
@@ -163,13 +206,14 @@ class LieAlgebra:
         coordinate cost nothing.
         """
         xv, yv = _vec(x, self.dim), _vec(y, self.dim)
-        return self._bracket_terms(_nonzero(xv), _nonzero(yv))
+        return _dense(self._bracket_terms(_nonzero(xv), _nonzero(yv)), self.dim)
 
     def _bracket_terms(
-        self, xs: Sequence[Tuple[int, Fraction]], ys: Sequence[Tuple[int, Fraction]]
-    ) -> Tuple[Fraction, ...]:
-        """[x, y] from the (index, value) pairs of the nonzero coordinates."""
-        out = [Fraction(0)] * self.dim
+        self, xs: Iterable[Tuple[int, Fraction]], ys: Collection[Tuple[int, Fraction]]
+    ) -> Dict[int, Fraction]:
+        """[x, y] as {k: nonzero value}, from the (index, value) pairs of the
+        nonzero coordinates of x and y; terms that cancel are dropped."""
+        out: Dict[int, Fraction] = {}
         for i, a in xs:
             row = self._terms[i]
             for j, b in ys:
@@ -177,8 +221,8 @@ class LieAlgebra:
                 if terms:
                     ab = a * b
                     for k, c in terms:
-                        out[k] += ab * c
-        return tuple(out)
+                        out[k] = out.get(k, 0) + ab * c
+        return {k: x for k, x in out.items() if x}
 
     def check_jacobi(self) -> Optional[JacobiViolation]:
         """None when the Jacobi identity holds; else the first bad triple.
@@ -190,13 +234,13 @@ class LieAlgebra:
         """
         terms = self._terms
         for i, j, k in combinations(range(self.dim), 3):
-            res = [Fraction(0)] * self.dim
+            res = [0] * self.dim
             for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
                 for l, a in terms[p][q]:
                     for m, b in terms[l][r]:
                         res[m] += a * b
             if any(res):
-                return JacobiViolation(i, j, k, tuple(res))
+                return JacobiViolation(i, j, k, tuple(Fraction(x) for x in res))
         return None
 
     def ad_matrix(self, x: Sequence) -> MatrixQ:
@@ -220,18 +264,21 @@ class LieAlgebra:
     # ------------------------------------------------------------- subspaces
 
     def product_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of [x, y] over basis pairs of a and b.
+        """Span of [x, y] over pairs of the stored rows of a and b.
 
-        For a == b over unordered pairs only, as [u, u] = 0 and [v, u] = -[u, v].
+        The stored rows are nonzero multiples of the basis vectors, which
+        span the same brackets.  For a is b over unordered pairs only, as
+        [u, u] = 0 and [v, u] = -[u, v].
         """
-        xs = [_nonzero(u) for u in a.basis]
-        pairs = combinations(xs, 2) if a == b else product(xs, [_nonzero(v) for v in b.basis])
-        return Subspace(self.dim, [self._bracket_terms(x, y) for x, y in pairs])
+        xs = [w.items() for w in a._rows()]
+        pairs = combinations(xs, 2) if a is b else product(xs, [w.items() for w in b._rows()])
+        return Subspace._spanned(self.dim, (self._bracket_terms(x, y) for x, y in pairs))
 
     def derived_algebra(self) -> Subspace:
-        """[g, g], spanned by the brackets of basis pairs."""
+        """[g, g], spanned by the brackets of basis pairs, read off the term table."""
         if self._derived is None:
-            self._derived = Subspace(self.dim, list(self.table.values()))
+            terms = self._terms
+            self._derived = Subspace._spanned(self.dim, (dict(terms[i][j]) for i, j in self.table))
         return self._derived
 
     def _series_dims(self, step) -> Tuple[Tuple[int, ...], bool]:
@@ -276,16 +323,24 @@ class LieAlgebra:
         inner = self._restrictions.get(s)
         if inner is not None:
             return inner
-        xs = [_nonzero(u) for u in s.basis]
+        # each stored row is d_i u_i with d_i its pivot entry, so [u_i, u_j] is
+        # the bracket of rows i and j over d_i d_j; inside s, its coordinates
+        # are its entries at the pivot columns
+        rows = s._rows()
+        pivots = [min(w) for w in rows]
+        xs = [w.items() for w in rows]
         table: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
         for i, j in combinations(range(s.dim), 2):
-            coords = s.coordinates(self._bracket_terms(xs[i], xs[j]))
-            if coords is None:
+            w = self._bracket_terms(xs[i], xs[j])
+            if s._echelon._reduce(dict(w)):
                 raise ValueError(
                     f"subspace is not closed under the bracket: "
                     f"[u_{i + 1}, u_{j + 1}] lies outside"
                 )
-            table[(i, j)] = coords
+            if w:
+                d = rows[i][pivots[i]] * rows[j][pivots[j]]
+                coords = {c: Fraction(w[p], d) for c, p in enumerate(pivots) if p in w}
+                table[(i, j)] = _dense(coords, s.dim)
         inner = self._restrictions[s] = LieAlgebra(s.dim, table)
         return inner
 
@@ -354,9 +409,13 @@ class LieAlgebra:
             raise ValueError("base change matrix is singular")
         n = self.dim
         cols = [_nonzero(P.col(i)) for i in range(n)]
+        inv_rows = [Pinv.row(r) for r in range(n)]
         table: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
         for i, j in combinations(range(n), 2):
-            table[(i, j)] = Pinv.apply(self._bracket_terms(cols[i], cols[j]))
+            w = self._bracket_terms(cols[i], cols[j]).items()
+            table[(i, j)] = tuple(
+                sum([row[k] * x for k, x in w if row[k]], Fraction(0)) for row in inv_rows
+            )
         return LieAlgebra(n, table)
 
     def killing_matrix(self) -> MatrixQ:

@@ -294,17 +294,26 @@ def sqrt_exact(q) -> Scalar:
 
 
 def _sparse(v: Sequence, ncols: int) -> Dict[int, Scalar]:
-    """The nonzero entries of v by column: ints as they are, the rest through `_as_scalar`."""
+    """The nonzero entries of v by column: ints and Fractions as they are, the rest
+    through `_as_scalar`, so a float (0.0 included) is a TypeError."""
     if len(v) != ncols:
         raise ValueError(f"vector length {len(v)} vs {ncols} columns")
-    w = {k: x if type(x) is int else _as_scalar(x) for k, x in enumerate(v)}
-    return {k: x for k, x in w.items() if x}
+    w = {}
+    for k, x in enumerate(v):
+        if type(x) is not int and type(x) is not Fraction:
+            x = _as_scalar(x)
+        if x:
+            w[k] = x
+    return w
 
 
 def _primitive(w: Dict[int, Scalar]) -> Dict[int, Scalar]:
     """A nonzero sparse row as stored: over Q the primitive integer multiple with a
     positive pivot; a row holding a QuadExt entry is divided by its pivot instead."""
     pv = w[min(w)]
+    if all(type(x) is int for x in w.values()):
+        g = math.gcd(*w.values()) * (1 if pv > 0 else -1)
+        return w if g == 1 else {k: x // g for k, x in w.items()}
     if any(isinstance(x, QuadExt) for x in w.values()):
         w = {k: _as_scalar(x) for k, x in w.items()}
         return w if pv == 1 else {k: x / pv for k, x in w.items()}
@@ -408,6 +417,13 @@ class MatrixQ:
         self._r = data
 
     @classmethod
+    def _exact(cls, rows: Sequence[Tuple[Scalar, ...]]) -> "MatrixQ":
+        """The matrix of nonempty rows whose entries are Fraction or QuadExt already."""
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m._r = len(rows), len(rows[0]), tuple(rows)
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatrixQ":
         return cls([[0] * cols for _ in range(rows)])
 
@@ -450,28 +466,22 @@ class MatrixQ:
 
     def __add__(self, other: "MatrixQ") -> "MatrixQ":
         self._check_shape(other)
-        return MatrixQ(
-            [
-                [self._r[i][j] + other._r[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ]
+        return MatrixQ._exact(
+            [tuple(x + y for x, y in zip(r, s)) for r, s in zip(self._r, other._r)]
         )
 
     def __sub__(self, other: "MatrixQ") -> "MatrixQ":
         self._check_shape(other)
-        return MatrixQ(
-            [
-                [self._r[i][j] - other._r[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ]
+        return MatrixQ._exact(
+            [tuple(x - y for x, y in zip(r, s)) for r, s in zip(self._r, other._r)]
         )
 
     def __neg__(self) -> "MatrixQ":
-        return MatrixQ([[-x for x in row] for row in self._r])
+        return MatrixQ._exact([tuple(-x for x in row) for row in self._r])
 
     def scale(self, c) -> "MatrixQ":
         c = _as_scalar(c)
-        return MatrixQ([[c * x for x in row] for row in self._r])
+        return MatrixQ._exact([tuple(c * x for x in row) for row in self._r])
 
     def __mul__(self, c):
         return self.scale(c)
@@ -487,9 +497,7 @@ class MatrixQ:
             nz = [(k, a) for k, a in enumerate(ri) if a]
             sums = (sum([a * col[k] for k, a in nz if col[k]]) for col in cols)
             out.append(tuple(s or Fraction(0) for s in sums))  # an empty sum is int 0
-        product = MatrixQ.__new__(MatrixQ)
-        product.nrows, product.ncols, product._r = self.nrows, other.ncols, tuple(out)
-        return product
+        return MatrixQ._exact(out)
 
     def __pow__(self, k: int) -> "MatrixQ":
         if not self.is_square:
@@ -509,7 +517,7 @@ class MatrixQ:
         return out
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ([[self._r[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        return MatrixQ._exact(list(zip(*self._r)))
 
     def trace(self) -> Scalar:
         if not self.is_square:
@@ -529,16 +537,9 @@ class MatrixQ:
         """Matrix-vector product with a plain sequence."""
         if len(v) != self.ncols:
             raise ValueError(f"vector length {len(v)} vs {self.ncols} columns")
-        vv = [_as_scalar(x) for x in v]
-        out = []
-        for i in range(self.nrows):
-            s = Fraction(0)
-            for k in range(self.ncols):
-                a = self._r[i][k]
-                if a != 0 and vv[k] != 0:
-                    s = s + a * vv[k]
-            out.append(s)
-        return tuple(out)
+        vv = [x if type(x) is Fraction or type(x) is QuadExt else _as_scalar(x) for x in v]
+        nz = [(k, x) for k, x in enumerate(vv) if x]
+        return tuple(sum([r[k] * x for k, x in nz if r[k]], Fraction(0)) for r in self._r)
 
     def flat(self) -> Tuple[Scalar, ...]:
         """Entries in row-major order."""

@@ -34,8 +34,9 @@ from lieq.corpus import (
     verify_entries,
     verify_entry,
 )
+from lieq import linalg
 from lieq.liealg import MAX_DIM, LieAlgebra
-from lieq.linalg import MatrixQ
+from lieq.linalg import Echelon, MatrixQ
 
 N_APPENDIX_A = 44
 N_APPENDIX_B = 731
@@ -717,6 +718,31 @@ def test_corpus_verification_skips_public_bracket_and_ideal_test(monkeypatch):
         monkeypatch.setattr(LieAlgebra, name, counting)
     verify_entries(entries, seed=1, k=3)
     assert calls == {"bracket": 0, "is_ideal": 0}
+
+
+def test_corpus_verification_brackets_sparse_rows(monkeypatch):
+    """Subspaces bracket their echelon's stored sparse rows: verification
+    builds no dense echelon basis and re-sparsifies only the input spans.
+    The bounds are the counts when this guard was written (374 and 0)."""
+    entries = list(packaged_corpus("appendix_a.lalg")) + list(
+        packaged_corpus("appendix_b.lalg")
+    )[::25]
+    calls = {"sparse": 0, "basis": 0}
+    sparse, basis = linalg._sparse, Echelon.basis
+
+    def counting_sparse(*args):
+        calls["sparse"] += 1
+        return sparse(*args)
+
+    def counting_basis(self):
+        calls["basis"] += 1
+        return basis(self)
+
+    monkeypatch.setattr(linalg, "_sparse", counting_sparse)
+    monkeypatch.setattr(Echelon, "basis", counting_basis)
+    verify_entries(entries, seed=1, k=3)
+    assert calls["sparse"] <= 374
+    assert calls["basis"] == 0
 
 
 def test_report_text_frozen_on_full_corpus():

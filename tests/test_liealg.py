@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from lieq.corpus import instantiate, packaged_corpus, sample_parameters
 from lieq.derivations import derivation_basis
 from lieq.liealg import JacobiViolation, LieAlgebra, SeriesProfile, Subspace
-from lieq.linalg import Echelon, MatrixQ, nullspace
+from lieq.linalg import Echelon, MatrixQ, QuadExt, nullspace
 
 N_RANDOM_BASE_CHANGES = 50
 N_BRACKET_SAMPLES = 100
@@ -655,3 +655,97 @@ def test_subspace_canonical_equality():
 def test_subspace_full_and_empty():
     assert Subspace.full(3).dim == 3
     assert Subspace(3, []).dim == 0
+
+
+_SPAN_ENTRIES = {
+    "int": st.integers(-3, 3),
+    "fraction": st.fractions(-3, 3, max_denominator=4),
+    # rational spans given over Q(sqrt d): stored divided by the pivot, not as integer rows
+    "rational_quadext": st.builds(QuadExt, st.fractions(-3, 3, max_denominator=4)),
+}
+
+
+def _rational(x):
+    return x.as_fraction() if isinstance(x, QuadExt) else Fraction(x)
+
+
+def _dense_rank(rows, n):
+    """Rank over Q by dense Gaussian elimination, independent of Echelon."""
+    m = [[_rational(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(n):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c] != 0:
+                f = m[r][c] / m[rank][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("kind", sorted(_SPAN_ENTRIES))
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subspace_equality_is_span_equality(kind, data):
+    """Two generating sets of one span give == subspaces with equal hashes,
+    whatever the entry type; subspaces of different spans are not ==."""
+    n = data.draw(st.integers(1, 5))
+    vec = st.lists(_SPAN_ENTRIES[kind], min_size=n, max_size=n)
+    gens = data.draw(st.lists(vec, max_size=4))
+    a = Subspace(n, gens)
+    # generator i scaled by a nonzero integer plus integer multiples of earlier
+    # ones, then integer combinations of all: the same span, other rows
+    regen = []
+    for i, v in enumerate(gens):
+        c = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        ds = data.draw(st.lists(st.integers(-2, 2), min_size=i, max_size=i))
+        regen.append([c * x + sum(d * w[k] for d, w in zip(ds, gens)) for k, x in enumerate(v)])
+    for _ in range(data.draw(st.integers(0, 2))):
+        ds = data.draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+        regen.append([sum((d * w[k] for d, w in zip(ds, gens)), 0) for k in range(n)])
+    b = Subspace(n, data.draw(st.permutations(regen)))
+    plain = Subspace(n, [[_rational(x) for x in v] for v in gens])
+    for same in (b, plain):
+        assert a == same and same == a
+        assert hash(a) == hash(same)
+    other_gens = data.draw(st.lists(vec, max_size=4))
+    other = Subspace(n, other_gens)
+    r = _dense_rank(gens, n)
+    equal = r == _dense_rank(other_gens, n) == _dense_rank(gens + other_gens, n)
+    assert (a == other) == equal
+    assert (a != other) == (not equal)
+    if equal:
+        assert hash(a) == hash(other)
+    assert a.dim == r
+
+
+def _fractions_only(values):
+    return all(type(x) is Fraction for x in values)
+
+
+def test_public_readers_return_fractions():
+    """The term table holds integral constants as int; nothing public does."""
+    # the Heisenberg algebra [e2, e3] = e1 extended by e4 acting as diag(2, 1, 1)
+    g = LieAlgebra(
+        4, {(1, 2): [1, 0, 0, 0], (0, 3): [-2, 0, 0, 0], (1, 3): [0, -1, 0, 0], (2, 3): [0, 0, -1, 0]}
+    )
+    assert any(type(c) is int for row in g._terms for ts in row for _, c in ts)
+    n = g.dim
+    assert all(_fractions_only(g.structure_constant(i, j)) for i in range(n) for j in range(n))
+    assert _fractions_only(g.bracket([1, 1, 0, 0], [0, 0, 0, 3]))
+    assert _fractions_only(g.bracket([0, 1, 0, 0], [0, 0, 1, 0]))  # a zero bracket
+    violation = LieAlgebra(3, {(0, 1): [0, 0, 2], (0, 2): [1, 0, 0]}).check_jacobi()
+    assert violation is not None and _fractions_only(violation.residual)
+    # stored as the integer rows e1, 2e2 + e3 and e4: a pivot entry of 2
+    s = Subspace(n, [[3, 0, 0, 0], [0, 1, Fraction(1, 2), 0], [0, 0, 0, 2]])
+    assert all(_fractions_only(v) for v in s.basis)
+    inner = g.restrict(s)
+    assert inner == LieAlgebra(3, {(0, 2): [-2, 0, 0], (1, 2): [0, -1, 0]})
+    assert all(_fractions_only(v) for v in inner.table.values())
+    assert all(_fractions_only(inner.structure_constant(i, j)) for i in range(3) for j in range(3))
+    moved = g.change_basis(_unit_bidiagonal(n))
+    assert moved.table and all(_fractions_only(v) for v in moved.table.values())

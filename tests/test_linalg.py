@@ -55,6 +55,22 @@ def test_matmul_identity_and_pow():
     assert A ** 3 == A @ A @ A
 
 
+def test_matrix_results_hold_exact_scalars():
+    """Sums, differences, negation, scaling, transposes and products with a
+    vector are built from exact entries: Fraction or QuadExt, never int."""
+    r2 = QuadExt(0, 1, 2)
+    A, B, Q = mat([[1, 2], [0, -3]]), mat([[1, -2], [4, 3]]), MatrixQ([[r2, 1], [0, 2]])
+    for M in (A + B, A - B, -A, A.scale(2), A * 0, A.transpose(), Q + A, Q.scale(r2)):
+        assert all(type(x) in (F, QuadExt) for x in M.flat())
+    assert A - A == MatrixQ.zeros(2, 2)
+    for v in (A.apply([1, 1]), A.apply([0, 0]), Q.apply([1, F(1, 2)])):
+        assert all(type(x) in (F, QuadExt) for x in v)
+    assert A.apply([1, F(1, 2)]) == (F(2), F(-3, 2))
+    assert Q.apply([0, 1]) == (F(1), F(2))
+    with pytest.raises(TypeError):
+        A.apply([0.0, 1])
+
+
 def test_rref_rank_and_nullspace_frozen():
     A = mat([[1, 2, 0, -1], [2, 4, 1, 0], [3, 6, 1, -1]])
     assert A.rank() == 2
