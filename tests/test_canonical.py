@@ -288,6 +288,51 @@ def test_rational_witness_roundtrip():
             assert rjcf_shape(target)[0] == shape
 
 
+def _rational_jordan(rng, dim):
+    """A block-diagonal Jordan matrix with eigenvalues in {-1, 0, 1, 2}."""
+    rows = [[F(0)] * dim for _ in range(dim)]
+    i = 0
+    while i < dim:
+        size = rng.randint(1, dim - i)
+        lam = F(rng.choice((-1, 0, 0, 1, 2)))
+        for k in range(size):
+            rows[i + k][i + k] = lam
+            if k + 1 < size:
+                rows[i + k][i + k + 1] = F(1)
+        i += size
+    return MatrixQ(rows)
+
+
+def _unimodular(rng, dim, steps):
+    """A product of shears I + c E_ij with c in {-2, -1, 1, 2}."""
+    W = MatrixQ.identity(dim)
+    for _ in range(steps if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        E = [[F(int(r == c)) for c in range(dim)] for r in range(dim)]
+        E[i][j] = F(rng.choice((-2, -1, 1, 2)))
+        W = W @ MatrixQ(E)
+    return W
+
+
+def test_rjcf_shape_digest_frozen():
+    # shape and witness P of 400 conjugated rational Jordan matrices of sizes
+    # 1..7, hashed; 42 have repeated blocks of one size and one eigenvalue
+    # and 74 blocks of several sizes for one eigenvalue.  A refactor of the
+    # chain selection must keep every byte of P.
+    rng = random.Random(12)
+    digest = hashlib.sha256()
+    blocks = 0
+    for count in range(400):
+        dim = count % 7 + 1
+        J = _rational_jordan(rng, dim)
+        W = _unimodular(rng, dim, 4)
+        shape, P = rjcf_shape(solve_or_invert(W) @ J @ W)
+        digest.update(f"{shape!r}|{P!r}\n".encode())
+        blocks += len(shape.blocks)
+    assert blocks == 757
+    assert digest.hexdigest() == "df5e1276ac02726d190cbeae05fd1509bcc76960f749409c640eca11159dd2c0"
+
+
 # ---------------------------------------------------------------------------
 # the ten-form classifier
 # ---------------------------------------------------------------------------

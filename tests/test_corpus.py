@@ -27,6 +27,7 @@ from lieq.corpus import (
     load_matrices,
     packaged_corpus,
     packaged_matrices,
+    packaged_text,
     parse_corpus,
     reference_nilradical_tables,
     sample_parameters,
@@ -291,6 +292,172 @@ def test_error_matrix_shape():
     assert "expected 2 rational entries for matrix m" in str(err)
     err = _parse_error("matrix m 2x2\n1 0\n0 1\nmatrix m 1x1\n0\n")
     assert "duplicate matrix name 'm'" in str(err)
+
+
+def _located(text):
+    err = _parse_error(text)
+    return str(err), (err.line, err.column)
+
+
+def test_error_unexpected_character():
+    assert _located("algebra X\ndim 2\nbracket e1 e2 = 1$*e1\n") == (
+        "line 3, column 18: unexpected character '$'", (3, 18))
+
+
+def test_error_expected_operator():
+    assert _located("algebra X\ndim 2\nbracket e1 e2 1*e1\n") == (
+        "line 3, column 15: expected '=', found '1'", (3, 15))
+    assert _located("algebra X\ndim 2\nparam a real\n") == (
+        "line 3, column 9: expected ':', found 'real'", (3, 9))
+    assert _located("algebra X\ndim 2\nparam a : real\nbracket e1 e2 = (a+1*e1\n") == (
+        "line 4, column 25: expected ')', found end of line", (4, 25))
+
+
+def test_error_expected_end_of_line():
+    assert _located("algebra X\ndim 2\nparam a : real b\n") == (
+        "line 3, column 16: expected end of line, found 'b'", (3, 16))
+
+
+def test_error_missing_denominator():
+    assert _located("algebra X\ndim 2\nparam a : real\nbracket e1 e2 = 1/a*e1\n") == (
+        "line 4, column 19: expected a denominator, found 'a'", (4, 19))
+
+
+def test_error_non_integer_exponent():
+    text = "algebra X\ndim 2\nparam a : real\nparam b : real\nconstraint a^b <= 1\n"
+    assert _located(text) == (
+        "line 5, column 14: expected an integer exponent, found 'b'", (5, 14))
+
+
+def test_error_missing_comparison_operator():
+    assert _located("algebra X\ndim 2\nparam a : real\nconstraint a 1\n") == (
+        "line 4, column 14: expected a comparison operator (<=, <, =, !=), found '1'",
+        (4, 14))
+
+
+def test_error_bracket_needs_basis_symbol():
+    assert _located("algebra X\ndim 2\nbracket 1 e2 = 1*e1\n") == (
+        "line 3, column 9: expected a basis symbol like 'e3', found '1'", (3, 9))
+
+
+def test_error_coefficient_needs_star_and_symbol():
+    assert _located("algebra X\ndim 2\nbracket e1 e2 = 2 e1\n") == (
+        "line 3, column 19: expected '*' followed by a basis symbol, found 'e1'", (3, 19))
+
+
+def test_error_missing_algebra_id():
+    assert _located("algebra\ndim 2\n") == (
+        "line 1, column 9: expected an algebra id", (1, 9))
+    assert _located("  algebra   \ndim 2\n") == (
+        "line 1, column 11: expected an algebra id", (1, 11))
+
+
+def test_error_matrix_header_name():
+    assert _located("matrix 2x2\n1 0\n0 1\n") == (
+        "line 1, column 8: expected a matrix name, found '2'", (1, 8))
+
+
+def test_error_matrix_header_row_count():
+    assert _located("matrix m x2\n1 0\n0 1\n") == (
+        "line 1, column 10: expected a row count, found 'x2'", (1, 10))
+
+
+def test_error_matrix_header_x():
+    assert _located("matrix m 2 2\n1 0\n0 1\n") == (
+        "line 1, column 12: expected 'x' between row and column counts, found '2'", (1, 12))
+
+
+def test_error_matrix_header_column_count():
+    assert _located("matrix m 2xy\n1 0\n0 1\n") == (
+        "line 1, column 11: expected a column count, found 'xy'", (1, 11))
+
+
+def test_error_matrix_dimensions_positive():
+    for header in ("0x2", "2x0"):
+        assert _located(f"matrix m {header}\n") == (
+            "line 1, column 10: matrix dimensions must be positive", (1, 10))
+
+
+def test_error_parameter_name():
+    assert _located("algebra X\ndim 2\nparam 1 : real\n") == (
+        "line 3, column 7: expected a parameter name, found '1'", (3, 7))
+
+
+def test_error_bracket_first_index_out_of_range():
+    # both symbols are read before either index is range-checked
+    assert _located("algebra X\ndim 3\nbracket e4 e5 = 1*e1\n") == (
+        "line 3, column 9: basis index e4 out of range for dim 3", (3, 9))
+    assert _located("algebra X\ndim 3\nbracket e4 e1 = 1*e1\n") == (
+        "line 3, column 9: basis index e4 out of range for dim 3", (3, 9))
+    assert _located("algebra X\ndim 3\nbracket e4 x = 1*e1\n") == (
+        "line 3, column 12: expected a basis symbol like 'e3', found 'x'", (3, 12))
+
+
+# one-word mutations of packaged blocks; "$" and "1/0" reach the tokenizer's
+# and the matrix rows' own rejections
+_MUTATION_WORDS = (
+    "algebra", "matrix", "dim", "param", "constraint", "bracket", "real", "sign",
+    "a", "b", "z", "x", "x2", "2x2", "0x1", "3x0", "m", "e", "e0", "e1", "e2", "e7", "e9",
+    "0", "1", "2", "8", "-1", "1/2", "1/0", "-3/4", "1/x",
+    "=", "!=", "<=", "<", ":", "+", "-", "*", "/", "^", "^2", "^a", "(", ")",
+    "*e1", "a*e2", "(a+1)*e3", "1*", "2a", "$", "6", "6x", "y6", "6x0", "-2",
+)
+
+
+def _packaged_blocks(name):
+    return [
+        block for block in packaged_text(name).split("\n\n")
+        if re.search(r"^(algebra|matrix) ", block, re.M)
+    ]
+
+
+def _mutate(rng, block):
+    """Insert, delete or replace one word of one line (the header line a
+    quarter of the time), words re-joined by single spaces."""
+    lines = block.split("\n")
+    n = rng.randrange(len(lines)) if rng.random() < 0.75 else 0
+    words = lines[n].split()
+    op = rng.choice(("insert", "delete", "replace")) if words else "insert"
+    if op == "insert":
+        words.insert(rng.randint(0, len(words)), rng.choice(_MUTATION_WORDS))
+    elif op == "delete":
+        del words[rng.randrange(len(words))]
+    else:
+        words[rng.randrange(len(words))] = rng.choice(_MUTATION_WORDS)
+    lines[n] = " ".join(words)
+    return "\n".join(lines)
+
+
+def _parse_outcome(text):
+    """The parsed entries and matrices in full, or the error with its text."""
+    try:
+        entries = parse_corpus(text)
+        matrices = load_matrices(text)
+    except Exception as err:  # noqa: BLE001 - any escape is part of the outcome
+        return "error", f"{type(err).__name__}: {err}"
+    mats = sorted((name, repr(m)) for name, m in matrices.items())
+    return "ok", f"{entries!r}|{mats!r}"
+
+
+def test_parse_digest_frozen_under_mutation():
+    """Refactor guard for the parser: 2,000 seeded one-word mutations of
+    appendix-B and fixture blocks parse to the same entries and matrices, or
+    fail with the same message at the same line and column, as the code that
+    froze the digest.  One mutation writes a '1/0' matrix entry, which
+    escapes as ZeroDivisionError rather than a located ParseError."""
+    algebra_blocks = _packaged_blocks("appendix_b.lalg")
+    matrix_blocks = _packaged_blocks("fixtures_ch3.lalg")
+    assert (len(algebra_blocks), len(matrix_blocks)) == (N_APPENDIX_B, N_FIXTURE_MATRICES)
+    rng = random.Random(3)
+    digest = hashlib.sha256()
+    kinds = {"ok": 0, "ParseError": 0, "ZeroDivisionError": 0}
+    for _ in range(2000):
+        pool = algebra_blocks if rng.random() < 0.75 else matrix_blocks
+        kind, text = _parse_outcome(_mutate(rng, rng.choice(pool)))
+        kinds["ok" if kind == "ok" else text.split(":")[0]] += 1
+        digest.update(text.encode() + b"\n")
+    assert kinds == {"ok": 289, "ParseError": 1710, "ZeroDivisionError": 1}
+    assert digest.hexdigest() == "685f708480b09daa809da05425acbe1f316408a2520d5ae534ecfb7dc3a7d8a0"
 
 
 # -------------------------------------------------------------- serialization
