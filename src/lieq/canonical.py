@@ -340,16 +340,16 @@ def _block_sizes(N: MatrixQ, multiplicity: int, step: int) -> List[int]:
 def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[Vec]]:
     """Exact Jordan chains for a nilpotent-on-its-kernel-tower map N = M - lam*I.
 
-    ``sizes`` lists the wanted chain lengths in descending order; the returned
-    chains come back aligned with that order, each as columns
-    [N^(s-1) t, ..., N t, t].
+    ``sizes`` lists the wanted chain lengths in descending order; the chains
+    are picked longest first, so they come back in that order, each as
+    columns [N^(s-1) t, ..., N t, t].
     """
     top_size = sizes[0]
     powers = [MatrixQ.identity(N.nrows)]
     for _ in range(top_size):
         powers.append(powers[-1] @ N)
     kernels = [nullspace(powers[h]) for h in range(top_size + 1)]
-    tops: List[Tuple[int, Vec]] = []
+    chains: List[List[Vec]] = []
     carried: List[Vec] = []
     for h in range(top_size, 0, -1):
         wanted = sizes.count(h)
@@ -362,36 +362,21 @@ def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[Vec]]:
                 fresh.append(v)
         if len(fresh) != wanted:
             raise ArithmeticError("Jordan chain selection failed to reach the required block count")
-        tops.extend((h, v) for v in fresh)
+        chains.extend([powers[h - 1 - j].apply(t) for j in range(h)] for t in fresh)
         carried = [N.apply(w) for w in carried + fresh]
-    chains: Dict[int, List[List[Vec]]] = {}
-    for s, t in tops:
-        chains.setdefault(s, []).append([powers[s - 1 - j].apply(t) for j in range(s)])
-    out: List[List[Vec]] = []
-    used: Dict[int, int] = {}
-    for s in sizes:
-        out.append(chains[s][used.get(s, 0)])
-        used[s] = used.get(s, 0) + 1
-    return out
+    return chains
 
 
 def _rjcf_witness(M: MatrixQ, shape: RjcfShape) -> MatrixQ:
-    n = M.nrows
+    """Chains of each eigenvalue in turn; the shape lists each eigenvalue's
+    blocks together, longest first, which is the order the chains come in."""
     by_class: Dict[Fraction, List[int]] = {}
     for cls, size in shape.blocks:
         by_class.setdefault(cls, []).append(size)
-    chain_pool: Dict[Fraction, List[List[Vec]]] = {}
-    for lam, sizes in by_class.items():
-        ordered = sorted(sizes, reverse=True)
-        chain_pool[lam] = _jordan_chains(M - MatrixQ.identity(n) * lam, ordered)
-    taken: Dict[Fraction, Dict[int, int]] = {lam: {} for lam in by_class}
     cols: List[Vec] = []
-    for cls, size in shape.blocks:
-        ordered = sorted(by_class[cls], reverse=True)
-        pool = chain_pool[cls]
-        idx = taken[cls].get(size, ordered.index(size))
-        cols.extend(pool[idx])
-        taken[cls][size] = idx + 1
+    for lam, sizes in by_class.items():
+        for chain in _jordan_chains(M - MatrixQ.identity(M.nrows) * lam, sizes):
+            cols.extend(chain)
     return MatrixQ(list(zip(*cols)))
 
 

@@ -40,7 +40,7 @@ from functools import cache, lru_cache
 from importlib import resources
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import MAX_DIM, MatrixQ
+from .linalg import MAX_DIM, MatrixQ, _as_rational
 from .liealg import LieAlgebra, Subspace
 from .derivations import derivation_basis
 
@@ -305,11 +305,14 @@ def _tokenize(text: str, line: int, col_offset: int) -> List[_Token]:
     return tokens
 
 
+_BASIS_SYMBOL = r"e\d+"
+
+
 class _ExprParser:
     """Recursive-descent parser for polynomial and bracket expressions."""
 
-    def __init__(self, tokens: Sequence[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, line: int, col_offset: int):
+        self.tokens = _tokenize(text, line, col_offset)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -326,67 +329,68 @@ class _ExprParser:
         found = "end of line" if tok.kind == "end" else repr(tok.text)
         raise ParseError(f"expected {expected}, found {found}", tok.line, tok.column)
 
-    def expect_op(self, text: str) -> _Token:
+    def expect(self, kind: str, expected: str, pattern: str = "") -> _Token:
+        """Consume the next token if it has this kind and its text fully
+        matches pattern (any text when pattern is empty); else fail."""
         tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            self.fail(f"'{text}'")
+        if tok.kind != kind or pattern and not re.fullmatch(pattern, tok.text):
+            self.fail(expected)
         return self.advance()
 
+    def expect_op(self, text: str) -> _Token:
+        return self.expect("op", f"'{text}'", re.escape(text))
+
     def expect_end(self):
-        if self.peek().kind != "end":
-            self.fail("end of line")
+        self.expect("end", "end of line")
+
+    def accept(self, *ops: str) -> Optional[_Token]:
+        """Consume the next token if it is one of these operators."""
+        if self.peek().kind == "op" and self.peek().text in ops:
+            return self.advance()
+        return None
+
+    def sign(self) -> int:
+        """Consume an optional '+' or '-': 1 or -1, or 0 when neither is next."""
+        tok = self.accept("+", "-")
+        return 0 if tok is None else -1 if tok.text == "-" else 1
+
+    def signed_terms(self, parse_term: Callable[[], object]) -> List[Tuple[int, object]]:
+        """term (('+' | '-') term)* with an optional leading sign, as (sign, term) pairs."""
+        terms = []
+        sign = self.sign() or 1
+        while sign:
+            terms.append((sign, parse_term()))
+            sign = self.sign()
+        return terms
 
     # ---- polynomial grammar ----------------------------------------------
 
     def parse_rational(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "num":
-            self.fail("a number")
-        self.advance()
-        value = Fraction(int(tok.text))
-        if self.peek().kind == "op" and self.peek().text == "/":
-            self.advance()
-            den = self.peek()
-            if den.kind != "num":
-                self.fail("a denominator")
-            self.advance()
+        """n or n/d; parse_atom calls it with a number next."""
+        value = Fraction(int(self.advance().text))
+        if self.accept("/"):
+            den = self.expect("num", "a denominator")
             if int(den.text) == 0:
                 raise ParseError("zero denominator", den.line, den.column)
             value /= int(den.text)
         return value
 
     def parse_poly(self) -> PolyExpr:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
-        total = self.parse_product() * PolyExpr.constant(sign)
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                term = self.parse_product()
-                total = total - term if tok.text == "-" else total + term
-            else:
-                return total
+        total = PolyExpr.constant(0)
+        for sign, term in self.signed_terms(self.parse_product):
+            total = total + term if sign > 0 else total - term
+        return total
 
     def parse_product(self) -> PolyExpr:
         value = self.parse_power()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
+        while self.accept("*"):
             value = value * self.parse_power()
         return value
 
     def parse_power(self) -> PolyExpr:
         base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            exp = self.peek()
-            if exp.kind != "num":
-                self.fail("an integer exponent")
-            self.advance()
-            return base ** int(exp.text)
+        if self.accept("^"):
+            return base ** int(self.expect("num", "an integer exponent").text)
         return base
 
     def parse_atom(self) -> PolyExpr:
@@ -396,73 +400,49 @@ class _ExprParser:
         if tok.kind == "name":
             self.advance()
             return PolyExpr.variable(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
             inner = self.parse_poly()
             self.expect_op(")")
             return inner
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        if self.accept("-"):
             return -self.parse_power()
         self.fail("a number, parameter, or '('")
 
     def parse_comparison(self) -> Constraint:
         lhs = self.parse_poly()
-        tok = self.peek()
-        if tok.kind != "op" or tok.text not in _OPS:
-            self.fail("a comparison operator (<=, <, =, !=)")
-        self.advance()
+        op = self.expect("op", "a comparison operator (<=, <, =, !=)", "<=|<|=|!=").text
         rhs = self.parse_poly()
         self.expect_end()
-        return Constraint(lhs, tok.text, rhs)
+        return Constraint(lhs, op, rhs)
 
     # ---- bracket right-hand sides ----------------------------------------
 
-    def parse_basis_symbol(self) -> Tuple[int, _Token]:
-        tok = self.peek()
-        if tok.kind == "name" and re.fullmatch(r"e\d+", tok.text):
-            self.advance()
-            return int(tok.text[1:]), tok
-        self.fail("a basis symbol like 'e3'")
+    def parse_basis_symbol(self) -> _Token:
+        return self.expect("name", "a basis symbol like 'e3'", _BASIS_SYMBOL)
 
     def parse_linexpr(self, dim: int) -> List[PolyExpr]:
         """Sum of <coefficient>*e<k> terms as a length-dim coefficient list."""
-        coeffs = [PolyExpr.constant(0) for _ in range(dim)]
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
-        while True:
-            k, coef = self.parse_linterm(dim)
-            coeffs[k - 1] = coeffs[k - 1] + coef * PolyExpr.constant(sign)
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                sign = -1 if tok.text == "-" else 1
-                continue
-            self.expect_end()
-            return coeffs
+        coeffs = [PolyExpr.constant(0)] * dim
+        for sign, (k, coef) in self.signed_terms(lambda: self.parse_linterm(dim)):
+            coeffs[k - 1] = coeffs[k - 1] + coef if sign > 0 else coeffs[k - 1] - coef
+        self.expect_end()
+        return coeffs
 
     def parse_linterm(self, dim: int) -> Tuple[int, PolyExpr]:
-        factors: List[PolyExpr] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "name" and re.fullmatch(r"e\d+", tok.text):
-                k, sym = self.parse_basis_symbol()
-                if not 1 <= k <= dim:
-                    raise ParseError(
-                        f"basis index e{k} out of range for dim {dim}", sym.line, sym.column
-                    )
-                coef = PolyExpr.constant(1)
-                for f in factors:
-                    coef = coef * f
-                return k, coef
-            factors.append(self.parse_power())
-            if self.peek().kind == "op" and self.peek().text == "*":
-                self.advance()
-                continue
-            self.fail("'*' followed by a basis symbol")
+        coef = PolyExpr.constant(1)
+        while not (self.peek().kind == "name" and re.fullmatch(_BASIS_SYMBOL, self.peek().text)):
+            coef = coef * self.parse_power()
+            if not self.accept("*"):
+                self.fail("'*' followed by a basis symbol")
+        return _basis_index(self.advance(), dim), coef
+
+
+def _basis_index(tok: _Token, dim: int) -> int:
+    """The k of a basis symbol e<k>, which must lie in 1..dim."""
+    k = int(tok.text[1:])
+    if not 1 <= k <= dim:
+        raise ParseError(f"basis index e{k} out of range for dim {dim}", tok.line, tok.column)
+    return k
 
 
 # --------------------------------------------------------------------------
@@ -493,7 +473,7 @@ class _EntryBuilder:
         self.id = entry_id
         self.line = line
         self.dim: Optional[int] = None
-        self.params: List[Tuple[str, str]] = []
+        self.params: Dict[str, str] = {}  # name -> kind, in order
         self.constraints: List[Constraint] = []
         self.brackets: List[Bracket] = []
         self.seen_pairs: Dict[Tuple[int, int], int] = {}
@@ -504,7 +484,7 @@ class _EntryBuilder:
         return CorpusEntry(
             id=self.id,
             dim=self.dim,
-            params=tuple(self.params),
+            params=tuple(self.params.items()),
             constraints=tuple(self.constraints),
             brackets=tuple(self.brackets),
         )
@@ -512,13 +492,10 @@ class _EntryBuilder:
 
 def _check_declared(poly: PolyExpr, declared: Iterable[str], tokens: Sequence[_Token]):
     unknown = poly.variables() - set(declared)
-    if not unknown:
-        return
-    name = sorted(unknown)[0]
-    for tok in tokens:
-        if tok.kind == "name" and tok.text == name:
-            raise ParseError(f"undeclared parameter '{name}'", tok.line, tok.column)
-    raise ParseError(f"undeclared parameter '{name}'", tokens[0].line, tokens[0].column)
+    if unknown:
+        name = min(unknown)  # poly was parsed from tokens, so a token names it
+        tok = next(tok for tok in tokens if tok.kind == "name" and tok.text == name)
+        raise ParseError(f"undeclared parameter '{name}'", tok.line, tok.column)
 
 
 def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
@@ -546,41 +523,30 @@ def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
             if not rest:
                 raise ParseError("expected an algebra id", line.number, line.indent + len("algebra "))
             current = _EntryBuilder(rest, line.number)
-            continue
 
-        if keyword == "matrix":
+        elif keyword == "matrix":
             close_current()
-            header = _tokenize(rest, line.number, body_col)
-            p = _ExprParser(header)
-            name_tok = p.peek()
-            if name_tok.kind != "name":
-                p.fail("a matrix name")
-            p.advance()
-            rows_tok = p.peek()
-            if rows_tok.kind != "num":
-                p.fail("a row count")
-            p.advance()
-            x_tok = p.peek()
-            if not (x_tok.kind == "name" and x_tok.text.startswith("x")):
-                p.fail("'x' between row and column counts")
+            p = _ExprParser(rest, line.number, body_col)
+            name_tok = p.expect("name", "a matrix name")
+            rows_tok = p.expect("num", "a row count")
             # header is written as e.g. "6x6": the tokenizer reads "x6" as one
-            # name, so split the column count back out of it
-            if not re.fullmatch(r"x\d+", x_tok.text):
-                p.fail("a column count")
-            p.advance()
+            # name, so split the column count back out of it (only a name
+            # token can start with "x")
+            if not p.peek().text.startswith("x"):
+                p.fail("'x' between row and column counts")
+            cols_tok = p.expect("name", "a column count", r"x\d+")
             p.expect_end()
-            if name_tok.text in matrices:
-                raise ParseError(
-                    f"duplicate matrix name '{name_tok.text}'", name_tok.line, name_tok.column
-                )
-            nrows, ncols = int(rows_tok.text), int(x_tok.text[1:])
+            name = name_tok.text
+            if name in matrices:
+                raise ParseError(f"duplicate matrix name '{name}'", name_tok.line, name_tok.column)
+            nrows, ncols = int(rows_tok.text), int(cols_tok.text[1:])
             if nrows < 1 or ncols < 1:
                 raise ParseError("matrix dimensions must be positive", rows_tok.line, rows_tok.column)
             rows: List[List[Fraction]] = []
             for _ in range(nrows):
                 if idx >= len(lines):
                     raise ParseError(
-                        f"matrix {name_tok.text} ends after {len(rows)} of {nrows} rows",
+                        f"matrix {name} ends after {len(rows)} of {nrows} rows",
                         line.number,
                         line.indent,
                     )
@@ -589,20 +555,17 @@ def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
                 items = row_line.text.split()
                 if len(items) != ncols or not all(_RATIONAL_RE.fullmatch(s) for s in items):
                     raise ParseError(
-                        f"expected {ncols} rational entries for matrix {name_tok.text}",
+                        f"expected {ncols} rational entries for matrix {name}",
                         row_line.number,
                         row_line.indent,
                     )
                 rows.append([Fraction(s) for s in items])
-            matrices[name_tok.text] = MatrixQ(rows)
-            continue
+            matrices[name] = MatrixQ(rows)
 
-        if current is None:
-            raise ParseError(
-                f"'{keyword}' outside an algebra block", line.number, line.indent
-            )
+        elif current is None:
+            raise ParseError(f"'{keyword}' outside an algebra block", line.number, line.indent)
 
-        if keyword == "dim":
+        elif keyword == "dim":
             if current.dim is not None:
                 raise ParseError("duplicate 'dim' line", line.number, line.indent)
             if not rest.isdigit() or int(rest) < 1:
@@ -614,55 +577,32 @@ def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
                     body_col,
                 )
             current.dim = int(rest)
-            continue
 
-        if keyword == "param":
-            tokens = _tokenize(rest, line.number, body_col)
-            p = _ExprParser(tokens)
-            name_tok = p.peek()
-            if name_tok.kind != "name":
-                p.fail("a parameter name")
-            p.advance()
+        elif keyword == "param":
+            p = _ExprParser(rest, line.number, body_col)
+            name_tok = p.expect("name", "a parameter name")
             p.expect_op(":")
-            kind_tok = p.peek()
-            if kind_tok.kind != "name" or kind_tok.text not in ("real", "sign"):
-                p.fail("'real' or 'sign'")
-            p.advance()
+            kind = p.expect("name", "'real' or 'sign'", "real|sign").text
             p.expect_end()
-            if any(name == name_tok.text for name, _ in current.params):
+            if name_tok.text in current.params:
                 raise ParseError(
                     f"duplicate parameter '{name_tok.text}'", name_tok.line, name_tok.column
                 )
-            current.params.append((name_tok.text, kind_tok.text))
-            continue
+            current.params[name_tok.text] = kind
 
-        if keyword == "constraint":
-            tokens = _tokenize(rest, line.number, body_col)
-            p = _ExprParser(tokens)
+        elif keyword == "constraint":
+            p = _ExprParser(rest, line.number, body_col)
             constraint = p.parse_comparison()
-            _check_declared(
-                constraint.lhs + constraint.rhs,
-                [name for name, _ in current.params],
-                tokens,
-            )
+            _check_declared(constraint.lhs + constraint.rhs, current.params, p.tokens)
             current.constraints.append(replace(constraint, source=rest))
-            continue
 
-        if keyword == "bracket":
+        elif keyword == "bracket":
             if current.dim is None:
                 raise ParseError("'bracket' before 'dim'", line.number, line.indent)
-            tokens = _tokenize(rest, line.number, body_col)
-            p = _ExprParser(tokens)
-            i, i_tok = p.parse_basis_symbol()
-            j, j_tok = p.parse_basis_symbol()
-            if not 1 <= i <= current.dim:
-                raise ParseError(
-                    f"basis index e{i} out of range for dim {current.dim}", i_tok.line, i_tok.column
-                )
-            if not 1 <= j <= current.dim:
-                raise ParseError(
-                    f"basis index e{j} out of range for dim {current.dim}", j_tok.line, j_tok.column
-                )
+            p = _ExprParser(rest, line.number, body_col)
+            # both symbols are read before either index is range-checked
+            i_tok, j_tok = p.parse_basis_symbol(), p.parse_basis_symbol()
+            i, j = _basis_index(i_tok, current.dim), _basis_index(j_tok, current.dim)
             if i >= j:
                 raise ParseError(
                     f"bracket indices must satisfy i < j, got (e{i}, e{j})",
@@ -679,12 +619,12 @@ def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
             p.expect_op("=")
             coeffs = p.parse_linexpr(current.dim)
             for poly in coeffs:
-                _check_declared(poly, [name for name, _ in current.params], tokens)
+                _check_declared(poly, current.params, p.tokens)
             current.seen_pairs[(i, j)] = line.number
             current.brackets.append(Bracket(i, j, tuple(coeffs)))
-            continue
 
-        raise ParseError(f"unknown directive '{keyword}'", line.number, line.indent)
+        else:
+            raise ParseError(f"unknown directive '{keyword}'", line.number, line.indent)
 
     close_current()
     return entries, matrices
@@ -822,8 +762,11 @@ def sample_parameters(
 
 
 def instantiate(entry: CorpusEntry, assignment: Mapping[str, Fraction]) -> LieAlgebra:
-    """Build the exact Lie algebra for one admissible parameter assignment."""
-    env = {name: Fraction(assignment[name]) for name in entry.param_names
+    """Build the exact Lie algebra for one admissible parameter assignment.
+
+    Values are exact rationals (int, Fraction or str); a float is a TypeError.
+    """
+    env = {name: _as_rational(assignment[name]) for name in entry.param_names
            if name in assignment}
     missing = [name for name in entry.param_names if name not in env]
     if missing:
@@ -964,12 +907,11 @@ def _nilradical_span(dim: int) -> Subspace:
     return Subspace(dim, basis)
 
 
-def _reference_algebra(
-    ref: str, tables: Mapping[str, CorpusEntry], entry_id: str
-) -> LieAlgebra:
+def _reference_algebra(ref: str, entry_id: str) -> LieAlgebra:
     parts = _split_id(ref)
     if len(parts) == 2 and parts[1] == "0":
         return LieAlgebra(int(parts[0]), {})
+    tables = reference_nilradical_tables()
     if ref not in tables:
         raise CorpusError(f"unknown nilradical reference {ref} for entry {entry_id}")
     return instantiate(tables[ref], {})
@@ -1062,7 +1004,6 @@ def verify_entry(
     *,
     seed: int = 1,
     k: int = 3,
-    reference_tables: Optional[Mapping[str, CorpusEntry]] = None,
 ) -> VerificationReport:
     """Check an entry's structural claims at each parameter assignment.
 
@@ -1077,10 +1018,9 @@ def verify_entry(
     """
     if assignments is None:
         assignments = sample_parameters(entry, seed=seed, k=k)
-    tables = reference_tables if reference_tables is not None else reference_nilradical_tables()
     # shared by every assignment; the reference is resolved on first use only
     span = _nilradical_span(entry.dim)
-    reference = cache(lambda: _reference_algebra(entry.nilradical_ref, tables, entry.id))
+    reference = cache(lambda: _reference_algebra(entry.nilradical_ref, entry.id))
     records: List[ClaimRecord] = []
     for env in assignments:
         records.extend(_verify_one(entry, env, span, reference))
@@ -1092,13 +1032,9 @@ def verify_entries(
     *,
     seed: int = 1,
     k: int = 3,
-    reference_tables: Optional[Mapping[str, CorpusEntry]] = None,
 ) -> VerificationReport:
     """Verify a sequence of entries into one combined report."""
     records: List[ClaimRecord] = []
     for entry in entries:
-        report = verify_entry(
-            entry, seed=seed, k=k, reference_tables=reference_tables
-        )
-        records.extend(report.records)
+        records.extend(verify_entry(entry, seed=seed, k=k).records)
     return VerificationReport(tuple(records))

@@ -28,11 +28,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import MAX_DIM, Echelon, MatrixQ, nullspace, solve_or_invert
+from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, nullspace, solve_or_invert
 
 
 def _vec(entries: Sequence, n: int) -> Tuple[Fraction, ...]:
-    out = tuple(Fraction(x) if not isinstance(x, Fraction) else x for x in entries)
+    out = tuple(x if isinstance(x, Fraction) else _as_rational(x) for x in entries)
     if len(out) != n:
         raise ValueError(f"coefficient vector of length {len(out)}, expected {n}")
     return out
@@ -157,7 +157,12 @@ class JacobiViolation:
 
 
 class LieAlgebra:
-    """Lie algebra on basis e_1..e_n given by brackets [e_i, e_j] for i < j."""
+    """Lie algebra on basis e_1..e_n given by brackets [e_i, e_j] for i < j.
+
+    Table entries and the vectors passed to `bracket` and `ad_matrix` are
+    exact rationals (int, Fraction or str); a float or a QuadExt is a
+    TypeError.
+    """
 
     __slots__ = (
         "dim", "table", "_terms", "_profile", "_derived", "_nilradical", "_ads",

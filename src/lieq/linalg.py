@@ -36,6 +36,14 @@ def _as_scalar(x) -> Scalar:
     raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
 
 
+def _as_rational(x) -> Fraction:
+    """x as a Fraction by `_as_scalar`'s rule, where a QuadExt is refused too."""
+    q = _as_scalar(x)
+    if isinstance(q, QuadExt):
+        raise TypeError("cannot use QuadExt as a rational scalar")
+    return q
+
+
 def _square_free(n: int) -> Tuple[int, int]:
     """Write n = s**2 * d with d square-free (d carries the sign of n)."""
     if n == 0:
@@ -783,18 +791,15 @@ def _int_divisors(n: int) -> List[int]:
 
 
 def _primitive_int(p: PolyQ) -> List[int]:
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+    """A monic p times the least common denominator of its coefficients.
+
+    The leading entry is that denominator, so it is positive, and the
+    content is 1: each prime power of the denominator divides some
+    coefficient's denominator in full.
+    """
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
 
 def _int_poly_eval(ints: List[int], x: int) -> int:
     acc = 0

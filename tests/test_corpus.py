@@ -433,7 +433,7 @@ def _parse_outcome(text):
     try:
         entries = parse_corpus(text)
         matrices = load_matrices(text)
-    except Exception as err:  # noqa: BLE001 - any escape is part of the outcome
+    except (ParseError, ZeroDivisionError) as err:
         return "error", f"{type(err).__name__}: {err}"
     mats = sorted((name, repr(m)) for name, m in matrices.items())
     return "ok", f"{entries!r}|{mats!r}"
@@ -550,6 +550,18 @@ def test_instantiate_rejects_constraint_violation():
     coded = dataclasses.replace(entry, constraints=(built,))
     with pytest.raises(ConstraintViolation, match=re.escape("'a^2+b^2 != 0'")):
         instantiate(coded, {"a": Fraction(0), "b": Fraction(0)})
+
+
+def test_instantiate_and_verify_refuse_float_assignments():
+    # 0.1 would be computed at 3602879701896397/36028797018963968 while the
+    # report said a=0.1, so an assignment value must be an exact rational
+    (entry,) = parse_corpus(EXAMPLE_BLOCK)
+    with pytest.raises(TypeError, match="float"):
+        instantiate(entry, {"a": 0.5, "b": Fraction(1, 2)})
+    with pytest.raises(TypeError, match="float"):
+        verify_entry(entry, [{"a": 0.1, "b": Fraction(0)}])
+    g = instantiate(entry, {"a": "1/2", "b": 0})
+    assert g.structure_constant(1, 6)[1] == 1
 
 
 def test_instantiate_rejects_missing_and_unknown_params():

@@ -644,6 +644,24 @@ def test_subspace_coordinates_and_membership():
         s.coordinates([0.5, 0.5, 0])
 
 
+def test_algebra_entry_points_refuse_floats():
+    # the table, bracket and ad_matrix take exact rationals only: int,
+    # Fraction or str; a float or a QuadExt (even a rational one) is refused
+    with pytest.raises(TypeError, match="float"):
+        LieAlgebra(2, {(0, 1): [0.5, 0]})
+    with pytest.raises(TypeError, match="QuadExt"):
+        LieAlgebra(2, {(0, 1): [QuadExt(1, 1, 2), 0]})
+    g = LieAlgebra(2, {(0, 1): ["1/2", 0]})
+    assert g.structure_constant(0, 1) == (Fraction(1, 2), 0)
+    with pytest.raises(TypeError, match="float"):
+        g.bracket([0.1, 0], [0, 1])
+    with pytest.raises(TypeError, match="QuadExt"):
+        g.bracket([QuadExt(1), 0], [0, 1])
+    with pytest.raises(TypeError, match="float"):
+        g.ad_matrix([0.1, 0])
+    assert g.bracket([2, 0], [0, Fraction(1, 3)]) == (Fraction(1, 3), 0)
+
+
 def test_subspace_canonical_equality():
     a = Subspace(3, [[1, 1, 0], [0, 0, 1]])
     b = Subspace(3, [[1, 1, 1], [0, 0, 2]])
