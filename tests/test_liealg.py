@@ -4,6 +4,7 @@ Frozen expected values come from tests/oracles/structure_oracle.py (sympy,
 independent of this package).
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -767,3 +768,93 @@ def test_public_readers_return_fractions():
     assert all(_fractions_only(inner.structure_constant(i, j)) for i in range(3) for j in range(3))
     moved = g.change_basis(_unit_bidiagonal(n))
     assert moved.table and all(_fractions_only(v) for v in moved.table.values())
+
+
+# ------------------------------------------------------- frozen invariant digests
+
+
+def _invariant_line(g):
+    """The nilradical (basis, codim), centre basis and Killing matrix of g, as text."""
+    nil, codim = g.nilradical_codim_search() if g.is_solvable() else (None, None)
+    basis = None if nil is None else nil.basis
+    return f"{basis!r}|{codim}|{g.center().basis!r}|{g.killing_matrix()}"
+
+
+def test_nilradical_center_killing_digest_frozen():
+    """sha256 over the nilradical, centre and Killing matrix of every appendix
+    A and B entry at sample_parameters(seed=3, k=4), as given and after a
+    seeded unimodular base change: 4,078 algebras.  Reduced echelon bases are
+    unique, so any exact method must reproduce these bytes."""
+    from test_corpus import _unimodular
+
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    count = 0
+    for entry in list(packaged_corpus("appendix_a.lalg")) + list(packaged_corpus("appendix_b.lalg")):
+        for env in sample_parameters(entry, seed=3, k=4):
+            g = instantiate(entry, env)
+            moved = g.change_basis(_unimodular(rng, g.dim))
+            digest.update(f"{entry.id}|{_invariant_line(g)}|{_invariant_line(moved)}\n".encode())
+            count += 2
+    assert count == 4078
+    assert digest.hexdigest() == (
+        "3e67e3612d416aab18f41ede13d77a2eb503253c70087502ccd820feab2fc4ef"
+    )
+
+
+def _direct_sum(*parts):
+    """The direct sum of the algebras in parts, each on its own block of the basis."""
+    n = sum(g.dim for g in parts)
+    table, offset = {}, 0
+    for g in parts:
+        pad = (0,) * offset, (0,) * (n - offset - g.dim)
+        for (i, j), v in g.table.items():
+            table[(offset + i, offset + j)] = pad[0] + tuple(v) + pad[1]
+        offset += g.dim
+    return LieAlgebra(n, table)
+
+
+MAX_SUM_DIM = 7
+
+
+def _random_direct_sums(seed, count):
+    """Seeded direct sums of two or three corpus algebras or abelian R^k, of
+    total dimension at most 7, each after a unimodular base change."""
+    from test_corpus import _unimodular
+
+    rng = random.Random(seed)
+    small = [
+        entry
+        for name in ("appendix_a.lalg", "appendix_b.lalg")
+        for entry in packaged_corpus(name)
+        if entry.dim <= 5
+    ]
+    for _ in range(count):
+        parts = []
+        while len(parts) < rng.choice((2, 3)):
+            room = MAX_SUM_DIM - sum(g.dim for g in parts)
+            fits = [entry for entry in small if entry.dim <= room]
+            if not fits:
+                break
+            if rng.random() < 0.2:
+                parts.append(LieAlgebra(rng.randint(1, min(2, room)), {}))
+                continue
+            entry = rng.choice(fits)
+            env = rng.choice(sample_parameters(entry, seed=rng.randint(1, 9), k=2))
+            parts.append(instantiate(entry, env))
+        g = _direct_sum(*parts)
+        yield g.change_basis(_unimodular(rng, g.dim))
+
+
+def test_direct_sum_invariant_digest_frozen():
+    """The digest of `_invariant_line` over 400 seeded direct sums of corpus
+    algebras after a unimodular base change, nilradical codims 0 to 3."""
+    digest = hashlib.sha256()
+    codims = set()
+    for g in _random_direct_sums(seed=17, count=400):
+        digest.update(f"{g.dim}|{_invariant_line(g)}\n".encode())
+        codims.add(g.nilradical_codim_search()[1])
+    assert codims == {0, 1, 2, 3}
+    assert digest.hexdigest() == (
+        "5ed2d3c80c1b41ceebd1a8911bbbf9c3edd6593638ff7c5b12a26bd9fecfc0db"
+    )
