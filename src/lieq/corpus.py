@@ -559,6 +559,11 @@ def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
                         row_line.number,
                         row_line.indent,
                     )
+                for m in re.finditer(r"\S+", row_line.text):
+                    den = m.group().partition("/")[2]
+                    if den and not int(den):
+                        column = row_line.indent + m.end() - len(den)
+                        raise ParseError("zero denominator", row_line.number, column)
                 rows.append([Fraction(s) for s in items])
             matrices[name] = MatrixQ(rows)
 
@@ -568,7 +573,7 @@ def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
         elif keyword == "dim":
             if current.dim is not None:
                 raise ParseError("duplicate 'dim' line", line.number, line.indent)
-            if not rest.isdigit() or int(rest) < 1:
+            if not rest.isdecimal() or int(rest) < 1:
                 raise ParseError("expected a positive dimension", line.number, body_col)
             if int(rest) > MAX_DIM:
                 raise ParseError(

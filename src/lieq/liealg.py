@@ -8,8 +8,18 @@ derived from that table with exact arithmetic.
 The table is also kept as a sparse structure tensor, built once: for every
 ordered pair (i, j) the nonzero terms (k, c_ij^k) of [e_i, e_j], signs
 already applied for j < i, with integral constants held as `int`.  Brackets
-run over the nonzero coordinates of their arguments only, and the Jacobi
-check contracts the tensor with itself without forming any bracket.
+run over the nonzero coordinates of their arguments only.  The Jacobi check,
+the centre (one sparse row {i: c_ij^k} per (j, k)) and the Killing form
+(sum of c_ik^l c_jl^k) contract the tensor directly, without forming any
+bracket or adjoint matrix.
+
+The nilradical search forms no matrix when [g, g] has codimension 1: N is
+then [g, g] unless g is nilpotent.  Otherwise it grows words in ad(T), T the
+basis vectors off the pivots of [g, g], only until the trace functionals they
+give cut out a kernel in T whose basis vectors are all ad-nilpotent.  That
+kernel contains N meet T because the functionals vanish on N, and lies in N
+because N is the set of ad-nilpotent elements, so the answer is certified
+from both sides and is exact.
 
 A `Subspace` is a view of the sparse rows its `Echelon` stores, which over Q
 are primitive integer rows.  Series, derived algebras, ideal and nilradical
@@ -28,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, nullspace, solve_or_invert
+from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, _kernel, solve_or_invert
 
 
 def _vec(entries: Sequence, n: int) -> Tuple[Fraction, ...]:
@@ -49,19 +59,6 @@ def _dense(w: Dict[int, object], n: int) -> Tuple[Fraction, ...]:
     for k, x in w.items():
         out[k] = Fraction(x) if type(x) is int else x
     return tuple(out)
-
-
-def _trace_product(A: MatrixQ, B: MatrixQ) -> Fraction:
-    """tr(A B) as the sum of A[p][q] B[q][p]: n² multiplies, zeros skipped."""
-    brows = [B.row(q) for q in range(B.nrows)]
-    s = Fraction(0)
-    for p in range(A.nrows):
-        for q, a in enumerate(A.row(p)):
-            if a:
-                b = brows[q][p]
-                if b:
-                    s += a * b
-    return s
 
 
 class Subspace:
@@ -257,14 +254,40 @@ class LieAlgebra:
         return out
 
     def ad_basis(self, i: int) -> MatrixQ:
-        """ad(e_i), read off the table once: column j is [e_i, e_j]."""
+        """ad(e_i), read off the term table once: entry (p, q) is c_iq^p."""
         if self._ads is None:
             n = self.dim
             self._ads = tuple(
-                MatrixQ(list(zip(*(self.structure_constant(k, j) for j in range(n)))))
-                for k in range(n)
+                MatrixQ._exact(list(zip(*(_dense(dict(terms), n) for terms in row))))
+                for row in self._terms
             )
         return self._ads[i]
+
+    def _ad_trace(self, i: int, W: MatrixQ):
+        """tr(ad(e_i) W), the sum of c_iq^p W[q][p] over the term table."""
+        s = 0
+        for q, terms in enumerate(self._terms[i]):
+            w = W.row(q)
+            for p, c in terms:
+                s += c * w[p]
+        return s
+
+    def _ad_nilpotent(self, z: Dict[int, object]) -> bool:
+        """ad z is nilpotent, z a sparse vector {index: nonzero value}.
+
+        The image chain g, [z, g], [z, [z, g]], ... is spanned on sparse rows:
+        ad z is nilpotent when it reaches 0, and not when a step keeps the
+        dimension, as ad z then maps that nonzero term onto itself.  z is
+        stored as a row of its own span, which may keep the dict.
+        """
+        line = Subspace._spanned(self.dim, [z])
+        image = Subspace.full(self.dim)
+        while image.dim:
+            step = self.product_space(line, image)
+            if step.dim == image.dim:
+                return False
+            image = step
+        return True
 
     # ------------------------------------------------------------- subspaces
 
@@ -313,8 +336,14 @@ class LieAlgebra:
         return self.series_profile().nilpotent
 
     def center(self) -> Subspace:
-        stacked = MatrixQ([self.ad_basis(j).row(i) for j in range(self.dim) for i in range(self.dim)])
-        return Subspace(self.dim, nullspace(stacked))
+        """The kernel of x -> [x, e_j] for all j: one sparse row {i: c_ij^k} per (j, k)."""
+        n = self.dim
+        rows: Dict[Tuple[int, int], Dict[int, object]] = {}
+        for i, row in enumerate(self._terms):
+            for j, terms in enumerate(row):
+                for k, c in terms:
+                    rows.setdefault((j, k), {})[i] = c
+        return Subspace(n, _kernel(n, rows.values()))
 
     def is_ideal(self, s: Subspace) -> bool:
         """[g, s] lies in s."""
@@ -375,32 +404,53 @@ class LieAlgebra:
     def nilradical_codim_search(self) -> Tuple[Subspace, int]:
         """The nilradical of a solvable algebra and its codimension.
 
-        For solvable g, ad(g) is triangular over C; N is where all diagonal
-        characters lambda_k vanish.  Each lambda_k kills [g, g], so it is fixed
-        on the span T of the basis vectors off the pivots of [g, g].  Diagonals
-        of words in ad(T) are the polynomials in those values, which separate
-        distinct weights, so tr(ad(x) w) = 0 for w in the unital algebra of
-        such words cuts out exactly N; all n columns ad(e_i) stay in the rows.
+        For solvable g, N = {x : ad x nilpotent} is where all diagonal
+        characters lambda_k of ad(g), triangular over C, vanish; it contains
+        [g, g].  With T the span of the basis vectors off the pivots of
+        [g, g], g = [g, g] + T and N = [g, g] + (N meet T).  If [g, g] has
+        codimension 1 and g is not nilpotent, N = [g, g] and no matrix is
+        formed.
+
+        Otherwise words in ad(T) are grown degree by degree from the
+        identity, as matrices, and each new word W gives the functionals
+        x -> tr(ad(x) W) on T.  They vanish on N, since ad x is strictly
+        triangular for x in N, so their common kernel K in T contains N meet T.
+        After each degree, when every basis vector of K is ad-nilpotent, K lies
+        in N as well and N = [g, g] + K.  Diagonals of words are the
+        polynomials in the lambda_k, which separate distinct weights, so once
+        the words span their algebra K is N meet T; the loop stops there at
+        the latest.
         """
         if not self.is_solvable():
             raise ValueError("nilradical search requires a solvable algebra")
         n = self.dim
-        if self._nilradical is None and self.is_nilpotent():
-            self._nilradical = Subspace.full(n)
         if self._nilradical is None:
-            ads = [self.ad_basis(i) for i in range(n)]
-            derived_pivots = set(self.derived_algebra()._echelon.pivots())
-            gens = [ads[i] for i in range(n) if i not in derived_pivots]
-            span = Echelon(n * n)
-            words = [W for W in [MatrixQ.identity(n), *gens] if span.add(W.flat())]
-            # the identity's products are the generators themselves
-            frontier = words[1:]
-            while frontier:
-                fresh = [A @ W for W in frontier for A in gens]
-                frontier = [P for P in fresh if span.add(P.flat())]
-                words += frontier
-            rows = [[_trace_product(a, W) for a in ads] for W in words]
-            self._nilradical = Subspace(n, nullspace(MatrixQ(rows)))
+            derived = self.derived_algebra()
+            if self.is_nilpotent():
+                self._nilradical = Subspace.full(n)
+            elif derived.dim == n - 1:
+                self._nilradical = derived
+            else:
+                free = [i for i in range(n) if i not in derived._echelon._rows]
+                gens = [self.ad_basis(i) for i in free]
+                frontier = [MatrixQ.identity(n)]
+                words = Echelon(n * n, [frontier[0].flat()])
+                rows: List[Dict[int, object]] = []
+                while frontier:
+                    for W in frontier:
+                        traces = ((c, self._ad_trace(i, W)) for c, i in enumerate(free))
+                        rows.append({c: x for c, x in traces if x})
+                    kernel = [
+                        {free[c]: x for c, x in enumerate(v) if x} for v in _kernel(len(free), rows)
+                    ]
+                    if all(self._ad_nilpotent(z) for z in kernel):
+                        break
+                    fresh = (A @ W for W in frontier for A in gens)
+                    frontier = [P for P in fresh if words.add(P.flat())]
+                # Echelon._add may keep and reduce the rows it is given
+                self._nilradical = Subspace._spanned(
+                    n, [*(dict(w) for w in derived._rows()), *kernel]
+                )
         return self._nilradical, n - self._nilradical.dim
 
     # ------------------------------------------------------------ base change
@@ -424,14 +474,20 @@ class LieAlgebra:
         return LieAlgebra(n, table)
 
     def killing_matrix(self) -> MatrixQ:
-        """K[i][j] = tr(ad e_i ad e_j)."""
-        n = self.dim
-        ads = [self.ad_basis(i) for i in range(n)]
+        """K[i][j] = tr(ad e_i ad e_j), the sum of c_ik^l c_jl^k over the term table."""
+        n, terms = self.dim, self._terms
+        lookup = [[dict(ts) for ts in row] for row in terms]
         K = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                K[i][j] = K[j][i] = _trace_product(ads[i], ads[j])
-        return MatrixQ(K)
+                s = 0
+                for k, ts in enumerate(terms[i]):
+                    for l, a in ts:
+                        b = lookup[j][l].get(k)
+                        if b:
+                            s += a * b
+                K[i][j] = K[j][i] = Fraction(s)
+        return MatrixQ._exact([tuple(r) for r in K])
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):

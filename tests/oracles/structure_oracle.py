@@ -134,9 +134,41 @@ for tag, (n, table) in ALGEBRAS.items():
         f"killing_rank={killing_rank(n, table)} derivations={derivation_dim(n, table)}"
     )
 
+def change_basis(n, table, P):
+    # the table in the basis f_i = P e_i: [f_i, f_j] in f-coordinates
+    Pinv = P.inv()
+    out = {}
+    for i, j in itertools.combinations(range(n), 2):
+        coords = Pinv * bracket(n, table, P[:, i], P[:, j])
+        comp = {k + 1: c for k, c in enumerate(coords) if c != 0}
+        if comp:
+            out[(i + 1, j + 1)] = comp
+    return out
+
+
+# nilradical search branches: tr ad e5 = K(e5, e5) = 0 with ad(e5) acting as
+# [[0, -3], [1, 2]] on span(e1, e2) and as -1 on e3, e4, e6 central; r2 + r2 + r2;
+# solv5 after the unit bidiagonal base change of test_liealg._unit_bidiagonal
+NILRADICAL_CASES = {
+    "killing_degenerate6": (
+        6, {(1, 5): {2: -1}, (2, 5): {1: 3, 2: -2}, (3, 5): {3: 1}, (4, 5): {4: 1}}
+    ),
+    "r2_cubed": (6, {(1, 2): {1: 1}, (3, 4): {3: 1}, (5, 6): {5: 1}}),
+    "solv5_moved": (
+        5,
+        change_basis(
+            5,
+            ALGEBRAS["solv5"][1],
+            sp.Matrix(5, 5, lambda i, j: int(i == j) + ((1, -2, 2, -1)[i % 4] if j == i + 1 else 0)),
+        ),
+    ),
+}
+
 for tag in ("solv2", "solv5"):
     n, table = ALGEBRAS[tag]
     print(f"nilradical_dim_{tag} = {nilradical_dim(n, table)}")
+for tag, (n, table) in NILRADICAL_CASES.items():
+    print(f"nilradical_dim_{tag} = {nilradical_dim(n, table)}  table={table}")
 
 # Jacobi defect of a corrupted table: [e1,e2]=e3, [e1,e3]=e1, [e2,e3]=e2
 bad = (3, {(1, 2): {3: 1}, (1, 3): {1: 1}, (2, 3): {2: 1}})

@@ -218,6 +218,18 @@ def test_error_bad_dim():
     assert "expected a positive dimension" in str(err)
 
 
+def test_error_dim_unicode_digit():
+    # '²' is a digit to str.isdigit, but not a decimal digit that int() reads
+    assert _located("algebra X\ndim \u00b2\n") == (
+        "line 2, column 5: expected a positive dimension", (2, 5))
+
+
+def test_error_matrix_zero_denominator():
+    # the column is that of the denominator, as in the expression grammar
+    assert _located("matrix m 2x2\n1 2\n  3 -1/00\n") == (
+        "line 3, column 8: zero denominator", (3, 8))
+
+
 def test_error_dim_above_max():
     err = _parse_error("algebra X\nparam a : real\ndim 8\n")
     assert f"dimension 8 exceeds the supported bound of {MAX_DIM}" in str(err)
@@ -443,8 +455,8 @@ def test_parse_digest_frozen_under_mutation():
     """Refactor guard for the parser: 2,000 seeded one-word mutations of
     appendix-B and fixture blocks parse to the same entries and matrices, or
     fail with the same message at the same line and column, as the code that
-    froze the digest.  One mutation writes a '1/0' matrix entry, which
-    escapes as ZeroDivisionError rather than a located ParseError."""
+    froze the digest.  One mutation writes a '1/0' matrix entry, which fails
+    with a located "zero denominator" ParseError, not a ZeroDivisionError."""
     algebra_blocks = _packaged_blocks("appendix_b.lalg")
     matrix_blocks = _packaged_blocks("fixtures_ch3.lalg")
     assert (len(algebra_blocks), len(matrix_blocks)) == (N_APPENDIX_B, N_FIXTURE_MATRICES)
@@ -456,8 +468,8 @@ def test_parse_digest_frozen_under_mutation():
         kind, text = _parse_outcome(_mutate(rng, rng.choice(pool)))
         kinds["ok" if kind == "ok" else text.split(":")[0]] += 1
         digest.update(text.encode() + b"\n")
-    assert kinds == {"ok": 289, "ParseError": 1710, "ZeroDivisionError": 1}
-    assert digest.hexdigest() == "685f708480b09daa809da05425acbe1f316408a2520d5ae534ecfb7dc3a7d8a0"
+    assert kinds == {"ok": 289, "ParseError": 1711, "ZeroDivisionError": 0}
+    assert digest.hexdigest() == "3d5dafd095a3ffe9b947b5fa56e413831fc0ef98512cd6ac0b795accd5a41ddf"
 
 
 # -------------------------------------------------------------- serialization

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lieq.corpus import instantiate, packaged_corpus, sample_parameters
+from lieq.corpus import fingerprint, instantiate, packaged_corpus, sample_parameters
 from lieq.derivations import derivation_basis
 from lieq.liealg import JacobiViolation, LieAlgebra, SeriesProfile, Subspace
 from lieq.linalg import Echelon, MatrixQ, QuadExt, nullspace
@@ -345,6 +345,9 @@ def test_center_witnesses():
 
 
 def test_invariants_read_cached_ad_matrices(monkeypatch):
+    """The centre, Killing matrix and nilradical never call the public
+    bracket: the first two read the term table, and the nilradical search
+    reads it too, taking ad(e_i) from the cache when it forms words."""
     # a fresh copy of a solvable, non-nilpotent dim-6 algebra
     entry = _appendix_b_entry("[6,[5,0],2,1]")
     g0 = instantiate(entry, sample_parameters(entry, seed=1, k=1)[0])
@@ -366,6 +369,45 @@ def test_invariants_read_cached_ad_matrices(monkeypatch):
     assert calls == []
     for i in range(g.dim):
         assert g.ad_basis(i) is g.ad_basis(i)
+
+
+def _count_calls(monkeypatch, targets):
+    """Wrap each (owner, name) so that calls[name] counts its calls."""
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+
+        def counting(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_invariants_skip_dense_ad_products(monkeypatch):
+    """fingerprint forms no matrix product when [g, g] has codimension 1
+    (t = 1), and center and killing_matrix never build ad(e_i)."""
+    from test_corpus import _unimodular
+
+    rng = random.Random(5)
+    entries = list(packaged_corpus("appendix_a.lalg")) + list(
+        packaged_corpus("appendix_b.lalg")
+    )[::25]
+    algebras = [SOLV2, SOLV5, SL2]
+    for entry in entries:
+        g = instantiate(entry, sample_parameters(entry, seed=1, k=1)[0])
+        algebras.append(g.change_basis(_unimodular(rng, g.dim)))
+    calls = _count_calls(monkeypatch, [(MatrixQ, "__matmul__"), (LieAlgebra, "ad_basis")])
+    t_one = 0
+    for g0 in algebras:
+        g = LieAlgebra(g0.dim, g0.table)
+        if g.is_solvable() and g.derived_algebra().dim == g.dim - 1:
+            fingerprint(g)
+            t_one += 1
+        g.center()
+        g.killing_matrix()
+    assert t_one >= 10
+    assert calls == {"__matmul__": 0, "ad_basis": 0}
 
 
 @pytest.mark.parametrize("tag", sorted(FIXTURES))
@@ -495,6 +537,66 @@ def test_nilpotent_elements_subspace():
     assert ABELIAN2.nilradical_codim_search()[0] == Subspace.full(2)
     with pytest.raises(ValueError, match="requires a solvable algebra"):
         SL2.nilradical_codim_search()
+
+
+# oracle: nilradical_dim of NILRADICAL_CASES
+KILLING_DEGENERATE6 = LieAlgebra(
+    6,
+    {
+        (0, 4): [0, -1, 0, 0, 0, 0],
+        (1, 4): [3, -2, 0, 0, 0, 0],
+        (2, 4): [0, 0, 1, 0, 0, 0],
+        (3, 4): [0, 0, 0, 1, 0, 0],
+    },
+)
+R2_CUBED = LieAlgebra(
+    6, {(0, 1): [1, 0, 0, 0, 0, 0], (2, 3): [0, 0, 1, 0, 0, 0], (4, 5): [0, 0, 0, 0, 1, 0]}
+)
+NILRADICAL_DIMS = {"killing_degenerate6": 5, "r2_cubed": 3, "solv5_moved": 4}
+
+
+def test_nilradical_search_goes_past_vanishing_traces(monkeypatch):
+    """tr ad e5 = K(e5, e5) = 0, so degrees 0 and 1 leave all of T = span(e5, e6)
+    in the kernel; e5 is not ad-nilpotent, so words of degree 2 are needed."""
+    g = LieAlgebra(KILLING_DEGENERATE6.dim, KILLING_DEGENERATE6.table)
+    assert g.ad_basis(4).trace() == 0 and g.killing_matrix()[4, 4] == 0
+    assert g.derived_algebra() == span(6, [0, 1, 2, 3])
+    calls = _count_calls(monkeypatch, [(MatrixQ, "__matmul__")])
+    nil, codim = g.nilradical_codim_search()
+    assert calls["__matmul__"] >= 2  # ad(T) times ad(T)
+    assert nil == span(6, [0, 1, 2, 3, 5])
+    assert (nil.dim, codim) == (NILRADICAL_DIMS["killing_degenerate6"], 1)
+
+
+def test_nilradical_search_codim_three():
+    nil, codim = R2_CUBED.nilradical_codim_search()
+    assert nil == span(6, [0, 2, 4]) == R2_CUBED.derived_algebra()
+    assert (nil.dim, codim) == (NILRADICAL_DIMS["r2_cubed"], 3)
+
+
+def test_nilradical_shortcut_after_base_change(monkeypatch):
+    """[g, g] has codimension 1 and g is not nilpotent: N = [g, g], no word formed."""
+    g = SOLV5.change_basis(_unit_bidiagonal(5))
+    # the table the oracle computes for this base change
+    assert g == LieAlgebra(
+        5,
+        {
+            (0, 4): [Fraction(3, 2), 0, 0, 0, 0],
+            (1, 2): [1, 0, 0, 0, 0],
+            (1, 3): [2, 0, 0, 0, 0],
+            (1, 4): [Fraction(1, 2), 1, 0, 0, 0],
+            (2, 3): [-4, 0, 0, 0, 0],
+            (2, 4): [1, -1, Fraction(1, 2), 0, 0],
+            (3, 4): [2, -2, -1, 1, 0],
+        },
+    )
+    calls = _count_calls(monkeypatch, [(MatrixQ, "__matmul__"), (LieAlgebra, "ad_basis")])
+    nil, codim = g.nilradical_codim_search()
+    assert calls == {"__matmul__": 0, "ad_basis": 0}
+    assert nil is g.derived_algebra()
+    assert (nil.dim, codim) == (NILRADICAL_DIMS["solv5_moved"], 1)
+    for x in nil.basis:
+        assert (g.ad_matrix(x) ** 5).is_zero()
 
 
 def _full_closure_nilradical(g):
@@ -768,6 +870,9 @@ def test_public_readers_return_fractions():
     assert all(_fractions_only(inner.structure_constant(i, j)) for i in range(3) for j in range(3))
     moved = g.change_basis(_unit_bidiagonal(n))
     assert moved.table and all(_fractions_only(v) for v in moved.table.values())
+    assert all(_fractions_only(g.ad_basis(i).flat()) for i in range(n))
+    assert _fractions_only(g.killing_matrix().flat())
+    assert all(_fractions_only(v) for v in g.center().basis)
 
 
 # ------------------------------------------------------- frozen invariant digests
