@@ -520,25 +520,6 @@ def test_verify_nilradical_requires_solvable():
         SL2.verify_nilradical(span(3, [0]))
 
 
-def test_nilradical_codim_search():
-    s, codim = SOLV5.nilradical_codim_search()
-    assert s == span(5, [0, 1, 2, 3])
-    assert codim == 1
-    s2, codim2 = SOLV2.nilradical_codim_search()
-    assert (s2, codim2) == (span(2, [0]), 1)
-    s3, codim3 = HEISENBERG3.nilradical_codim_search()
-    assert (s3, codim3) == (Subspace.full(3), 0)
-
-
-def test_nilpotent_elements_subspace():
-    assert SOLV2.nilradical_codim_search()[0] == span(2, [0])
-    assert SOLV5.nilradical_codim_search()[0] == span(5, [0, 1, 2, 3])
-    assert HEISENBERG3.nilradical_codim_search()[0] == Subspace.full(3)
-    assert ABELIAN2.nilradical_codim_search()[0] == Subspace.full(2)
-    with pytest.raises(ValueError, match="requires a solvable algebra"):
-        SL2.nilradical_codim_search()
-
-
 # oracle: nilradical_dim of NILRADICAL_CASES
 KILLING_DEGENERATE6 = LieAlgebra(
     6,
@@ -555,6 +536,29 @@ R2_CUBED = LieAlgebra(
 NILRADICAL_DIMS = {"killing_degenerate6": 5, "r2_cubed": 3, "solv5_moved": 4}
 
 
+def test_nilradical_codim_search():
+    s, codim = SOLV5.nilradical_codim_search()
+    assert s == span(5, [0, 1, 2, 3])
+    assert codim == 1
+    s2, codim2 = SOLV2.nilradical_codim_search()
+    assert (s2, codim2) == (span(2, [0]), 1)
+    s3, codim3 = HEISENBERG3.nilradical_codim_search()
+    assert (s3, codim3) == (Subspace.full(3), 0)
+    # r2 + r2 + r2: the traces of degrees 0 and 1 leave no kernel in T
+    s4, codim4 = R2_CUBED.nilradical_codim_search()
+    assert s4 == span(6, [0, 2, 4]) == R2_CUBED.derived_algebra()
+    assert (s4.dim, codim4) == (NILRADICAL_DIMS["r2_cubed"], 3)
+
+
+def test_nilpotent_elements_subspace():
+    assert SOLV2.nilradical_codim_search()[0] == span(2, [0])
+    assert SOLV5.nilradical_codim_search()[0] == span(5, [0, 1, 2, 3])
+    assert HEISENBERG3.nilradical_codim_search()[0] == Subspace.full(3)
+    assert ABELIAN2.nilradical_codim_search()[0] == Subspace.full(2)
+    with pytest.raises(ValueError, match="requires a solvable algebra"):
+        SL2.nilradical_codim_search()
+
+
 def test_nilradical_search_goes_past_vanishing_traces(monkeypatch):
     """tr ad e5 = K(e5, e5) = 0, so degrees 0 and 1 leave all of T = span(e5, e6)
     in the kernel; e5 is not ad-nilpotent, so words of degree 2 are needed."""
@@ -566,12 +570,6 @@ def test_nilradical_search_goes_past_vanishing_traces(monkeypatch):
     assert calls["__matmul__"] >= 2  # ad(T) times ad(T)
     assert nil == span(6, [0, 1, 2, 3, 5])
     assert (nil.dim, codim) == (NILRADICAL_DIMS["killing_degenerate6"], 1)
-
-
-def test_nilradical_search_codim_three():
-    nil, codim = R2_CUBED.nilradical_codim_search()
-    assert nil == span(6, [0, 2, 4]) == R2_CUBED.derived_algebra()
-    assert (nil.dim, codim) == (NILRADICAL_DIMS["r2_cubed"], 3)
 
 
 def test_nilradical_shortcut_after_base_change(monkeypatch):
