@@ -28,6 +28,8 @@ from .linalg import (
     MatrixQ,
     PolyQ,
     QuadExt,
+    _int_matmul,
+    _int_rows,
     char_poly,
     factor_over_rationals,
     nullspace,
@@ -186,17 +188,6 @@ def _assemble(cols: Sequence[Vec], bits: int) -> MatrixQ:
     return MatrixQ([[_rational(c[i], bits) for c in cols] for i in range(4)])
 
 
-def _int_form(M: MatrixQ) -> Tuple[List[List[int]], int]:
-    """Integer matrix N and common denominator D with M = N / D."""
-    D = math.lcm(*(x.denominator for x in M.flat()))
-    return [[x.numerator * (D // x.denominator) for x in M.row(i)] for i in range(M.nrows)], D
-
-
-def _imatmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
-    cols = list(zip(*B))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A]
-
-
 def _det3(m: Sequence[Sequence[int]]) -> int:
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -210,19 +201,19 @@ def _make_witness(a: MatrixQ, target: MatrixQ, build: Callable[[int], MatrixQ],
     adj(Wi) Ai Wi / (det(Wi) E) and W^T J W is Wi^T J Wi / D^2.
     """
     tol = Fraction(RESIDUAL_TOLERANCE)
-    Ai, E = _int_form(a)
+    Ai, E = _int_rows(a._r)
     bits = _PRECISION_START
     while bits <= _PRECISION_CAP:
         W = build(bits)
-        Wi, D = _int_form(W)
+        Wi, D = _int_rows(W._r)
         adj = [[(-1) ** (i + j) * _det3([r[:i] + r[i + 1:] for k, r in enumerate(Wi) if k != j])
                 for j in range(4)] for i in range(4)]
         det = sum(x * adj[k][0] for k, x in enumerate(Wi[0]))
         if det:  # a singular W is no witness
-            N = _imatmul(_imatmul(adj, Ai), Wi)
+            N = _int_matmul(_int_matmul(adj, Ai), Wi)
             sim = [abs(Fraction(N[i][j], det * E) - target[i, j]) for i in range(4) for j in range(4)]
             grp = [abs(Fraction(g, D * D) - J[i, j]) for J in js
-                   for i, row in enumerate(_imatmul(list(zip(*Wi)), _imatmul(_int_form(J)[0], Wi)))
+                   for i, row in enumerate(_int_matmul(list(zip(*Wi)), _int_matmul(_int_rows(J._r)[0], Wi)))
                    for j, g in enumerate(row)]
             if all(e <= tol for e in sim + grp):
                 exact = all(e == 0 for e in sim + grp)

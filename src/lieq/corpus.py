@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional
 
 from .linalg import MAX_DIM, MatrixQ, _as_rational
 from .liealg import LieAlgebra, Subspace
-from .derivations import derivation_basis
+from .derivations import _derivation_dim
 
 
 class CorpusError(ValueError):
@@ -832,7 +832,7 @@ def fingerprint(g: LieAlgebra) -> Fingerprint:
         center_dim=g.center().dim,
         derived_algebra_dim=g.derived_algebra().dim,
         nilradical_dim=nilradical_dim,
-        derivation_algebra_dim=derivation_basis(g).dim,
+        derivation_algebra_dim=_derivation_dim(g),
         killing_form_rank=g.killing_matrix().rank(),
     )
 

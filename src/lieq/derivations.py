@@ -18,7 +18,7 @@ from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import MatrixQ, _kernel, matrix_exp_nilpotent, nullspace, solve_linear, solve_or_invert
+from .linalg import Echelon, MatrixQ, _kernel, matrix_exp_nilpotent, nullspace, solve_linear, solve_or_invert
 
 # the invertible-intertwiner search enumerates an integer coefficient grid
 # exhaustively when it is no larger than this; for bigger intertwiner spaces
@@ -80,6 +80,15 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     """The exact nullspace of the Leibniz system of g, as n x n matrices."""
     n = g.dim
     return DerivationBasis(n, tuple(_square(v, n) for v in _kernel(n * n, _leibniz_rows(g))))
+
+
+def _derivation_dim(g: LieAlgebra) -> int:
+    """dim Der(g): n^2 minus the rank of the Leibniz system of g, with no kernel basis built."""
+    n = g.dim
+    ech = Echelon(n * n)
+    for w in _leibniz_rows(g):
+        ech._add(w)
+    return n * n - len(ech.pivots())
 
 
 def is_derivation(g: LieAlgebra, D: MatrixQ) -> bool:

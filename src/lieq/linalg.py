@@ -6,6 +6,11 @@ reduction never pivots by magnitude, and characteristic polynomials are
 computed by the Faddeev-LeVerrier recursion.  Floating point appears nowhere
 in this module.
 
+Matrix products and `char_poly` of rational matrices run on integer rows over
+one common denominator (`_int_rows`), so their multiply-adds are `int`
+operations and each result entry becomes a `Fraction` once; a matrix holding a
+`QuadExt` entry takes the same steps in its own scalars.
+
 `Echelon` is the single elimination kernel: `MatrixQ.rank`, `nullspace`,
 `solve_linear`, `solve_or_invert` and every span, membership and coordinate
 question elsewhere in the package reduce rows through it, as sparse rows that
@@ -331,6 +336,24 @@ def _primitive(w: Dict[int, Scalar]) -> Dict[int, Scalar]:
     return w if g == 1 else {k: x // g for k, x in w.items()}
 
 
+def _int_rows(rows: Sequence[Sequence[Scalar]]) -> Optional[Tuple[List[List[int]], int]]:
+    """Integer rows N and one positive denominator D with rows = N / D, or None
+    when an entry is a QuadExt."""
+    try:
+        D = math.lcm(*[x.denominator for r in rows for x in r])
+    except AttributeError:  # a QuadExt has no denominator
+        return None
+    if D == 1:
+        return [[x.numerator for x in r] for r in rows], 1
+    return [[x.numerator * (D // x.denominator) for x in r] for r in rows], D
+
+
+def _int_matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The product of two integer matrices given by rows."""
+    cols = list(zip(*B))
+    return [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in A]
+
+
 def _eliminate(w: Dict[int, Scalar], p: int, row: Dict[int, Scalar]) -> None:
     """Clear column p of w in place, fraction-free: w <- pv*w - w[p]*row, pv = row[p]."""
     c, pv = w[p], row[p]
@@ -499,6 +522,10 @@ class MatrixQ:
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
+        a, b = _int_rows(self._r), _int_rows(other._r)
+        if a is not None and b is not None:
+            D = a[1] * b[1]
+            return MatrixQ._exact([tuple(Fraction(x, D) for x in row) for row in _int_matmul(a[0], b[0])])
         cols = tuple(zip(*other._r))
         out = []
         for ri in self._r:
@@ -685,6 +712,8 @@ class PolyQ:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "PolyQ":
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
         out = PolyQ([1])
         for _ in range(k):
             out = out * self
@@ -760,12 +789,26 @@ def char_poly(M: MatrixQ) -> PolyQ:
         raise ValueError(f"size {n} exceeds the supported bound of {MAX_DIM}")
     # Faddeev-LeVerrier yields det(x*I - M) = x^n - c1 x^(n-1) - ... - cn
     cs = []
-    Mk = M
-    for k in range(1, n + 1):
-        ck = Mk.trace() * Fraction(1, k)
-        cs.append(ck)
-        if k < n:
-            Mk = M @ (Mk - MatrixQ.identity(n).scale(ck))
+    ints = _int_rows(M._r)
+    if ints is None:
+        Mk = M
+        for k in range(1, n + 1):
+            ck = Mk.trace() * Fraction(1, k)
+            cs.append(ck)
+            if k < n:
+                Mk = M @ (Mk - MatrixQ.identity(n).scale(ck))
+    else:
+        # over the integer matrix A = D*M every c_k is an integer, and
+        # det(x*I - M) = D^-n det(D*x*I - A) gives M's c_k as A's over D^k
+        A, D = ints
+        Ak = A
+        for k in range(1, n + 1):
+            ck, r = divmod(sum(Ak[i][i] for i in range(n)), k)
+            assert r == 0, "tr(A_k) / k is an integer for an integer matrix A"
+            cs.append(Fraction(ck, D ** k))
+            if k < n:
+                Ak = _int_matmul(A, [[x - ck if i == j else x for j, x in enumerate(row)]
+                                     for i, row in enumerate(Ak)])
     asc = [-cs[n - 1 - i] for i in range(n)] + [Fraction(1)]
     if n % 2 == 1:
         asc = [-c for c in asc]
@@ -801,11 +844,32 @@ def _primitive_int(p: PolyQ) -> List[int]:
     return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
-def _int_poly_eval(ints: List[int], x: int) -> int:
-    acc = 0
+def _homogeneous_value(ints: List[int], p: int, q: int) -> int:
+    """q^d P(p/q) for the integer polynomial P of degree d: zero exactly when p/q is a root."""
+    acc, qk = 0, 1
     for c in reversed(ints):
-        acc = acc * x + c
+        acc = acc * p + c * qk
+        qk *= q
     return acc
+
+
+def _int_divides(g: List[int], ints: List[int]) -> bool:
+    """Whether the integer polynomial g divides the integer polynomial ints over Q.
+
+    By Gauss's lemma that holds exactly when the primitive part of g divides
+    ints over Z, so the long division stops at the first inexact quotient.
+    """
+    c = math.gcd(*g)
+    g = [x // c for x in g]
+    rem = list(ints)
+    d, lead = len(g) - 1, g[-1]
+    for k in range(len(rem) - 1 - d, -1, -1):
+        f, r = divmod(rem[k + d], lead)
+        if r:
+            return False
+        for i, x in enumerate(g):
+            rem[k + i] -= f * x
+    return not any(rem[:d])
 
 
 def _trial_divide(rem: PolyQ, deg: int) -> Optional[PolyQ]:
@@ -819,8 +883,8 @@ def _trial_divide(rem: PolyQ, deg: int) -> Optional[PolyQ]:
     """
     ints = _primitive_int(rem)
     lead, const = ints[-1], ints[0]
-    p1, pm1 = _int_poly_eval(ints, 1), _int_poly_eval(ints, -1)
-    p2 = _int_poly_eval(ints, 2)
+    p1, pm1 = _homogeneous_value(ints, 1, 1), _homogeneous_value(ints, -1, 1)
+    p2 = _homogeneous_value(ints, 2, 1)
     tops = [s * d for d in _int_divisors(lead) for s in (1, -1)]
     g0s = [s * d for d in _int_divisors(const) for s in (1, -1)]
     g1s = [s * d for d in _int_divisors(p1) for s in (1, -1)]
@@ -829,8 +893,7 @@ def _trial_divide(rem: PolyQ, deg: int) -> Optional[PolyQ]:
     def verified(cand, gm1, g2):
         if gm1 == 0 or g2 == 0 or pm1 % gm1 != 0 or p2 % g2 != 0:
             return None
-        g = PolyQ(cand)
-        return g.monic() if rem.divmod(g)[1].is_zero else None
+        return PolyQ(cand).monic() if _int_divides(cand, ints) else None
 
     for a_top in tops:
         for g0 in g0s:
@@ -881,9 +944,9 @@ def factor_over_rationals(p: PolyQ) -> List[FactorTerm]:
         hit = None
         for qd in _int_divisors(ints[-1]):
             for pn in _int_divisors(ints[0]):
-                for root in (Fraction(pn, qd), Fraction(-pn, qd)):
-                    if rem.evaluate(root) == 0:
-                        hit = root
+                for num in (pn, -pn):
+                    if _homogeneous_value(ints, num, qd) == 0:
+                        hit = Fraction(num, qd)
                         break
                 if hit is not None:
                     break

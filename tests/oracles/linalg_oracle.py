@@ -20,6 +20,15 @@ mats = {
     "jordan2_at_2": sp.Matrix([[2, 1], [0, 2]]),
     "m3_mixed": sp.Matrix([[sp.Rational(1, 2), 3, 0], [-1, 0, sp.Rational(2, 3)], [5, 1, -2]]),
     "m4_sp": sp.Matrix([[1, 2, 3, 0], [0, -1, 0, 1], [2, 0, -1, -2], [1, 1, 0, 1]]),
+    "m7_mixed": sp.Matrix([
+        [sp.Rational(1, 2), 3, 0, -1, sp.Rational(2, 3), 0, 1],
+        [-1, 0, sp.Rational(2, 7), 0, 1, sp.Rational(-3, 4), 0],
+        [5, 1, -2, sp.Rational(1, 3), 0, 0, 2],
+        [0, sp.Rational(-2, 5), 1, 0, 3, 1, 0],
+        [1, 0, 0, 4, sp.Rational(-1, 6), 2, -1],
+        [0, sp.Rational(1, 9), -3, 0, 1, 0, sp.Rational(5, 2)],
+        [2, 0, 1, -1, 0, sp.Rational(7, 8), 0],
+    ]),
 }
 for tag, M in mats.items():
     p = (M - x * sp.eye(M.rows)).det().expand()

@@ -13,6 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lieq.linalg import (
+    MAX_DIM,
     Echelon,
     FactorTerm,
     MatrixQ,
@@ -328,6 +329,19 @@ def test_char_poly_frozen():
     assert char_poly(M3) == PolyQ([F(11, 3), F(-4, 3), F(-3, 2), -1])
     M4 = mat([[1, 2, 3, 0], [0, -1, 0, 1], [2, 0, -1, -2], [1, 1, 0, 1]])
     assert char_poly(M4) == PolyQ([18, 4, -9, 0, 1])
+    M7 = mat([
+        [F(1, 2), 3, 0, -1, F(2, 3), 0, 1],
+        [-1, 0, F(2, 7), 0, 1, F(-3, 4), 0],
+        [5, 1, -2, F(1, 3), 0, 0, 2],
+        [0, F(-2, 5), 1, 0, 3, 1, 0],
+        [1, 0, 0, 4, F(-1, 6), 2, -1],
+        [0, F(1, 9), -3, 0, 1, 0, F(5, 2)],
+        [2, 0, 1, -1, 0, F(7, 8), 0],
+    ])
+    assert char_poly(M7) == PolyQ([
+        F(1296787, 6048), F(-53780497, 181440), F(169943, 11340), F(-3735649, 60480),
+        F(109513, 5040), F(6431, 336), F(-5, 3), -1,
+    ])
 
 
 def test_char_poly_size_cap():
@@ -348,6 +362,93 @@ def test_char_poly_conjugation_invariant():
 def test_cayley_hamilton():
     M = mat([[1, 2, 3, 0], [0, -1, 0, 1], [2, 0, -1, -2], [1, 1, 0, 1]])
     assert char_poly(M).eval_matrix(M).is_zero()
+
+
+def _reference_matmul(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*B)] for row in A]
+
+
+def _reference_det(rows):
+    """Dense Gaussian elimination over Fraction/QuadExt, zero tests by `!= 0`."""
+    a, det = [list(r) for r in rows], F(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            a[c], a[p], det = a[p], a[c], -det
+        det = det * a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def _reference_char_poly(rows):
+    """Ascending coefficients of det(M - x I), interpolated from its values at x = 0..n."""
+    n = len(rows)
+    values = [_reference_det([[x - t if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)])
+              for t in range(n + 1)]
+    coeffs = [F(0)] * (n + 1)
+    for i, v in enumerate(values):
+        basis, scale = [F(1)], v
+        for j in range(n + 1):
+            if j != i:
+                basis = [F(0)] + basis
+                for k in range(len(basis) - 1):
+                    basis[k] -= j * basis[k + 1]
+                scale = scale / (i - j)
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+_near_2_64 = st.builds(lambda a, k: F(a, 2**64 + k), st.integers(-(2**70), 2**70), st.integers(-3, 3))
+PRODUCT_ENTRIES = {
+    "mixed_denominators": KERNEL_ENTRIES["mixed_denominators"],
+    "near_2_64": st.one_of(_small_ints, _near_2_64),
+    "sqrt2": KERNEL_ENTRIES["sqrt2"],
+}
+
+
+@st.composite
+def product_operands(draw, entries):
+    """A square n x n and an n x m matrix, sizes 1..7, with some rows and columns zeroed."""
+    n, m = draw(st.integers(1, MAX_DIM)), draw(st.integers(1, MAX_DIM))
+    mats = []
+    for rows, cols in ((n, n), (n, m)):
+        M = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=2))
+        zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+        mats.append([[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+                     for i, r in enumerate(M)])
+    return mats
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_ENTRIES))
+@seed(8)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_products_and_char_poly_match_dense_reference(kind, data):
+    """The integer-row kernels, and the QuadExt path, agree with dense Fraction arithmetic."""
+    A, B = ([[x if isinstance(x, QuadExt) else F(x) for x in r] for r in M]
+            for M in data.draw(product_operands(PRODUCT_ENTRIES[kind])))
+    AB = MatrixQ(A) @ MatrixQ(B)
+    assert AB == MatrixQ(_reference_matmul(A, B))
+    p = char_poly(MatrixQ(A))
+    assert p == PolyQ(_reference_char_poly(A))
+    assert _exact_entries([AB.flat(), p.coeffs])
+
+
+def test_integer_kernels_make_no_fraction_arithmetic(monkeypatch):
+    """@ and char_poly on Fraction matrices multiply and add integer rows only."""
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        op = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda x, y, op=op, name=name: calls.append(name) or op(x, y))
+    A = mat([[F(1, 2), 3, 0, F(-2, 3)], [-1, 0, F(2, 7), 0], [5, 1, -2, F(1, 3)], [0, F(-2, 5), 1, 0]])
+    B = mat([[F(2**64 + 1, 3), 1, 0, 0], [0, F(1, 2**64), 0, 1], [1, 0, 1, 0], [0, 0, 0, F(-5, 9)]])
+    A @ B, char_poly(A), char_poly(B)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- factoring
@@ -521,6 +622,13 @@ def test_quadext_matrix_ops():
 
 
 # -------------------------------------------------------------------- PolyQ
+
+def test_poly_negative_power_rejected():
+    p = PolyQ([1, 1])
+    assert p ** 0 == PolyQ([1]) and p ** 2 == PolyQ([1, 2, 1])
+    with pytest.raises(ValueError):
+        p ** -2
+
 
 def test_poly_divmod_and_eval():
     p = PolyQ([2, -3, 1])  # (x-1)(x-2)
