@@ -4,6 +4,7 @@ Expected values marked with "oracle" were produced by the independent
 sympy script tests/oracles/linalg_oracle.py and frozen here.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -525,6 +526,39 @@ def test_factor_product_reconstructs(coeffs):
     assert prod == p.monic()
 
 
+_FACTOR_DENOMS = (1, 1, 1, 2, 3, 4, 6, 9)
+
+
+def _factor_cases(count):
+    """Seeded products of small factors with mixed denominators, degrees 1..7:
+    repeated factors, powers of x and irreducible parts of every degree."""
+    rng = random.Random("factor-digest")
+    for _ in range(count):
+        deg = rng.randint(1, 7)
+        k = min(rng.randint(0, 2) if rng.random() < 0.2 else 0, deg - 1)
+        p = PolyQ([F(rng.choice((1, -1)) * rng.randint(1, 5), rng.choice(_FACTOR_DENOMS))]) * PolyQ([0, 1]) ** k
+        left = deg - k
+        while left:
+            d = rng.randint(1, left)
+            f = PolyQ([F(rng.randint(-4, 4), rng.choice(_FACTOR_DENOMS)) for _ in range(d)]
+                      + [F(rng.randint(1, 3), rng.choice(_FACTOR_DENOMS))])
+            if rng.random() < 0.15 and 2 * d <= left:
+                f = f * f
+            p = p * f
+            left -= f.degree
+        yield p
+
+
+def test_factor_digest_frozen():
+    """The factor lists of 1,200 seeded polynomials, frozen before factoring moved to
+    integer polynomials."""
+    digest = hashlib.sha256()
+    for p in _factor_cases(1200):
+        got = factor_over_rationals(p)
+        digest.update(f"{p!r}|{[(t.poly, t.multiplicity) for t in got]!r}\n".encode())
+    assert digest.hexdigest() == "eb003b96e7e36c1ec35e35aad802fe815e04650113000d223624eb2d7bdf5ae3"
+
+
 # --------------------------------------------------------------- matrix exp
 
 def test_exp_nilpotent_frozen():
@@ -556,6 +590,89 @@ def test_signature_frozen():
     assert symmetric_signature(mat([[0, 1], [1, 0]])) == (1, 1, 0)
     S = mat([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 5, 1], [0, 0, 1, 5]])
     assert symmetric_signature(S) == (3, 1, 0)
+
+
+
+def _reference_signature(rows):
+    """(positive, negative, zero) by symmetric LDL^T congruence: a zero pivot takes a
+    later nonzero diagonal entry by a symmetric swap, or else row/column i += row/column j
+    for an off-diagonal a[i][j] != 0, or else counts as a zero."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+
+    def add_into(i, j):
+        a[i] = [a[i][c] + a[j][c] for c in range(n)]
+        for r in a:
+            r[i] = r[i] + r[j]
+
+    pos = neg = zero = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            pivot = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if pivot is not None:
+                swap(i, pivot)
+            else:
+                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                add_into(i, off)
+        d = a[i][i]
+        for j in range(i + 1, n):
+            if a[j][i] != 0:
+                f = a[j][i] / d
+                a[j] = [a[j][c] - f * a[i][c] for c in range(n)]
+                for r in a:
+                    r[j] = r[j] - f * r[i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+    return pos, neg, zero
+
+
+def _symmetric_cases(rng, entry, count):
+    """Seeded symmetric matrices of sizes 1..7: dense ones, and congruences P^T diag(d) P
+    whose d has zero entries and whose P may be singular."""
+    for t in range(count):
+        n = rng.randint(1, MAX_DIM)
+        if t % 2:
+            rows = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = entry()
+            yield rows
+        else:
+            d = [rng.choice((0, 1, -1)) * entry() for _ in range(n)]
+            P = [[entry() if rng.random() < 0.6 else F(0) for _ in range(n)] for _ in range(n)]
+            yield [[sum((P[k][i] * d[k] * P[k][j] for k in range(n)), F(0)) for j in range(n)]
+                   for i in range(n)]
+
+
+def test_signature_matches_ldl_reference():
+    """The signature agrees with symmetric LDL^T congruence on seeded rational and
+    Q(sqrt 2) matrices, singular ones included, and on a 12 x 12 matrix: no size cap."""
+    rng = random.Random("signature")
+    rational = lambda: F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+    sqrt2 = lambda: QuadExt(rng.randint(-3, 3), rng.randint(-2, 2), 2) / rng.choice((1, 2))
+    singular = 0
+    for entry, count in ((rational, 240), (sqrt2, 120)):
+        for rows in _symmetric_cases(rng, entry, count):
+            want = _reference_signature(rows)
+            singular += want[2] > 0
+            assert symmetric_signature(MatrixQ(rows)) == want
+    assert singular >= 60
+    n = 12
+    d = [F(k % 3 - 1, k + 1) for k in range(n)]
+    P = rand_invertible(random.Random(12), n)
+    rows = [[sum((P[k, i] * d[k] * P[k, j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    assert _reference_signature(rows) == (4, 4, 4)
+    assert symmetric_signature(MatrixQ(rows)) == (4, 4, 4)
 
 
 def test_signature_rejects_asymmetric():
