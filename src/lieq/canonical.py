@@ -28,8 +28,8 @@ from .linalg import (
     MatrixQ,
     PolyQ,
     QuadExt,
-    _int_matmul,
     _int_rows,
+    _matmul,
     char_poly,
     factor_over_rationals,
     nullspace,
@@ -210,10 +210,10 @@ def _make_witness(a: MatrixQ, target: MatrixQ, build: Callable[[int], MatrixQ],
                 for j in range(4)] for i in range(4)]
         det = sum(x * adj[k][0] for k, x in enumerate(Wi[0]))
         if det:  # a singular W is no witness
-            N = _int_matmul(_int_matmul(adj, Ai), Wi)
+            N = _matmul(_matmul(adj, Ai), Wi)
             sim = [abs(Fraction(N[i][j], det * E) - target[i, j]) for i in range(4) for j in range(4)]
             grp = [abs(Fraction(g, D * D) - J[i, j]) for J in js
-                   for i, row in enumerate(_int_matmul(list(zip(*Wi)), _int_matmul(_int_rows(J._r)[0], Wi)))
+                   for i, row in enumerate(_matmul(list(zip(*Wi)), _matmul(_int_rows(J._r)[0], Wi)))
                    for j, g in enumerate(row)]
             if all(e <= tol for e in sim + grp):
                 exact = all(e == 0 for e in sim + grp)
@@ -527,12 +527,9 @@ def _definite_sign(S: MatrixQ, basis_cols: Sequence[Vec]) -> int:
     return 1 if pos else -1
 
 
-def _chain_sign(S: MatrixQ, basis_cols: Optional[Sequence[Vec]]) -> int:
+def _chain_sign(S: MatrixQ, basis_cols: Sequence[Vec]) -> int:
     """Sign parameter from a rank-1 restriction: one negative direction -> +1."""
-    if basis_cols is None:
-        pos, neg, _ = symmetric_signature(S)
-    else:
-        pos, neg, _ = _restricted_signature(S, basis_cols)
+    pos, neg, _ = _restricted_signature(S, basis_cols)
     if (pos, neg) == (0, 1):
         return 1
     if (pos, neg) == (1, 0):
@@ -753,7 +750,7 @@ def _classify_all_real(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, roots: Sequence[Sca
         return _label("ThmE-1", ("lambda", 0), ("mu", 0)), lambda bits: MatrixQ.identity(4)
     if a2.is_zero():
         if a.rank() == 1:
-            eps = _chain_sign(Ja, None)
+            eps = _chain_sign(Ja, _UNITS)
             return (_label("ThmE-2", ("lambda", 0), ("epsilon", eps)),
                     lambda bits: _witness_e2(a, 0, eps, _UNITS, bits))
         pos, neg, _ = symmetric_signature(Ja)

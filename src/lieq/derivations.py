@@ -152,8 +152,8 @@ class EquivalenceResult:
     """Outcome of an intertwiner search between two matrix families.
 
     intertwiner is an invertible T with T A_i = B_i T when one was found.
-    certain is True exactly when the answer is definitive: either a witness
-    was found, or the intertwiner space is {0} so no witness can exist.
+    certain is True exactly when the answer is definitive: a witness was
+    found, or none can exist (see `representation_equivalence`).
     """
 
     intertwiner: Optional[MatrixQ]
@@ -173,9 +173,11 @@ def representation_equivalence(
     """Search {T : T A_i = B_i T for all i} for an invertible element.
 
     The intertwiner space is solved exactly; the invertible-element search
-    runs over small integer coefficient grids and is deterministic.  A
-    nonzero space with no invertible element found within the budget is
-    reported as undetermined (certain = False).
+    runs over small integer coefficient grids and is deterministic.  The
+    answer is a certain negative when the space is {0}, when rank A_i !=
+    rank B_i for some i, or when the whole grid holds no invertible element;
+    it is undetermined (certain = False) only when random draws replace a
+    grid over the budget and find none.
     """
     if len(A) != len(B):
         raise ValueError(f"family sizes differ: {len(A)} vs {len(B)}")
@@ -196,17 +198,18 @@ def representation_equivalence(
                 rows.append(row)
     kernel = nullspace(MatrixQ(rows))
     d = len(kernel)
-    if d == 0:
-        return EquivalenceResult(None, True, 0)
+    if d == 0 or any(MA.rank() != MB.rank() for MA, MB in zip(A, B)):
+        return EquivalenceResult(None, True, d)
     basis = [_square(v, n) for v in kernel]
-    # grid values: enough distinct points that a nonvanishing determinant
-    # polynomial cannot be zero on the whole grid
+    # grid values: det(sum c_k T_k) has degree <= n in each c_k, so with n + 1
+    # values per coordinate one that vanishes on the whole grid vanishes identically
     values: List[Fraction] = [Fraction(0)]
     step = 1
     while len(values) <= n:
         values += [Fraction(step), Fraction(-step)]
         step += 1
-    if len(values) ** d <= INTERTWINER_GRID_BUDGET:
+    exhaustive = len(values) ** d <= INTERTWINER_GRID_BUDGET
+    if exhaustive:
         candidates = product(values, repeat=d)
     else:
         rng = random.Random(0)
@@ -223,4 +226,4 @@ def representation_equivalence(
                 T = T + Tk * c
         if T.rank() == n:
             return EquivalenceResult(T, True, d)
-    return EquivalenceResult(None, False, d)
+    return EquivalenceResult(None, exhaustive, d)

@@ -6,10 +6,14 @@ reduction never pivots by magnitude, and characteristic polynomials are
 computed by the Faddeev-LeVerrier recursion.  Floating point appears nowhere
 in this module.
 
-Matrix products and `char_poly` of rational matrices run on integer rows over
-one common denominator (`_int_rows`), so their multiply-adds are `int`
-operations and each result entry becomes a `Fraction` once; a matrix holding a
-`QuadExt` entry takes the same steps in its own scalars.
+Each operation has one path.  `_matmul` is the one row product: `@` runs it
+on integer rows over one common denominator (`_int_rows`), so its multiply-adds
+are `int` operations and each result entry becomes a `Fraction` once, and on
+the entries themselves when one is a `QuadExt`.  `_char_coeffs` is the one
+Faddeev-LeVerrier loop, over the same integer rows or `QuadExt` entries:
+`char_poly` rescales its coefficients, and `symmetric_signature` reads their
+signs, with no elimination of its own.  `factor_over_rationals` works on one
+primitive integer polynomial from start to finish.
 
 `Echelon` is the single elimination kernel: `MatrixQ.rank`, `nullspace`,
 `solve_linear`, `solve_or_invert` and every span, membership and coordinate
@@ -20,6 +24,7 @@ over Q are primitive integer rows combined fraction-free (Bareiss 1968).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -348,10 +353,11 @@ def _int_rows(rows: Sequence[Sequence[Scalar]]) -> Optional[Tuple[List[List[int]
     return [[x.numerator * (D // x.denominator) for x in r] for r in rows], D
 
 
-def _int_matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
-    """The product of two integer matrices given by rows."""
+def _matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> List[List]:
+    """The product of two matrices given by rows of ints, or of Fractions and QuadExts;
+    zero terms are skipped, so an entry with none left is int 0."""
     cols = list(zip(*B))
-    return [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in A]
+    return [[sum([x * y for x, y in zip(row, col) if x and y]) for col in cols] for row in A]
 
 
 def _eliminate(w: Dict[int, Scalar], p: int, row: Dict[int, Scalar]) -> None:
@@ -523,16 +529,10 @@ class MatrixQ:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
         a, b = _int_rows(self._r), _int_rows(other._r)
-        if a is not None and b is not None:
-            D = a[1] * b[1]
-            return MatrixQ._exact([tuple(Fraction(x, D) for x in row) for row in _int_matmul(a[0], b[0])])
-        cols = tuple(zip(*other._r))
-        out = []
-        for ri in self._r:
-            nz = [(k, a) for k, a in enumerate(ri) if a]
-            sums = (sum([a * col[k] for k, a in nz if col[k]]) for col in cols)
-            out.append(tuple(s or Fraction(0) for s in sums))  # an empty sum is int 0
-        return MatrixQ._exact(out)
+        if a is None or b is None:
+            return MatrixQ._exact([tuple(s or Fraction(0) for s in row) for row in _matmul(self._r, other._r)])
+        D = a[1] * b[1]
+        return MatrixQ._exact([tuple(Fraction(x, D) for x in row) for row in _matmul(a[0], b[0])])
 
     def __pow__(self, k: int) -> "MatrixQ":
         if not self.is_square:
@@ -780,6 +780,31 @@ class PolyQ:
         return out
 
 
+def _char_coeffs(rows: Sequence[Sequence[Scalar]]) -> Tuple[List, int]:
+    """c_1, ..., c_n and D > 0 with det(x*I - D*M) = x^n - c_1 x^(n-1) - ... - c_n
+    for the square matrix M of the given rows, by Faddeev-LeVerrier at any size.
+
+    The loop runs over the integer rows of A = D*M (`_int_rows`), where each
+    c_k = tr(A_k)/k is an exact integer division, or over M's own rows with
+    D = 1 when an entry is a QuadExt.
+    """
+    ints = _int_rows(rows)
+    A, D = (rows, 1) if ints is None else ints
+    n = len(A)
+    cs, Ak = [], A
+    for k in range(1, n + 1):
+        t = sum([Ak[i][i] for i in range(n)])
+        if type(t) is int:
+            ck, r = divmod(t, k)
+            assert r == 0, "tr(A_k) / k is an integer for an integer matrix A"
+        else:
+            ck = t / k
+        cs.append(ck)
+        if k < n:
+            Ak = _matmul(A, [[x - ck if i == j else x for j, x in enumerate(row)] for i, row in enumerate(Ak)])
+    return cs, D
+
+
 def char_poly(M: MatrixQ) -> PolyQ:
     """det(M - x*I) by Faddeev-LeVerrier; supported for sizes up to MAX_DIM."""
     if not M.is_square:
@@ -787,31 +812,13 @@ def char_poly(M: MatrixQ) -> PolyQ:
     n = M.nrows
     if n > MAX_DIM:
         raise ValueError(f"size {n} exceeds the supported bound of {MAX_DIM}")
-    # Faddeev-LeVerrier yields det(x*I - M) = x^n - c1 x^(n-1) - ... - cn
-    cs = []
-    ints = _int_rows(M._r)
-    if ints is None:
-        Mk = M
-        for k in range(1, n + 1):
-            ck = Mk.trace() * Fraction(1, k)
-            cs.append(ck)
-            if k < n:
-                Mk = M @ (Mk - MatrixQ.identity(n).scale(ck))
-    else:
-        # over the integer matrix A = D*M every c_k is an integer, and
-        # det(x*I - M) = D^-n det(D*x*I - A) gives M's c_k as A's over D^k
-        A, D = ints
-        Ak = A
-        for k in range(1, n + 1):
-            ck, r = divmod(sum(Ak[i][i] for i in range(n)), k)
-            assert r == 0, "tr(A_k) / k is an integer for an integer matrix A"
-            cs.append(Fraction(ck, D ** k))
-            if k < n:
-                Ak = _int_matmul(A, [[x - ck if i == j else x for j, x in enumerate(row)]
-                                     for i, row in enumerate(Ak)])
-    asc = [-cs[n - 1 - i] for i in range(n)] + [Fraction(1)]
-    if n % 2 == 1:
-        asc = [-c for c in asc]
+    cs, D = _char_coeffs(M._r)
+    # det(M - x*I) = (-1)^n det(x*I - M), and det(x*I - M) = D^-n det(D*x*I - D*M)
+    # gives M's c_k as those of D*M over D^k
+    sign = -1 if n % 2 else 1
+    asc = [-sign * cs[n - 1 - i] for i in range(n)] + [sign]
+    if D > 1:
+        asc = [Fraction(c, D ** (n - i)) for i, c in enumerate(asc)]
     return PolyQ(asc)
 
 
@@ -834,14 +841,11 @@ def _int_divisors(n: int) -> List[int]:
 
 
 def _primitive_int(p: PolyQ) -> List[int]:
-    """A monic p times the least common denominator of its coefficients.
-
-    The leading entry is that denominator, so it is positive, and the
-    content is 1: each prime power of the denominator divides some
-    coefficient's denominator in full.
-    """
+    """The primitive integer multiple of p with a positive leading coefficient."""
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
 
 
 def _homogeneous_value(ints: List[int], p: int, q: int) -> int:
@@ -853,47 +857,46 @@ def _homogeneous_value(ints: List[int], p: int, q: int) -> int:
     return acc
 
 
-def _int_divides(g: List[int], ints: List[int]) -> bool:
-    """Whether the integer polynomial g divides the integer polynomial ints over Q.
-
-    By Gauss's lemma that holds exactly when the primitive part of g divides
-    ints over Z, so the long division stops at the first inexact quotient.
-    """
-    c = math.gcd(*g)
+def _int_quotient(g: List[int], ints: List[int]) -> Optional[List[int]]:
+    """ints over the primitive part of g with a positive leading coefficient, or None
+    when g does not divide ints over Q: by Gauss's lemma it does exactly when that
+    part divides ints over Z, so the long division stops at the first inexact step."""
+    c = math.gcd(*g) * (1 if g[-1] > 0 else -1)
     g = [x // c for x in g]
     rem = list(ints)
     d, lead = len(g) - 1, g[-1]
+    q = [0] * (len(rem) - d)
     for k in range(len(rem) - 1 - d, -1, -1):
-        f, r = divmod(rem[k + d], lead)
+        q[k], r = divmod(rem[k + d], lead)
         if r:
-            return False
+            return None
         for i, x in enumerate(g):
-            rem[k + i] -= f * x
-    return not any(rem[:d])
+            rem[k + i] -= q[k] * x
+    return None if any(rem[:d]) else q
 
 
-def _trial_divide(rem: PolyQ, deg: int) -> Optional[PolyQ]:
-    """Search an integer factor of the given degree by divisor interpolation.
+def _trial_divide(ints: List[int], deg: int) -> Optional[Tuple[List[int], List[int]]]:
+    """An integer factor g of the given degree of the primitive integer polynomial
+    ints, and ints over g by `_int_quotient`, found by divisor interpolation.
 
     Classical Kronecker search: an integer factor g of an integer polynomial P
     satisfies g(k) | P(k) at every integer k, so candidate factors are
     interpolated from divisor choices at a few points and then verified by
-    exact division.  The caller guarantees rem has no rational roots, hence
+    exact division.  The caller guarantees P has no rational roots, hence
     P(k) != 0 at the probe points.
     """
-    ints = _primitive_int(rem)
-    lead, const = ints[-1], ints[0]
     p1, pm1 = _homogeneous_value(ints, 1, 1), _homogeneous_value(ints, -1, 1)
     p2 = _homogeneous_value(ints, 2, 1)
-    tops = [s * d for d in _int_divisors(lead) for s in (1, -1)]
-    g0s = [s * d for d in _int_divisors(const) for s in (1, -1)]
+    tops = [s * d for d in _int_divisors(ints[-1]) for s in (1, -1)]
+    g0s = [s * d for d in _int_divisors(ints[0]) for s in (1, -1)]
     g1s = [s * d for d in _int_divisors(p1) for s in (1, -1)]
     gm1s = [s * d for d in _int_divisors(pm1) for s in (1, -1)] if deg == 3 else [None]
 
     def verified(cand, gm1, g2):
         if gm1 == 0 or g2 == 0 or pm1 % gm1 != 0 or p2 % g2 != 0:
             return None
-        return PolyQ(cand).monic() if _int_divides(cand, ints) else None
+        q = _int_quotient(cand, ints)
+        return None if q is None else (cand, q)
 
     for a_top in tops:
         for g0 in g0s:
@@ -921,68 +924,47 @@ def factor_over_rationals(p: PolyQ) -> List[FactorTerm]:
     """Factor into monic irreducibles over Q (degree <= 7).
 
     The product of factors to their multiplicities equals p up to the rational
-    leading coefficient.
+    leading coefficient.  The search runs on one primitive integer polynomial
+    P, dividing each factor it finds out of P exactly; the factors become
+    monic PolyQs only in the list returned.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     # the search's own bound: a degree-8 polynomial can split into two quartics, never tried
     if p.degree > 7:
         raise ValueError(f"degree {p.degree} exceeds the supported bound of 7")
-    found: List[PolyQ] = []
-    rem = p.monic()
+    P = _primitive_int(p)
 
-    # powers of x
-    k = 0
-    while not rem.is_zero and rem.coeff(0) == 0 and rem.degree > 0:
-        rem = rem.divmod(PolyQ([0, 1]))[0]
-        k += 1
-    found.extend([PolyQ([0, 1])] * k)
+    # powers of x: the leading zero coefficients
+    k = next(i for i, c in enumerate(P) if c)
+    P = P[k:]
+    found: List[List[int]] = [[0, 1]] * k
 
-    # rational roots via divisors of the primitive integer polynomial's ends
-    while rem.degree >= 1:
-        ints = _primitive_int(rem)
-        hit = None
-        for qd in _int_divisors(ints[-1]):
-            for pn in _int_divisors(ints[0]):
-                for num in (pn, -pn):
-                    if _homogeneous_value(ints, num, qd) == 0:
-                        hit = Fraction(num, qd)
-                        break
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
+    # rational roots num/qd: qd divides the leading coefficient and num the constant term
+    while len(P) > 1:
+        nums = _int_divisors(P[0])
+        hit = next(([-num, qd] for qd in _int_divisors(P[-1]) for pn in nums for num in (pn, -pn)
+                    if _homogeneous_value(P, num, qd) == 0), None)
         if hit is None:
             break
-        rem = rem.divmod(PolyQ([-hit, 1]))[0]
-        found.append(PolyQ([-hit, 1]))
+        P = _int_quotient(hit, P)
+        found.append(hit)
 
-    # quadratic factors (irreducible: no rational roots remain)
-    while rem.degree >= 4:
-        g = _trial_divide(rem, 2)
-        if g is None:
-            break
-        rem = rem.divmod(g)[0]
-        found.append(g)
-    # a cubic split can only hide in remainders of degree 6 or 7
-    while rem.degree >= 6:
-        g = _trial_divide(rem, 3)
-        if g is None:
-            break
-        rem = rem.divmod(g)[0]
-        found.append(g)
-    if rem.degree >= 1:
-        found.append(rem.monic())
+    # quadratic factors (irreducible: no rational roots remain), then cubic ones,
+    # which can only hide in remainders of degree 6 or 7
+    for deg, min_degree in ((2, 4), (3, 6)):
+        while len(P) - 1 >= min_degree:
+            hit = _trial_divide(P, deg)
+            if hit is None:
+                break
+            g, P = hit
+            found.append(g)
+    if len(P) > 1:
+        found.append(P)
 
-    counted = {}
-    for f in found:
-        counted[f.coeffs] = counted.get(f.coeffs, 0) + 1
-    out = [
-        FactorTerm(PolyQ(c), m)
-        for c, m in counted.items()
-    ]
-    out.sort(key=lambda t: (t.poly.degree, t.poly.coeffs))
-    return out
+    counted = Counter(tuple(Fraction(c, g[-1]) for c in g) for g in found)
+    return sorted((FactorTerm(PolyQ(c), m) for c, m in counted.items()),
+                  key=lambda t: (t.poly.degree, t.poly.coeffs))
 
 
 def matrix_exp_nilpotent(N: MatrixQ) -> MatrixQ:
@@ -1005,46 +987,21 @@ def matrix_exp_nilpotent(N: MatrixQ) -> MatrixQ:
 
 
 def symmetric_signature(S: MatrixQ) -> Tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric matrix by congruence."""
+    """Signature (positive, negative, zero) of a real symmetric matrix, at any size.
+
+    Its eigenvalues are all real, and for a polynomial with only real roots
+    Descartes' rule of signs is exact: the sign changes in the coefficients of
+    det(x*I - S) count the positive eigenvalues, the trailing zero coefficients
+    count the eigenvalue 0, and the rest are negative.  The coefficients come
+    from `char_poly`'s Faddeev-LeVerrier loop, which has no size cap.
+    """
     if not S.is_square:
         raise ValueError("signature of a non-square matrix")
     if S != S.transpose():
         raise ValueError("matrix is not symmetric")
     n = S.nrows
-    a = [list(S.row(i)) for i in range(n)]
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    def add_into(i, j):  # row/col i += row/col j
-        a[i] = [a[i][c] + a[j][c] for c in range(n)]
-        for r in a:
-            r[i] = r[i] + r[j]
-
-    pos = neg = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            pivot = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if pivot is not None:
-                swap(i, pivot)
-            else:
-                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                add_into(i, off)
-        d = a[i][i]
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                f = a[j][i] / d
-                a[j] = [a[j][c] - f * a[i][c] for c in range(n)]
-                for r in a:
-                    r[j] = r[j] - f * r[i]
-        s = d.sign() if isinstance(d, QuadExt) else (1 if d > 0 else -1)
-        if s > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg, zero
+    cs, _ = _char_coeffs(S._r)  # D*S, D > 0, has the signature of S
+    zero = next((k for k, c in enumerate(reversed(cs)) if c), n)
+    signs = [1] + [(c < 0) - (c > 0) for c in cs if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return pos, n - pos - zero, zero

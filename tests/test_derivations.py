@@ -294,31 +294,44 @@ def test_equivalence_certain_negative():
     res = representation_equivalence([MatrixQ.zeros(1, 1)], [MatrixQ.identity(1)])
     assert res == EquivalenceResult(None, True, 0)
     assert res.equivalent is False
+    # T E_11 = E_12 T leaves only T = b E_12: equal ranks, and every point of
+    # the grid gives a singular T, so det(sum c_k T_k) vanishes identically
+    res = representation_equivalence([unit(2, 0, 0)], [unit(2, 0, 1)])
+    assert res == EquivalenceResult(None, True, 1)
+    assert res.equivalent is False
 
 
-def test_equivalence_undetermined():
+def test_equivalence_rank_mismatch_is_certain():
     # T * 0 = N * T forces the second row of T to vanish: a nonzero
-    # intertwiner space with no invertible element
+    # intertwiner space with no invertible element, and rank 0 != rank 1
     N = MatrixQ([[0, 1], [0, 0]])
     res = representation_equivalence([MatrixQ.zeros(2, 2)], [N])
     assert res.intertwiner is None
-    assert not res.certain
+    assert res.certain
     assert res.nullspace_dim == 2
-    assert res.equivalent is None
+    assert res.equivalent is False
 
 
 def test_equivalence_random_fallback():
     # n = 4 takes the grid values 0, +-1, +-2, and 5^d points exceed the
-    # budget for d = 16 and d = 12, so the search draws random coefficients
-    assert 5 ** 12 > INTERTWINER_GRID_BUDGET
+    # budget for d = 16, 12 and 9, so the search draws random coefficients
+    assert 5 ** 9 > INTERTWINER_GRID_BUDGET
     Z = MatrixQ.zeros(4, 4)
     res = representation_equivalence([Z], [Z])
     assert res.nullspace_dim == 16
     assert res.certain and res.equivalent is True
     assert res.intertwiner.rank() == 4
-    # T * 0 = E_12 * T forces the second row of T to vanish
+    # T * 0 = E_12 * T forces the second row of T to vanish; rank 0 != rank 1
     res = representation_equivalence([Z], [unit(4, 0, 1)])
     assert res.nullspace_dim == 12
+    assert res.intertwiner is None
+    assert res.certain
+    assert res.equivalent is False
+    # T E_11 = E_12 T forces the first column and second row of T to vanish:
+    # equal ranks, 5^9 grid points over the budget, and no random draw is
+    # invertible, so the answer stays undetermined
+    res = representation_equivalence([unit(4, 0, 0)], [unit(4, 0, 1)])
+    assert res.nullspace_dim == 9
     assert res.intertwiner is None
     assert not res.certain
     assert res.equivalent is None

@@ -441,14 +441,16 @@ def test_products_and_char_poly_match_dense_reference(kind, data):
 
 
 def test_integer_kernels_make_no_fraction_arithmetic(monkeypatch):
-    """@ and char_poly on Fraction matrices multiply and add integer rows only."""
+    """@, char_poly and symmetric_signature on Fraction matrices multiply and add
+    integer rows only."""
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
         op = getattr(F, name)
         monkeypatch.setattr(F, name, lambda x, y, op=op, name=name: calls.append(name) or op(x, y))
     A = mat([[F(1, 2), 3, 0, F(-2, 3)], [-1, 0, F(2, 7), 0], [5, 1, -2, F(1, 3)], [0, F(-2, 5), 1, 0]])
     B = mat([[F(2**64 + 1, 3), 1, 0, 0], [0, F(1, 2**64), 0, 1], [1, 0, 1, 0], [0, 0, 0, F(-5, 9)]])
-    A @ B, char_poly(A), char_poly(B)
+    S = mat([[F(1, 2), F(-2, 3), 0], [F(-2, 3), 5, F(1, 7)], [0, F(1, 7), F(-3, 4)]])
+    A @ B, char_poly(A), char_poly(B), symmetric_signature(S)
     assert calls == []
 
 
