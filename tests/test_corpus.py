@@ -543,6 +543,24 @@ def test_instantiate_drops_zero_rows():
     assert g.structure_constant(3, 6) == (0,) * 7
 
 
+def test_instantiate_matches_validating_constructor():
+    """instantiate gives the table and the term table (integral constants as
+    int) of LieAlgebra on the densely evaluated brackets, at every
+    sample_parameters(seed=1, k=3) assignment of appendices A and B."""
+    from test_liealg import _typed_terms
+
+    count = 0
+    for entry in list(packaged_corpus("appendix_a.lalg")) + list(packaged_corpus("appendix_b.lalg")):
+        for env in sample_parameters(entry, seed=1, k=3):
+            g = instantiate(entry, env)
+            dense = {(i - 1, j - 1): [poly.evaluate(env) for poly in coeffs] for i, j, coeffs in entry.brackets}
+            ref = LieAlgebra(entry.dim, dense)
+            assert g.table == ref.table and list(g.table) == list(ref.table), entry.id
+            assert _typed_terms(g._terms) == _typed_terms(ref._terms), entry.id
+            count += 1
+    assert count == 1641
+
+
 def test_instantiate_parameterless():
     (entry,) = parse_corpus(HEISENBERG_BLOCK)
     g = instantiate(entry, {})

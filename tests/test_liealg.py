@@ -707,6 +707,81 @@ def test_change_basis_permutation():
     assert g.check_jacobi() is None
 
 
+def _typed_terms(terms):
+    """A term table with each constant's type made visible: ints stay ints."""
+    return [[tuple((k, type(c).__name__, c) for k, c in ts) for ts in row] for row in terms]
+
+
+def _dense_inverse(rows):
+    """The inverse of an invertible square matrix, by Gauss-Jordan on Fraction rows."""
+    n = len(rows)
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c])
+        A[c], A[p] = A[p], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for r in range(n):
+            if r != c and A[r][c]:
+                A[r] = [x - A[r][c] * y for x, y in zip(A[r], A[c])]
+    return [row[n:] for row in A]
+
+
+def _reference_change_basis(g, P):
+    """The dense table and the typed term table of P^-1 [P e_i, P e_j], in Fractions."""
+    n = g.dim
+    rows = [list(P.row(i)) for i in range(n)]
+    inv_cols, cols = list(zip(*_dense_inverse(rows))), list(zip(*rows))
+
+    def combine(coeffs, vectors):
+        return [sum((c * v[k] for c, v in zip(coeffs, vectors) if c), Fraction(0)) for k in range(n)]
+
+    consts = [[g.structure_constant(a, b) for b in range(n)] for a in range(n)]
+    # left[i][b] = [P e_i, e_b]
+    left = [[combine(cols[i], [consts[a][b] for a in range(n)]) for b in range(n)] for i in range(n)]
+    terms = [[() for _ in range(n)] for _ in range(n)]
+    table = {}
+    for i, j in combinations(range(n), 2):
+        v = combine(combine(cols[j], left[i]), inv_cols)
+        terms[i][j] = tuple((r, c.numerator if c.denominator == 1 else c) for r, c in enumerate(v) if c)
+        terms[j][i] = tuple((r, -c) for r, c in terms[i][j])
+        if any(v):
+            table[(i, j)] = tuple(v)
+    return table, _typed_terms(terms)
+
+
+def _base_change_cases():
+    """The solv5, nilp616 and sl2 fixtures and 20 sampled corpus algebras with a
+    non-integral structure constant."""
+    yield from (SOLV5, NILP616, SL2)
+    found = 0
+    for entry in list(packaged_corpus("appendix_b.lalg"))[::7]:
+        for env in sample_parameters(entry, seed=1, k=3):
+            g = instantiate(entry, env)
+            if found < 20 and any(type(c) is Fraction for row in g._terms for ts in row for _, c in ts):
+                found += 1
+                yield g
+                break
+    assert found == 20
+
+
+def test_change_basis_matches_dense_reference():
+    """change_basis gives P^-1 [P e_i, P e_j] exactly, in its table (keys in pair
+    order) and in its term table (integral constants as int), for rational P
+    with denominators up to 3 and for unimodular P."""
+    from test_corpus import _unimodular
+
+    rng = random.Random(23)
+    count = 0
+    for g in _base_change_cases():
+        for P in [_random_invertible(rng, g.dim) for _ in range(4)] + [_unimodular(rng, g.dim)] * 2:
+            table, terms = _reference_change_basis(g, P)
+            moved = g.change_basis(P)
+            assert moved.table == table and list(moved.table) == list(table)
+            assert _typed_terms(moved._terms) == terms
+            count += 1
+    assert count == 138
+
+
 @pytest.mark.parametrize("tag", ["solv5", "nilp616", "sl2"])
 def test_invariants_under_random_base_change(tag):
     g = FIXTURES[tag]
