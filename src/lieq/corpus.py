@@ -151,6 +151,8 @@ class PolyExpr:
         return out
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
+        if len(self.terms) == 1 and self.terms[0][0] == _ONE:
+            return self.terms[0][1]  # a constant, read as it is
         total = Fraction(0)
         for mono, coef in self.terms:
             value = coef
@@ -770,6 +772,8 @@ def instantiate(entry: CorpusEntry, assignment: Mapping[str, Fraction]) -> LieAl
     """Build the exact Lie algebra for one admissible parameter assignment.
 
     Values are exact rationals (int, Fraction or str); a float is a TypeError.
+    Zero coefficients are skipped and constants read as they are; the entry's shape
+    is checked here, so the exact values skip the constructor's check (`_of_terms`).
     """
     env = {name: _as_rational(assignment[name]) for name in entry.param_names
            if name in assignment}
@@ -788,12 +792,14 @@ def instantiate(entry: CorpusEntry, assignment: Mapping[str, Fraction]) -> LieAl
                 f" of entry {entry.id}",
                 constraint,
             )
-    table: Dict[Tuple[int, int], List[Fraction]] = {}
-    for i, j, coeffs in entry.brackets:
-        vec = [poly.evaluate(env) for poly in coeffs]
-        if any(c != 0 for c in vec):
-            table[(i - 1, j - 1)] = vec
-    return LieAlgebra(entry.dim, table)
+    n, brackets = entry.dim, entry.brackets
+    if not 1 <= n <= MAX_DIM or any(not 1 <= i < j <= n or len(c) != n for i, j, c in brackets):
+        raise CorpusError(f"entry {entry.id} has a dimension or bracket out of range")
+    terms = {}
+    for i, j, coeffs in brackets:
+        ts = [(k, poly.evaluate(env)) for k, poly in enumerate(coeffs) if poly.terms]
+        terms[(i - 1, j - 1)] = [(k, c) for k, c in ts if c]
+    return LieAlgebra._of_terms(n, terms)
 
 
 # --------------------------------------------------------------------------

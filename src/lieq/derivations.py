@@ -83,10 +83,10 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
 
 
 def _derivation_dim(g: LieAlgebra) -> int:
-    """dim Der(g): n^2 minus the rank of the Leibniz system of g, with no kernel basis built."""
+    """dim Der(g): n^2 minus the rank of the Leibniz rows of g, added sparse rows first."""
     n = g.dim
     ech = Echelon(n * n)
-    for w in _leibniz_rows(g):
+    for w in sorted(_leibniz_rows(g), key=len):
         ech._add(w)
     return n * n - len(ech.pivots())
 

@@ -7,11 +7,14 @@ derived from that table with exact arithmetic.
 
 The table is also kept as a sparse structure tensor, built once: for every
 ordered pair (i, j) the nonzero terms (k, c_ij^k) of [e_i, e_j], signs
-already applied for j < i, with integral constants held as `int`.  Brackets
-run over the nonzero coordinates of their arguments only.  The Jacobi check,
-the centre (one sparse row {i: c_ij^k} per (j, k)) and the Killing form
-(sum of c_ik^l c_jl^k) contract the tensor directly, without forming any
-bracket or adjoint matrix.
+already applied for j < i, with integral constants held as `int`.  Both are
+built by `LieAlgebra._of_terms`.  Only the public constructor checks each
+entry (`_vec`): `change_basis` and `restrict` make exact terms from integer
+rows, one Fraction per constant, and `corpus.instantiate` from parsed
+polynomials.  Brackets run over the nonzero coordinates of their arguments
+only.  The Jacobi check, the centre (one sparse row {i: c_ij^k} per (j, k))
+and the Killing form (sum of c_ik^l c_jl^k) contract the tensor directly,
+without forming any bracket or adjoint matrix.
 
 The nilradical search forms no matrix when [g, g] has codimension 1: N is
 then [g, g] unless g is nilpotent.  Otherwise it grows words in ad(T), T the
@@ -33,12 +36,13 @@ Dimension is capped at `MAX_DIM` (7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, _kernel, solve_or_invert
+from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, _int_rows, _kernel
 
 
 def _vec(entries: Sequence, n: int) -> Tuple[Fraction, ...]:
@@ -158,7 +162,7 @@ class LieAlgebra:
 
     Table entries and the vectors passed to `bracket` and `ad_matrix` are
     exact rationals (int, Fraction or str); a float or a QuadExt is a
-    TypeError.
+    TypeError.  The package's own builders skip that check through `_of_terms`.
     """
 
     __slots__ = (
@@ -169,30 +173,31 @@ class LieAlgebra:
     def __init__(self, dim: int, table: Dict[Tuple[int, int], Sequence]):
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
-        self.dim = dim
-        clean: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
-        for (i, j), coeffs in table.items():
+        for i, j in table:
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket indices ({i + 1},{j + 1}) out of range for dim {dim}")
-            v = _vec(coeffs, dim)
-            if any(v):
-                clean[(i, j)] = v
-        self.table = clean
+        self._set_terms(dim, {ij: _nonzero(_vec(coeffs, dim)) for ij, coeffs in table.items()})
+
+    @classmethod
+    def _of_terms(cls, dim: int, terms: Dict[Tuple[int, int], list]) -> "LieAlgebra":
+        """The algebra of the terms {(i, j): [(k, c_ij^k), ...]}, unchecked: 1 <= dim <=
+        MAX_DIM, i < j < dim, k increasing below dim, each c a nonzero int or Fraction."""
+        return cls.__new__(cls)._set_terms(dim, terms)
+
+    def _set_terms(self, dim: int, terms: Dict[Tuple[int, int], list]) -> "LieAlgebra":
+        self.dim = dim
+        self.table = {ij: _dense(dict(ts), dim) for ij, ts in terms.items() if ts}
         # _terms[i][j]: the nonzero (k, c_ij^k) of [e_i, e_j], in both orders,
         # an integral constant held as int
-        terms: List[List[Tuple[Tuple[int, Fraction], ...]]] = [[()] * dim for _ in range(dim)]
-        for (i, j), v in clean.items():
-            terms[i][j] = tuple(
-                (k, c.numerator if c.denominator == 1 else c) for k, c in _nonzero(v)
-            )
-            terms[j][i] = tuple((k, -c) for k, c in terms[i][j])
-        self._terms = terms
-        # invariants, each computed on first use
-        self._profile: Optional[SeriesProfile] = None
-        self._derived: Optional[Subspace] = None
-        self._nilradical: Optional[Subspace] = None
-        self._ads: Optional[Tuple[MatrixQ, ...]] = None
+        full: List[List[Tuple[Tuple[int, object], ...]]] = [[()] * dim for _ in range(dim)]
+        for (i, j), ts in terms.items():
+            full[i][j] = tuple((k, c.numerator if c.denominator == 1 else c) for k, c in ts)
+            full[j][i] = tuple((k, -c) for k, c in full[i][j])
+        self._terms = full
+        # invariants (a series profile, [g, g], the nilradical, ad(e_i)), each computed on first use
+        self._profile = self._derived = self._nilradical = self._ads = None
         self._restrictions: Dict[Subspace, LieAlgebra] = {}
+        return self
 
     def structure_constant(self, i: int, j: int) -> Tuple[Fraction, ...]:
         """[e_i, e_j] as a coefficient vector, any order of indices in 0..n-1."""
@@ -211,13 +216,14 @@ class LieAlgebra:
         return _dense(self._bracket_terms(_nonzero(xv), _nonzero(yv)), self.dim)
 
     def _bracket_terms(
-        self, xs: Iterable[Tuple[int, Fraction]], ys: Collection[Tuple[int, Fraction]]
+        self, xs: Iterable[Tuple[int, Fraction]], ys: Collection[Tuple[int, Fraction]], table=None
     ) -> Dict[int, Fraction]:
-        """[x, y] as {k: nonzero value}, from the (index, value) pairs of the
-        nonzero coordinates of x and y; terms that cancel are dropped."""
+        """[x, y] as {k: nonzero value} on `_terms` or a table like it, from the (index,
+        value) pairs of the nonzero coordinates of x and y; terms that cancel are dropped."""
+        rows = self._terms if table is None else table
         out: Dict[int, Fraction] = {}
         for i, a in xs:
-            row = self._terms[i]
+            row = rows[i]
             for j, b in ys:
                 terms = row[j]
                 if terms:
@@ -363,7 +369,7 @@ class LieAlgebra:
         rows = s._rows()
         pivots = [min(w) for w in rows]
         xs = [w.items() for w in rows]
-        table: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
+        terms = {}
         for i, j in combinations(range(s.dim), 2):
             w = self._bracket_terms(xs[i], xs[j])
             if s._echelon._reduce(dict(w)):
@@ -373,9 +379,8 @@ class LieAlgebra:
                 )
             if w:
                 d = rows[i][pivots[i]] * rows[j][pivots[j]]
-                coords = {c: Fraction(w[p], d) for c, p in enumerate(pivots) if p in w}
-                table[(i, j)] = _dense(coords, s.dim)
-        inner = self._restrictions[s] = LieAlgebra(s.dim, table)
+                terms[(i, j)] = [(c, Fraction(w[p], d)) for c, p in enumerate(pivots) if p in w]
+        inner = self._restrictions[s] = LieAlgebra._of_terms(s.dim, terms)
         return inner
 
     def verify_nilradical(self, s: Subspace) -> bool:
@@ -456,22 +461,36 @@ class LieAlgebra:
     # ------------------------------------------------------------ base change
 
     def change_basis(self, P: MatrixQ) -> "LieAlgebra":
-        """Structure constants in the basis given by the columns of P."""
-        if P.shape() != (self.dim, self.dim):
-            raise ValueError(f"base change must be {self.dim}x{self.dim}")
-        Pinv = solve_or_invert(P)
-        if Pinv is None:
-            raise ValueError("base change matrix is singular")
+        """Structure constants in the basis given by the columns of P, from integers.
+
+        With P = N/d and c = T/delta for integer N and T, the fraction-free rows [N_r | e_r]
+        reduce to piv_r e_r | X_r, so N^-1 has rows X_r / piv_r.  Columns i and j of N
+        bracket on T to W = d^2 delta [P e_i, P e_j], and new constant r is the one Fraction
+        X_r.W / (piv_r d delta).  A QuadExt in P is a TypeError, even if the result is rational.
+        """
         n = self.dim
-        cols = [_nonzero(P.col(i)) for i in range(n)]
-        inv_rows = [Pinv.row(r) for r in range(n)]
-        table: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
+        if P.shape() != (n, n):
+            raise ValueError(f"base change must be {n}x{n}")
+        N, d = _int_rows([P.row(r) for r in range(n)]) or (None, 1)
+        if N is None:
+            raise TypeError("base change matrix must be rational, not QuadExt")
+        ech = Echelon(2 * n, [N[r] + [int(r == k) for k in range(n)] for r in range(n)])
+        if ech.pivots() != tuple(range(n)):
+            raise ValueError("base change matrix is singular")
+        delta = math.lcm(*[c.denominator for row in self._terms for ts in row for _, c in ts])
+        inverse = [(r, row[r] * d * delta, [(k - n, x) for k, x in row.items() if k >= n])
+                   for r, row in sorted(ech._rows.items())]
+        T = self._terms if delta == 1 else [
+            [tuple((k, c.numerator * (delta // c.denominator)) for k, c in ts) for ts in row]
+            for row in self._terms
+        ]
+        cols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*N)]
+        terms = {}
         for i, j in combinations(range(n), 2):
-            w = self._bracket_terms(cols[i], cols[j]).items()
-            table[(i, j)] = tuple(
-                sum([row[k] * x for k, x in w if row[k]], Fraction(0)) for row in inv_rows
-            )
-        return LieAlgebra(n, table)
+            w = self._bracket_terms(cols[i], cols[j], T)
+            ys = [(r, den, sum([x * w[k] for k, x in X if k in w])) for r, den, X in inverse]
+            terms[(i, j)] = [(r, Fraction(y, den)) for r, den, y in ys if y]
+        return LieAlgebra._of_terms(n, terms)
 
     def killing_matrix(self) -> MatrixQ:
         """K[i][j] = tr(ad e_i ad e_j), the sum of c_ik^l c_jl^k over the term table."""

@@ -567,6 +567,20 @@ def test_instantiate_parameterless():
     assert g == LieAlgebra(3, {(1, 2): [1, 0, 0]})
 
 
+def test_instantiate_rejects_malformed_entry():
+    # a CorpusEntry built in code is not range-checked by the parser
+    (entry,) = parse_corpus(HEISENBERG_BLOCK)
+    coeffs = entry.brackets[0].coeffs
+    for bad in (
+        dataclasses.replace(entry, dim=MAX_DIM + 1),
+        dataclasses.replace(entry, brackets=(_bracket(3, 2, coeffs),)),
+        dataclasses.replace(entry, brackets=(_bracket(2, 4, coeffs),)),
+        dataclasses.replace(entry, brackets=(_bracket(2, 3, coeffs[:2]),)),
+    ):
+        with pytest.raises(CorpusError, match="dimension or bracket out of range"):
+            instantiate(bad, {})
+
+
 def test_instantiate_rejects_constraint_violation():
     (entry,) = parse_corpus(EXAMPLE_BLOCK)
     with pytest.raises(ConstraintViolation, match=re.escape("b^2+a^2 != 0")):

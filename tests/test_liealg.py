@@ -782,6 +782,38 @@ def test_change_basis_matches_dense_reference():
     assert count == 138
 
 
+def test_change_basis_refuses_quadext():
+    """A base change must be rational, refused up front even where the new
+    table would be rational: Heisenberg under diag(sqrt 2, sqrt 2, 2) has
+    [f2, f3] = f1, and an abelian table is the same under any P."""
+    root2 = QuadExt(0, 1, 2)
+    for P in (MatrixQ.diagonal([root2, root2, 2]), MatrixQ.diagonal([QuadExt(1), 1, 1])):
+        for g in (HEISENBERG3, LieAlgebra(3, {})):
+            with pytest.raises(TypeError, match="base change matrix must be rational, not QuadExt"):
+                g.change_basis(P)
+
+
+def test_integral_tables_built_without_fraction_arithmetic(monkeypatch):
+    """instantiate of a parameter-free corpus entry and change_basis by an
+    integer P on an integral table make the term table from ints only."""
+    (entry,) = [
+        e for e in packaged_corpus("appendix_b.lalg") if e.dim == 7 and not e.params
+    ][:1]
+    g = instantiate(entry, {})
+    P = _unit_bidiagonal(7)
+    assert all(type(c) is int for row in g._terms for ts in row for _, c in ts)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(
+            Fraction, name, lambda x, y, op=op, name=name: calls.append(name) or op(x, y)
+        )
+    moved = instantiate(entry, {}).change_basis(P)
+    monkeypatch.undo()
+    assert calls == []
+    assert moved == g.change_basis(P) and moved.table
+
+
 @pytest.mark.parametrize("tag", ["solv5", "nilp616", "sl2"])
 def test_invariants_under_random_base_change(tag):
     g = FIXTURES[tag]
