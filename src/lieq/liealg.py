@@ -162,7 +162,7 @@ class LieAlgebra:
 
     Table entries and the vectors passed to `bracket` and `ad_matrix` are
     exact rationals (int, Fraction or str); a float or a QuadExt is a
-    TypeError.  The package's own builders skip that check through `_of_terms`.
+    TypeError.  `change_basis`, `restrict` and `instantiate` skip that check (`_of_terms`).
     """
 
     __slots__ = (
