@@ -333,6 +333,56 @@ def test_rjcf_shape_digest_frozen():
     assert digest.hexdigest() == "df5e1276ac02726d190cbeae05fd1509bcc76960f749409c640eca11159dd2c0"
 
 
+# quadratic classes x^2 - 2px + (p^2 + m^2) of the mixed-class generator; few,
+# so that a class repeats
+MIXED_ROTATIONS = ((0, 1), (1, 1), (-1, 2))
+
+
+def _mixed_jordan(rng, dim):
+    """A block-diagonal real Jordan matrix mixing rational blocks (eigenvalues in
+    {-1, 0, 1}, sizes 1..3) with realified quadratic blocks of sizes 1 and 2."""
+    rows = [[F(0)] * dim for _ in range(dim)]
+    i = 0
+    while i < dim:
+        if dim - i >= 2 and rng.random() < 0.45:
+            size = 2 if dim - i >= 4 and rng.random() < 0.4 else 1
+            p, m = rng.choice(MIXED_ROTATIONS)
+            for k in range(size):
+                r = i + 2 * k
+                rows[r][r] = rows[r + 1][r + 1] = F(p)
+                rows[r][r + 1], rows[r + 1][r] = F(m), F(-m)
+                if k + 1 < size:
+                    rows[r][r + 2] = rows[r + 1][r + 3] = F(1)
+            i += 2 * size
+            continue
+        size = rng.randint(1, min(3, dim - i))
+        lam = F(rng.choice((-1, 0, 0, 1)))
+        for k in range(size):
+            rows[i + k][i + k] = lam
+            if k + 1 < size:
+                rows[i + k][i + k + 1] = F(1)
+        i += size
+    return MatrixQ(rows)
+
+
+def test_rjcf_mixed_class_digest_frozen():
+    # shape and witness P of 300 conjugated Jordan matrices of sizes 2..7 that
+    # mix rational and quadratic classes, hashed: P is None whenever a class is
+    # quadratic, and the digest pins both that path and the rational chains
+    rng = random.Random(14)
+    digest = hashlib.sha256()
+    quadratic = size_two = 0
+    for count in range(300):
+        dim = count % 6 + 2
+        W = _unimodular(rng, dim, 4)
+        shape, P = rjcf_shape(solve_or_invert(W) @ _mixed_jordan(rng, dim) @ W)
+        digest.update(f"{shape!r}|{P!r}\n".encode())
+        quadratic += P is None
+        size_two += any(isinstance(cls, PolyQ) and s == 2 for cls, s in shape.blocks)
+    assert (quadratic, size_two) == (196, 59)
+    assert digest.hexdigest() == "d1886264bf92d820666780169dcd10b6547c4f05d314dee517b65982ebf7c85a"
+
+
 # ---------------------------------------------------------------------------
 # the ten-form classifier
 # ---------------------------------------------------------------------------
@@ -805,6 +855,84 @@ def test_witness_digest_frozen():
             count += 1
     assert count == 70
     assert digest.hexdigest() == "5095d6eb771d575b8e5b0477a8886a71d4f7485466bf93f5783603e3868c634b"
+
+
+def _spectrum_sp4_member(rng, kind):
+    """A seeded sp(4,R) member whose spectrum depends on the kind: a random
+    member (mostly an irreducible quartic), A (+) -A^T (real pairs such as
+    3/2 +- sqrt(17)/2, complex pairs), [[0, B], [C, 0]] with diagonal B and C
+    (pure radicals and imaginary pairs), or [[A, B], [0, -A^T]] (rational
+    eigenvalues with nilpotent parts)."""
+    def ints(n, bound):
+        return [F(rng.randint(-bound, bound)) for _ in range(n)]
+
+    if kind == 0:
+        return _sp4_member(ints(10, 2))
+    a11, a12, a21, a22 = ints(4, 3)
+    zero = [F(0)] * 3
+    if kind == 1:
+        return _sp4_member([a11, a12, a21, a22] + zero + zero)
+    if kind == 2:
+        b1, b3, c1, c3 = ints(4, 3)
+        return _sp4_member([F(0)] * 4 + [b1, F(0), b3, c1, F(0), c3])
+    return _sp4_member([a11, F(0), a21, a22] + ints(3, 2) + zero)
+
+
+def _spectrum_hJ2_member(rng, kind):
+    """A seeded h(J2) member: the realified trace-free complex 2x2 matrix with
+    Gaussian-integer entries (mostly an irreducible quartic), with eigenvalues
+    +-w for a Gaussian integer w, or [[0, 1], [c, 0]] for an integer c (pure
+    radicals, and the nilpotent form at c = 0)."""
+    def gauss(bound):
+        return (rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+    zero = (0, 0)
+    if kind == 0:
+        z1, z2, z3 = gauss(2), gauss(2), gauss(2)
+        return _realify_complex_pairs([[z1, z2], [z3, (-z1[0], -z1[1])]])
+    if kind == 1:
+        w = gauss(3)
+        return _realify_complex_pairs([[w, zero], [zero, (-w[0], -w[1])]])
+    return _realify_complex_pairs([[zero, (1, 0)], [(rng.randint(-6, 6), 0), zero]])
+
+
+# fixed members the seeded draw might miss: a real pair 3/2 +- sqrt(17)/2, the
+# irreducible x^4 - x^2 + 1, a complex pair 1 +- 2i, pure radicals sqrt(2), sqrt(3)
+SPECTRUM_FIXED_SP4 = [
+    _sp4_member([F(x) for x in (3, 2, 1, 0, 0, 0, 0, 0, 0, 0)]),
+    MatrixQ([[0, 0, 1, 0], [0, 0, 0, -1], [0, 1, 0, 0], [1, -1, 0, 0]]),
+    _sp4_member([F(x) for x in (1, 2, -2, 1, 0, 0, 0, 0, 0, 0)]),
+    MatrixQ([[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 3, 0, 0]]),
+]
+
+
+def test_spectrum_classifier_digest_frozen():
+    # label text (or the exception's type), repr(W), both residuals,
+    # precision_bits and eigen_pairing_check of 200 sp(4) and 100 h(J2)
+    # members, each conjugated by 3 shears, hashed.  A rework of how the
+    # spectrum is read off the characteristic polynomial must keep every byte.
+    rng = random.Random(41)
+    cases = [(m, True) for m in SPECTRUM_FIXED_SP4]
+    cases += [(_spectrum_sp4_member(rng, count % 4), True) for count in range(196)]
+    cases += [(_spectrum_hJ2_member(rng, count % 3), False) for count in range(100)]
+    digest = hashlib.sha256()
+    outcomes = set()
+    for m, sp4 in cases:
+        assert lie_membership(m, "sp4" if sp4 else "hJ2")
+        W = random_symplectic(rng) if sp4 else random_structure_group_element(rng)
+        a = solve_or_invert(W) @ m @ W
+        try:
+            lbl, wit = sp4_canonical_form(a) if sp4 else hJ2_canonical_form(a)
+            text = (f"{lbl}|{wit.W!r}|{wit.residual_similarity!r}|"
+                    f"{wit.residual_group!r}|{wit.precision_bits}")
+            outcomes.add(lbl.family)
+        except (UnsupportedFactorError, ArithmeticError) as err:
+            text = type(err).__name__
+            outcomes.add(text)
+        digest.update(f"{text}|{eigen_pairing_check(a)}\n".encode())
+    assert outcomes == {f"ThmE-{k}" for k in range(1, 10)} | {
+        "ThmEE-1", "ThmEE-2", "ThmEE-3", "UnsupportedFactorError"}
+    assert digest.hexdigest() == "fe9c714ecc3578a22057580af916d1b30d9befeddc741c5482209ffe03092605"
 
 
 # ---------------------------------------------------------------------------
