@@ -13,6 +13,15 @@ Labels carry exact parameters (Fraction or quadratic-extension values), so
 label equality decides conjugacy.  Witnesses are exact or certified rational
 basis matrices W: both residuals are computed exactly and held to
 RESIDUAL_TOLERANCE.
+
+A member of either 4x4 family has its eigenvalues in +- pairs, so its
+characteristic polynomial is the even quartic x^4 + B x^2 + C (for h(J2),
+B = -2p and C = p^2 + q^2 with p + iq the square of its complex eigenvalue)
+and the eigenvalues are +-sqrt(y) for the roots y of y^2 + B y + C.  Both
+classifiers read their spectrum off that quadratic with exact square roots
+(`_even_quartic`), and `eigen_pairing_check` tests that the odd coefficients
+vanish.  Only `rjcf_shape` factors a characteristic polynomial; it reads each
+class's block sizes, and its Jordan chains, off one tower of kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import (
     MAX_DIM,
@@ -168,12 +177,18 @@ class Witness:
     precision_bits: int
 
 
+def _square_root(x: Fraction) -> Optional[Fraction]:
+    """sqrt(x) when x is the square of a rational, else None."""
+    if x < 0:
+        return None
+    n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(n, d) if n * n == x.numerator and d * d == x.denominator else None
+
+
 def _root(x: Fraction, bits: int) -> Fraction:
     """sqrt(x) for a rational x >= 0: exact when rational, else isqrt(x 4^bits) / 2^bits."""
-    n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if n * n == x.numerator and d * d == x.denominator:
-        return Fraction(n, d)
-    return Fraction(math.isqrt(x.numerator * 4 ** bits // x.denominator), 2 ** bits)
+    r = _square_root(x)
+    return r if r is not None else Fraction(math.isqrt(x.numerator * 4 ** bits // x.denominator), 2 ** bits)
 
 
 def _rational(x: Scalar, bits: int) -> Fraction:
@@ -312,37 +327,27 @@ def _block_sort_key(block):
     return (0, cls, -size)
 
 
-def _block_sizes(N: MatrixQ, multiplicity: int, step: int) -> List[int]:
-    """Block sizes for one eigenvalue class from kernel dimensions of N^k."""
-    n = N.nrows
-    dims = [0]
-    power = MatrixQ.identity(n)
-    while dims[-1] < step * multiplicity:
-        power = power @ N
-        dims.append(n - power.rank())
-    deltas = [(dims[k] - dims[k - 1]) // step for k in range(1, len(dims))]
+def _block_sizes(kernels: Sequence[List[Vec]], step: int) -> List[int]:
+    """Block sizes, longest first, of one eigenvalue class from its kernel tower: a
+    class of degree ``step`` has (dim ker N^k - dim ker N^(k-1)) / step blocks of size >= k."""
+    at_least = [(len(kernels[k]) - len(kernels[k - 1])) // step for k in range(1, len(kernels))] + [0]
     sizes: List[int] = []
-    for k in range(1, len(deltas) + 1):
-        nxt = deltas[k] if k < len(deltas) else 0
-        sizes.extend([k] * (deltas[k - 1] - nxt))
-    return sorted(sizes, reverse=True)
+    for k in range(len(at_least) - 1, 0, -1):
+        sizes.extend([k] * (at_least[k - 1] - at_least[k]))
+    return sizes
 
 
-def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[Vec]]:
-    """Exact Jordan chains for a nilpotent-on-its-kernel-tower map N = M - lam*I.
+def _jordan_chains(N: MatrixQ, powers: Sequence[MatrixQ], kernels: Sequence[List[Vec]],
+                   sizes: Sequence[int]) -> List[List[Vec]]:
+    """Exact Jordan chains of N = M - lam*I from its kernel tower.
 
     ``sizes`` lists the wanted chain lengths in descending order; the chains
     are picked longest first, so they come back in that order, each as
     columns [N^(s-1) t, ..., N t, t].
     """
-    top_size = sizes[0]
-    powers = [MatrixQ.identity(N.nrows)]
-    for _ in range(top_size):
-        powers.append(powers[-1] @ N)
-    kernels = [nullspace(powers[h]) for h in range(top_size + 1)]
     chains: List[List[Vec]] = []
     carried: List[Vec] = []
-    for h in range(top_size, 0, -1):
+    for h in range(len(kernels) - 1, 0, -1):
         wanted = sizes.count(h)
         span = Echelon(N.nrows, kernels[h - 1] + carried)
         fresh: List[Vec] = []
@@ -358,19 +363,6 @@ def _jordan_chains(N: MatrixQ, sizes: Sequence[int]) -> List[List[Vec]]:
     return chains
 
 
-def _rjcf_witness(M: MatrixQ, shape: RjcfShape) -> MatrixQ:
-    """Chains of each eigenvalue in turn; the shape lists each eigenvalue's
-    blocks together, longest first, which is the order the chains come in."""
-    by_class: Dict[Fraction, List[int]] = {}
-    for cls, size in shape.blocks:
-        by_class.setdefault(cls, []).append(size)
-    cols: List[Vec] = []
-    for lam, sizes in by_class.items():
-        for chain in _jordan_chains(M - MatrixQ.identity(M.nrows) * lam, sizes):
-            cols.extend(chain)
-    return MatrixQ(list(zip(*cols)))
-
-
 def rjcf_shape(M: MatrixQ) -> Tuple[RjcfShape, Optional[MatrixQ]]:
     """Real Jordan block structure of a rational matrix, with exact witness.
 
@@ -378,32 +370,35 @@ def rjcf_shape(M: MatrixQ) -> Tuple[RjcfShape, Optional[MatrixQ]]:
     block-diagonal Jordan matrix J in the shape's block order; P is None as
     soon as any eigenvalue class is a quadratic (the shape itself is still
     exact, via kernel dimensions of powers of the quadratic evaluated at M).
+    Each class builds one kernel tower, which gives its block sizes and,
+    when every class is rational, its Jordan chains.
     """
     if not M.is_square:
         raise ValueError("real Jordan shape of a non-square matrix")
-    p = char_poly(M)
-    terms = factor_over_rationals(p)
-    blocks: List[Tuple[Union[Fraction, PolyQ], int]] = []
-    all_rational = True
-    for term in terms:
+    towers = []
+    for term in factor_over_rationals(char_poly(M)):
         q = term.poly
-        if q.degree == 1:
-            lam = -q.coeff(0)
-            sizes = _block_sizes(M - MatrixQ.identity(M.nrows) * lam, term.multiplicity, step=1)
-            blocks.extend((lam, s) for s in sizes)
-        elif q.degree == 2:
-            all_rational = False
-            sizes = _block_sizes(q.eval_matrix(M), term.multiplicity, step=2)
-            blocks.extend((q, s) for s in sizes)
-        else:
+        if q.degree > 2:
             raise UnsupportedFactorError(
                 f"characteristic factor {q!r} has degree {q.degree}; only degree <= 2 is supported"
             )
+        cls = -q.coeff(0) if q.degree == 1 else q
+        N = M - MatrixQ.identity(M.nrows) * cls if q.degree == 1 else q.eval_matrix(M)
+        # the powers of N and their kernels, up to the first kernel of dimension deg * multiplicity
+        powers, kernels = [MatrixQ.identity(M.nrows)], [[]]
+        while len(kernels[-1]) < q.degree * term.multiplicity:
+            powers.append(powers[-1] @ N)
+            kernels.append(nullspace(powers[-1]))
+        towers.append((cls, N, powers, kernels, _block_sizes(kernels, q.degree)))
+    blocks = [(cls, size) for cls, *_, sizes in towers for size in sizes]
     shape = RjcfShape(tuple(sorted(blocks, key=_block_sort_key)))
-    witness = None
-    if all_rational:
-        witness = _rjcf_witness(M, shape)
-    return shape, witness
+    if any(isinstance(cls, PolyQ) for cls, *_ in towers):
+        return shape, None
+    # the shape lists each eigenvalue's blocks together, longest first, in
+    # ascending eigenvalue order: the order the chains come in
+    cols = [v for cls, *tower in sorted(towers, key=lambda t: t[0])
+            for chain in _jordan_chains(*tower) for v in chain]
+    return shape, MatrixQ(list(zip(*cols)))
 
 
 def _partitions(n: int) -> List[Tuple[int, ...]]:
@@ -441,78 +436,27 @@ def rjcf_catalog(dim: int) -> frozenset:
 # spectrum bookkeeping for the 4x4 classifiers
 # --------------------------------------------------------------------------
 
-class _Spectrum:
-    """Decomposition of an even quartic's roots, exactly over Q or Q(sqrt d)."""
+def _even_quartic(B: Fraction, C: Fraction):
+    """The spectrum of x^4 + B x^2 + C, whose roots are +-sqrt(y) for the roots y of y^2 + B y + C.
 
-    __slots__ = ("real_roots", "imag", "complex_pair")
-
-    def __init__(self, real_roots, imag, complex_pair):
-        self.real_roots = real_roots      # multiset of exact real eigenvalues
-        self.imag = imag                  # [(m, multiplicity)] for factors x^2 + m, m > 0
-        self.complex_pair = complex_pair  # (lam, s) for (x^2-2*lam*x+s)(x^2+2*lam*x+s), or None
-
-
-def _sp4_spectrum(p: PolyQ) -> _Spectrum:
-    terms = factor_over_rationals(p)
-    for term in terms:
-        if term.poly.degree > 2:
-            raise UnsupportedFactorError(
-                f"characteristic factor {term.poly!r} has degree {term.poly.degree}; "
-                "only degree <= 2 is supported"
-            )
-    real_roots: List[Scalar] = []
-    imag: List[Tuple[Fraction, int]] = []
-    negative_disc: List[Tuple[Fraction, Fraction]] = []
-    for term in terms:
-        q = term.poly
-        if q.degree == 1:
-            real_roots.extend([_normalize_scalar(-q.coeff(0))] * term.multiplicity)
-            continue
-        b, c = q.coeff(1), q.coeff(0)
-        if b == 0:
-            if c < 0:
-                r = sqrt_exact(-c)
-                real_roots.extend([_normalize_scalar(r)] * term.multiplicity)
-                real_roots.extend([_normalize_scalar(-r)] * term.multiplicity)
-            else:
-                imag.append((c, term.multiplicity))
-            continue
-        disc = b * b - 4 * c
-        if disc > 0:
-            r1 = QuadExt(Fraction(-b, 2), Fraction(1, 2), disc)
-            r2 = QuadExt(Fraction(-b, 2), Fraction(-1, 2), disc)
-            real_roots.extend([_normalize_scalar(r1)] * term.multiplicity)
-            real_roots.extend([_normalize_scalar(r2)] * term.multiplicity)
-        else:
-            negative_disc.append((b, c))
-    complex_pair = None
-    if negative_disc:
-        if len(negative_disc) != 2 or sorted(negative_disc) != sorted([(-b, c) for b, c in negative_disc]):
-            raise UnsupportedFactorError(
-                "complex quadratic factors do not pair up under x -> -x; "
-                "the matrix is outside the symplectic spectrum catalog"
-            )
-        b, c = min(negative_disc)  # the factor with negative linear coefficient
-        complex_pair = (Fraction(-b, 2), c)
-    return _Spectrum(real_roots, imag, complex_pair)
-
-
-def _paired_nonnegative(roots: Sequence[Scalar]) -> Tuple[Scalar, Scalar]:
-    """Pair a negation-symmetric 4-multiset into (lam, mu) with lam >= mu >= 0."""
-    pool = list(roots)
-    halves = []
-    for _ in range(2):
-        top = pool[0]
-        for r in pool[1:]:
-            if r > top:
-                top = r
-        pool.remove(top)
-        pool.remove(_normalize_scalar(-top))
-        halves.append(top)
-    lam, mu = halves
-    if mu > lam:
-        lam, mu = mu, lam
-    return lam, mu
+    Returns ((y1, y2), None) with y1 >= y2 when those are rational.  Otherwise
+    the quartic splits over Q only as (x^2 - 2 lam x + s)(x^2 + 2 lam x + s),
+    with s^2 = C and lam^2 = (2s - B)/4 both rational squares (by unique
+    factorisation for one sign of s at most), and this returns (None, (lam, s))
+    with lam > 0; an irreducible quartic raises UnsupportedFactorError.
+    """
+    r = _square_root(B * B - 4 * C)
+    if r is not None:
+        return ((r - B) / 2, (-r - B) / 2), None
+    root_c = _square_root(C)
+    for s in () if root_c is None else (root_c, -root_c):
+        lam = _square_root((2 * s - B) / 4)
+        if lam is not None:
+            return None, (lam, s)
+    raise UnsupportedFactorError(
+        f"eigenvalue quartic {PolyQ([C, 0, B, 0, 1])!r} is irreducible over the rationals; "
+        "only quadratic factors are supported"
+    )
 
 
 def _restricted_signature(S: MatrixQ, basis_cols: Sequence[Vec]) -> Tuple[int, int, int]:
@@ -728,8 +672,8 @@ def _witness_e10(a: MatrixQ, m: Fraction, b: MatrixQ, c: MatrixQ, Jc: MatrixQ,
 # sp(4) classifier
 # --------------------------------------------------------------------------
 
-def _classify_all_real(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, roots: Sequence[Scalar]):
-    lam, mu = _paired_nonnegative(roots)
+def _classify_all_real(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, lam: Scalar, mu: Scalar):
+    """Eigenvalues +-lam, +-mu with lam >= mu >= 0."""
     if mu != 0 and lam != mu:
         return _label("ThmE-1", ("lambda", lam), ("mu", mu)), lambda bits: _witness_e1(a, lam, mu, bits)
     if mu != 0:
@@ -765,8 +709,8 @@ def _classify_all_real(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, roots: Sequence[Sca
     return _label("ThmE-5", ("epsilon", eps)), lambda bits: _witness_e5(a, a2, eps, bits)
 
 
-def _classify_mixed(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, roots: Sequence[Scalar], m: Fraction):
-    lam = roots[0] if roots[0] >= 0 else roots[1]
+def _classify_mixed(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, lam: Scalar, m: Fraction):
+    """Eigenvalues +-lam with lam >= 0 and the roots of x^2 + m, m > 0."""
     mu = sqrt_exact(m)
     b = a2 + _I4 * m
     plane = nullspace(b)
@@ -781,20 +725,18 @@ def _classify_mixed(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, roots: Sequence[Scalar
                                 _plane_pair(a, m, plane[0], bits), bits))
 
 
-def _classify_imaginary(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, imag: Sequence[Tuple[Fraction, int]]):
-    if len(imag) == 2:
-        (m1, _), (m2, _) = sorted(imag, reverse=True)
-        plane1, plane2 = nullspace(a2 + _I4 * m1), nullspace(a2 + _I4 * m2)
+def _classify_imaginary(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, m: Fraction, m2: Fraction):
+    """Eigenvalues the roots of x^2 + m and x^2 + m2, m >= m2 > 0."""
+    mu = sqrt_exact(m)
+    if m != m2:
+        plane1, plane2 = nullspace(a2 + _I4 * m), nullspace(a2 + _I4 * m2)
         s1 = -_definite_sign(Ja, plane1)
         s2 = -_definite_sign(Ja, plane2)
-        mu = sqrt_exact(m1)
         f2 = sqrt_exact(m2)
         eta = f2 if s1 == s2 else -f2
         return (_label("ThmE-9", ("mu", mu), ("epsilon", s1), ("eta", eta)),
-                lambda bits: _frame(_plane_pair(a, m1, plane1[0], bits),
+                lambda bits: _frame(_plane_pair(a, m, plane1[0], bits),
                                     _plane_pair(a, m2, plane2[0], bits), bits))
-    (m, _), = imag
-    mu = sqrt_exact(m)
     b = a2 + _I4 * m
     if b.is_zero():
         pos, neg, _ = symmetric_signature(Ja)
@@ -814,19 +756,24 @@ def _classify_imaginary(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, imag: Sequence[Tup
 
 def _sp4_classify(a: MatrixQ, Ja: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]:
     """Label and witness builder of a member a of sp(4,R), given Ja = J_SP4 @ a."""
-    spectrum = _sp4_spectrum(char_poly(a))
+    p = char_poly(a)
+    ys, pair = _even_quartic(p.coeff(2), p.coeff(0))
     a2 = a @ a
-    if spectrum.complex_pair is not None:
-        lam, s = spectrum.complex_pair
-        mu = sqrt_exact(s - lam * lam)
-        return (_label("ThmE-8", ("lambda", lam), ("mu", mu)),
-                lambda bits: _witness_e8(a, a2, lam, s, bits))
-    if len(spectrum.real_roots) == 4:
-        return _classify_all_real(a, a2, Ja, spectrum.real_roots)
-    if len(spectrum.real_roots) == 2:
-        (m, _), = spectrum.imag
-        return _classify_mixed(a, a2, Ja, spectrum.real_roots, m)
-    return _classify_imaginary(a, a2, Ja, spectrum.imag)
+    if pair is not None:
+        lam, s = pair
+        if lam * lam < s:
+            mu = sqrt_exact(s - lam * lam)
+            return (_label("ThmE-8", ("lambda", lam), ("mu", mu)),
+                    lambda bits: _witness_e8(a, a2, lam, s, bits))
+        # real roots lam +- t and -lam +- t
+        t = sqrt_exact(lam * lam - s)
+        return _classify_all_real(a, a2, Ja, lam + t, abs(lam - t))
+    y1, y2 = ys
+    if y2 >= 0:
+        return _classify_all_real(a, a2, Ja, sqrt_exact(y1), sqrt_exact(y2))
+    if y1 >= 0:
+        return _classify_mixed(a, a2, Ja, sqrt_exact(y1), -y2)
+    return _classify_imaginary(a, a2, Ja, -y2, -y1)
 
 
 def _sp4_product(a: MatrixQ) -> MatrixQ:
@@ -915,17 +862,9 @@ def _hJ2_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]
         mu = sqrt_exact(-p)
         return (_label("ThmEE-3", ("lambda", 0), ("mu", mu), ("epsilon", 1)),
                 lambda bits: _witness_ee_eigen(a, (0, mu), bits))
-    quartic = PolyQ([p * p + q * q, 0, -2 * p, 0, 1])
-    terms = factor_over_rationals(quartic)
-    pair = [t.poly for t in terms if t.poly.degree == 2]
-    if len(pair) != 2:
-        raise UnsupportedFactorError(
-            f"eigenvalue quartic {quartic!r} does not split into quadratics over the rationals"
-        )
-    b, s = min((t.coeff(1), t.coeff(0)) for t in pair)
-    lam = Fraction(-b, 2)
-    if p != 2 * lam * lam - s:
-        raise ArithmeticError("eigenvalue quartic factorization is inconsistent")
+    # w^2 = p + iq with q != 0 is not real, so the eigenvalue quartic has no
+    # rational y and splits, if at all, into the pair (lam, s)
+    _, (lam, s) = _even_quartic(-2 * p, p * p + q * q)
     mu = sqrt_exact(s - lam * lam)
     eps = 1 if q > 0 else -1
     return (_label("ThmEE-3", ("lambda", lam), ("mu", mu), ("epsilon", eps)),
@@ -952,19 +891,14 @@ def hJ2_similar(a: MatrixQ, b: MatrixQ) -> bool:
 # spectrum symmetry
 # --------------------------------------------------------------------------
 
-def _mirror_poly(p: PolyQ) -> PolyQ:
-    return PolyQ([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)]).monic()
-
-
 def eigen_pairing_check(a: MatrixQ) -> bool:
-    """Whether the characteristic factor multiset is symmetric under x -> -x.
+    """Whether the spectrum is symmetric under x -> -x: the odd coefficients of
+    char_poly(a) vanish, which by unique factorisation is the symmetry of the
+    characteristic factor multiset under x -> -x.
 
     Requires membership in one of the two supported families, for which the
     symmetry is a theorem; the check itself recomputes it from scratch.
     """
     if not (lie_membership(a, "sp4") or lie_membership(a, "hJ2")):
         raise MembershipError("eigenvalue pairing is only checked for sp(4,R) or h(J2) members")
-    terms = factor_over_rationals(char_poly(a))
-    multiset = {t.poly: t.multiplicity for t in terms}
-    mirrored = {_mirror_poly(poly): mult for poly, mult in multiset.items()}
-    return multiset == mirrored
+    return not any(char_poly(a).coeffs[1::2])

@@ -55,21 +55,31 @@ def _as_rational(x) -> Fraction:
 
 
 def _square_free(n: int) -> Tuple[int, int]:
-    """Write n = s**2 * d with d square-free (d carries the sign of n)."""
+    """Write n = s**2 * d with d square-free (d carries the sign of n).
+
+    Trial division stops as soon as the cofactor left is a perfect square,
+    tested at entry and after each prime divides out, so a square radicand
+    costs one isqrt; a large non-square prime part still costs its search.
+    """
     if n == 0:
         return 1, 0
     sign = -1 if n < 0 else 1
     n = abs(n)
     s, d, p = 1, 1, 2
-    while p * p <= n:
+    r = math.isqrt(n)
+    while r * r != n and p * p <= n:
         e = 0
         while n % p == 0:
             n //= p
             e += 1
-        s *= p ** (e // 2)
-        if e % 2:
-            d *= p
+        if e:
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
+            r = math.isqrt(n)
         p += 1 if p == 2 else 2
+    if r * r == n:
+        return s * r, sign * d
     return s, sign * d * n
 
 

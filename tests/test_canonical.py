@@ -9,6 +9,7 @@ systems symbolically.
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -420,6 +421,14 @@ def test_irreducible_quartic_unsupported():
     assert char_poly(a) == PolyQ([1, 0, -1, 0, 1])
     with pytest.raises(UnsupportedFactorError):
         sp4_canonical_form(a)
+    # h(J2): complex eigenvalues +-w with w^2 = i (p = 0, q = 1), so the
+    # eigenvalue quartic is x^4 + 1
+    b = _realify_complex_pairs([[(0, 0), (1, 0)], [(0, 1), (0, 0)]])
+    assert lie_membership(b, "hJ2")
+    assert char_poly(b) == PolyQ([1, 0, 0, 0, 1])
+    with pytest.raises(UnsupportedFactorError):
+        hJ2_canonical_form(b)
+    assert eigen_pairing_check(b)
 
 
 SP4_SAMPLE_LABELS = [
@@ -756,6 +765,27 @@ def test_hJ2_requires_membership():
     assert not lie_membership(a, "hJ2")
     with pytest.raises(MembershipError):
         hJ2_canonical_form(a)
+    for pair in ((a, MatrixQ.zeros(4, 4)), (MatrixQ.zeros(4, 4), a)):
+        with pytest.raises(MembershipError):
+            hJ2_similar(*pair)
+
+
+def test_large_rational_eigenvalues_classify_fast():
+    # a 61-bit prime eigenvalue: its square roots are read off with isqrt, so
+    # the time does not grow with the size of the eigenvalue
+    big = F(2 ** 61 - 1)
+    ee3 = label("ThmEE-3", lambda_=big, mu=F(3), epsilon=1)
+    cases = [
+        (sp4_canonical_form, diag(big, 3, -big, -3), label("ThmE-1", lambda_=big, mu=F(3))),
+        (hJ2_canonical_form, diag(big, big, -big, -big), label("ThmEE-1", lambda_=big)),
+        (hJ2_canonical_form, hJ2_canonical_matrix(ee3), ee3),
+    ]
+    for form, a, lbl in cases:
+        start = time.perf_counter()
+        got, wit = form(a)
+        assert time.perf_counter() - start < 1.0
+        assert got == lbl
+        assert wit.precision_bits == 0
 
 
 # ---------------------------------------------------------------------------

@@ -879,6 +879,22 @@ def test_verify_detects_wrong_nilradical_table():
     assert details["nilradical_table"] == "restricted table differs from [2,0]"
 
 
+def test_verify_non_solvable_entry_claims():
+    # sl(2) with basis (e, f, h) filed as an extension of the abelian [2,0]:
+    # it is not solvable, and span(e1, e2) is not closed since [e, f] = h
+    text = ("algebra [3,[2,0],1,1]\ndim 3\nbracket e1 e2 = 1*e3\n"
+            "bracket e1 e3 = -2*e1\nbracket e2 e3 = 2*e2\n")
+    (entry,) = parse_corpus(text)
+    report = verify_entry(entry)
+    details = {r.claim: r.detail for r in report.failures()}
+    assert details == {
+        "solvable": "derived series dims [3]",
+        "derived_in_nilradical": "derived algebra leaves span(e1..e2)",
+        "nilradical": "algebra is not solvable",
+        "nilradical_table": "span(e1..e2) is not closed under the bracket",
+    }
+
+
 def test_verify_detects_nonnilpotent_table_entry():
     text = "algebra fake-nilpotent\ndim 2\nbracket e1 e2 = 1*e1\n"
     (entry,) = parse_corpus(text)

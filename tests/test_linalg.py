@@ -55,6 +55,11 @@ def test_matmul_identity_and_pow():
     assert A @ I == A
     assert A ** 0 == I
     assert A ** 3 == A @ A @ A
+    inv = solve_or_invert(A)
+    assert A ** -1 == inv
+    assert A ** -3 == inv @ inv @ inv
+    with pytest.raises(ZeroDivisionError):
+        mat([[1, 2], [2, 4]]) ** -1
 
 
 def test_matrix_results_hold_exact_scalars():
@@ -727,6 +732,12 @@ def test_sqrt_exact():
     assert sqrt_exact(0) == 0
     with pytest.raises(ValueError):
         sqrt_exact(-1)
+    # the square-free search stops once the cofactor left is a perfect square,
+    # so a 61-bit prime squared costs no trial division up to the prime
+    p = 2 ** 61 - 1
+    assert sqrt_exact(p * p) == p
+    assert sqrt_exact(F(12 * p * p, 25)) == QuadExt(0, F(2 * p, 5), 3)
+    assert repr(QuadExt(0, 1, -8 * p * p)) == f"{2 * p}*sqrt(-2)"
 
 
 def test_quadext_matrix_ops():
