@@ -124,6 +124,59 @@ def test_polyexpr_evaluate():
         (a + b).evaluate({"a": Fraction(1)})
 
 
+def _plain_evaluate(poly, env):
+    """sum of c * prod Fraction(env[name]) ** exp, term by term, as the reference."""
+    total = Fraction(0)
+    for mono, coef in poly.terms:
+        value = coef
+        for name, exp in mono:
+            value *= Fraction(env[name]) ** exp
+        total += value
+    return total
+
+
+def test_polyexpr_evaluate_matches_plain_fractions_on_corpus():
+    """Every coefficient and constraint polynomial of both appendices, at seeded points
+    that mix sign values with negative and non-integral rationals."""
+    rng = random.Random("evaluate-corpus")
+    polys = {}
+    for name in ("appendix_a.lalg", "appendix_b.lalg"):
+        for entry in packaged_corpus(name):
+            for b in entry.brackets:
+                for c in b.coeffs:
+                    polys.setdefault(c, entry.param_names)
+            for c in entry.constraints:
+                polys.setdefault(c.lhs, entry.param_names)
+                polys.setdefault(c.rhs, entry.param_names)
+    assert max(e for p in polys for mono, _ in p.terms for _, e in mono) >= 2
+    values = [Fraction(-1), Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 4),
+              Fraction(-1, 2), Fraction(12), Fraction(-11, 4)]
+    checked = 0
+    for poly, names in polys.items():
+        for _ in range(24):
+            env = {name: rng.choice(values) for name in names}
+            got = poly.evaluate(env)
+            assert type(got) is Fraction and got == _plain_evaluate(poly, env), (str(poly), env)
+            checked += 1
+    assert len(polys) > 80 and checked > 2000
+
+
+def test_polyexpr_evaluate_takes_int_and_str_values():
+    a, b = PolyExpr.variable("a"), PolyExpr.variable("b")
+    poly = a**3 * b + PolyExpr.constant(Fraction(-2, 3)) * a + PolyExpr.constant(Fraction(1, 5))
+    for env in ({"a": 2, "b": -3}, {"a": "2", "b": "-3"}, {"a": "-1/2", "b": 4},
+                {"a": Fraction(-1, 2), "b": "4"}):
+        got = poly.evaluate(env)
+        assert type(got) is Fraction and got == _plain_evaluate(poly, env)
+    assert PolyExpr(()).evaluate({}) == 0 and type(PolyExpr(()).evaluate({})) is Fraction
+    assert PolyExpr.constant(Fraction(3, 7)).evaluate({}) == Fraction(3, 7)
+    # the first monomial in term order that names a missing parameter is reported
+    with pytest.raises(CorpusError, match=re.escape("missing value for parameter 'b'")):
+        poly.evaluate({"a": 1})
+    with pytest.raises(CorpusError, match=re.escape("missing value for parameter 'a'")):
+        poly.evaluate({"b": 1})
+
+
 def test_constraint_satisfied():
     a = PolyExpr.variable("a")
     c = Constraint(a**2, "<=", PolyExpr.constant(1))

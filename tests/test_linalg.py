@@ -314,6 +314,64 @@ def test_echelon_matches_dense_reference(kind, data):
         assert len(kernel) == ncols - len(reduced)
 
 
+def _echelon_entry(rng, d):
+    """An int, an integral or non-integral Fraction, or (with d) a Q(sqrt d) entry."""
+    kind = rng.randrange(5 if d else 4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return F(rng.randint(-9, 9))
+    if kind == 3:
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+    return QuadExt(F(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2), d)
+
+
+def _echelon_cases(count):
+    """Seeded sparse rows for one Echelon each, a third over Q(sqrt d): ints, integral and
+    non-integral Fractions, negative pivots, and combinations that fall into the span."""
+    rng = random.Random("echelon-digest")
+    for case in range(count):
+        ncols = rng.randint(1, 9)
+        d = rng.choice((2, 3, 5)) if case % 3 == 0 else None
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            if rows and rng.random() < 0.25:
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                rows.append({k: a.get(k, 0) + c * b.get(k, 0) for k in range(ncols)})
+                continue
+            w = {k: _echelon_entry(rng, d) for k in range(ncols) if rng.random() < 0.6}
+            if w and rng.random() < 0.5:  # a negative pivot
+                p = min(w)
+                w[p] = -abs(w[p]) if not isinstance(w[p], QuadExt) else w[p] - 7
+            rows.append(w)
+        probe = [_echelon_entry(rng, d) for _ in range(ncols)]
+        yield ncols, [{k: x for k, x in w.items() if x} for w in rows], probe
+
+
+def _typed(x):
+    return f"{type(x).__name__}:{x!r}"
+
+
+def test_echelon_rows_and_basis_digest_frozen():
+    """The stored sparse rows, basis and probe coordinates of 600 seeded echelons, types
+    included, frozen before `_primitive` took its int fast path."""
+    digest = hashlib.sha256()
+    for ncols, rows, probe in _echelon_cases(600):
+        ech = Echelon(ncols)
+        grew = [ech._add(dict(w)) if i % 2 else ech.add([w.get(k, 0) for k in range(ncols)])
+                for i, w in enumerate(rows)]
+        stored = {p: {k: _typed(x) for k, x in sorted(row.items())}
+                  for p, row in sorted(ech._rows.items())}
+        basis = [[_typed(x) for x in v] for v in ech.basis()]
+        coords = ech.coordinates(probe)
+        coords = None if coords is None else [_typed(x) for x in coords]
+        digest.update(f"{grew}|{stored}|{basis}|{coords}\n".encode())
+    assert digest.hexdigest() == "aa970aefcb2fc54a90e3514427a0e7b78f4e0fa3d4320cf4a00703cfe63ac910"
+
+
 def test_zero_quadext_is_falsy():
     assert not QuadExt(0)
     assert not (QuadExt(0, 1, 2) - QuadExt(0, 1, 2))
