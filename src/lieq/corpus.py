@@ -36,7 +36,7 @@ import random
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from importlib import resources
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -151,17 +151,25 @@ class PolyExpr:
         return out
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
+        """The value at env, whose values are taken as `Fraction` takes them.
+
+        The sum is kept as one integer numerator over one integer denominator, so the
+        result is the only Fraction built."""
         if len(self.terms) == 1 and self.terms[0][0] == _ONE:
             return self.terms[0][1]  # a constant, read as it is
-        total = Fraction(0)
+        num, den = 0, 1
         for mono, coef in self.terms:
-            value = coef
+            p, q = coef.numerator, coef.denominator
             for name, exp in mono:
                 if name not in env:
                     raise CorpusError(f"missing value for parameter '{name}'")
-                value *= Fraction(env[name]) ** exp
-            total += value
-        return total
+                x = env[name]
+                if type(x) is not int and type(x) is not Fraction:
+                    x = Fraction(x)
+                p *= x.numerator ** exp
+                q *= x.denominator ** exp
+            num, den = num * q + p * den, den * q
+        return Fraction(num, den)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -918,21 +926,29 @@ def _nilradical_span(dim: int) -> Subspace:
     return Subspace(dim, basis)
 
 
-def _reference_algebra(ref: str, entry_id: str) -> LieAlgebra:
+@lru_cache(maxsize=256)
+def _reference_table(ref: str) -> Optional[LieAlgebra]:
+    """The algebra a nilradical reference names, or None when no table has that id.
+
+    Keyed by the reference alone: the entries citing it, renamed ones included, share
+    one algebra, and the cache holds one item per table.
+    """
     parts = _split_id(ref)
     if len(parts) == 2 and parts[1] == "0":
         return LieAlgebra(int(parts[0]), {})
-    tables = reference_nilradical_tables()
-    if ref not in tables:
+    table = reference_nilradical_tables().get(ref)
+    return None if table is None else instantiate(table, {})
+
+
+def _reference_algebra(ref: str, entry_id: str) -> LieAlgebra:
+    reference = _reference_table(ref)
+    if reference is None:
         raise CorpusError(f"unknown nilradical reference {ref} for entry {entry_id}")
-    return instantiate(tables[ref], {})
+    return reference
 
 
 def _verify_one(
-    entry: CorpusEntry,
-    env: Mapping[str, Fraction],
-    span: Subspace,
-    reference: Callable[[], LieAlgebra],
+    entry: CorpusEntry, env: Mapping[str, Fraction], span: Subspace
 ) -> List[ClaimRecord]:
     label = _assignment_text(entry, env)
     records: List[ClaimRecord] = []
@@ -1000,7 +1016,7 @@ def _verify_one(
             f"span(e1..e{entry.dim - 1}) is not closed under the bracket",
         )
         return records
-    same = restricted == reference()
+    same = restricted == _reference_algebra(ref, entry.id)
     record(
         "nilradical_table",
         same,
@@ -1029,12 +1045,10 @@ def verify_entry(
     """
     if assignments is None:
         assignments = sample_parameters(entry, seed=seed, k=k)
-    # shared by every assignment; the reference is resolved on first use only
-    span = _nilradical_span(entry.dim)
-    reference = cache(lambda: _reference_algebra(entry.nilradical_ref, entry.id))
+    span = _nilradical_span(entry.dim)  # shared by every assignment
     records: List[ClaimRecord] = []
     for env in assignments:
-        records.extend(_verify_one(entry, env, span, reference))
+        records.extend(_verify_one(entry, env, span))
     return VerificationReport(tuple(records))
 
 

@@ -31,6 +31,12 @@ end; dense `Fraction` vectors are built only where they leave the module:
 `Subspace.basis` (on first read), `coordinates`, `bracket`,
 `structure_constant` and the tables of new algebras.
 
+`restrict` interns what it returns by exact term table, in a bounded cache
+shared by the process: every corpus family with the same nilradical table gets
+the same restricted algebra, so that table's invariants are computed once.
+No method changes an algebra's table, and what it caches is a function of the
+table, so sharing one algebra between callers is safe.
+
 Dimension is capped at `MAX_DIM` (7).
 """
 
@@ -39,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -358,7 +365,10 @@ class LieAlgebra:
     def restrict(self, s: Subspace) -> "LieAlgebra":
         """The bracket structure on s in its echelon basis; s must be closed.
 
-        Memoised per subspace, so a second restriction to s is free.
+        Memoised per subspace, so a second restriction to s is free.  The result is
+        interned by its exact term table in a bounded cache: restrictions with equal
+        tables are one object, whose invariants (a series profile, say) are computed
+        once in the process however many algebras restrict to it.
         """
         inner = self._restrictions.get(s)
         if inner is not None:
@@ -379,8 +389,8 @@ class LieAlgebra:
                 )
             if w:
                 d = rows[i][pivots[i]] * rows[j][pivots[j]]
-                terms[(i, j)] = [(c, Fraction(w[p], d)) for c, p in enumerate(pivots) if p in w]
-        inner = self._restrictions[s] = LieAlgebra._of_terms(s.dim, terms)
+                terms[(i, j)] = tuple((c, Fraction(w[p], d)) for c, p in enumerate(pivots) if p in w)
+        inner = self._restrictions[s] = _interned(s.dim, tuple(terms.items()))
         return inner
 
     def verify_nilradical(self, s: Subspace) -> bool:
@@ -515,3 +525,14 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.table)})"
+
+
+@lru_cache(maxsize=256)
+def _interned(dim: int, terms: tuple) -> LieAlgebra:
+    """The one algebra of the exact terms (((i, j), ((k, c_ij^k), ...)), ...), as
+    `_of_terms` takes them; `restrict` is its only caller.
+
+    The corpus's 775 entries cite a few dozen nilradical tables, so the bound keeps
+    every one of them while an unbounded stream of distinct tables cannot grow it.
+    """
+    return LieAlgebra._of_terms(dim, dict(terms))

@@ -339,15 +339,17 @@ def _primitive(w: Dict[int, Scalar]) -> Dict[int, Scalar]:
     """A nonzero sparse row as stored: over Q the primitive integer multiple with a
     positive pivot; a row holding a QuadExt entry is divided by its pivot instead."""
     pv = w[min(w)]
-    if all(type(x) is int for x in w.values()):
-        g = math.gcd(*w.values()) * (1 if pv > 0 else -1)
-        return w if g == 1 else {k: x // g for k, x in w.items()}
-    if any(isinstance(x, QuadExt) for x in w.values()):
-        w = {k: _as_scalar(x) for k, x in w.items()}
-        return w if pv == 1 else {k: x / pv for k, x in w.items()}
-    den = math.lcm(*[x.denominator for x in w.values()])
-    w = {k: x.numerator * (den // x.denominator) for k, x in w.items()}
-    g = math.gcd(*w.values()) * (1 if pv > 0 else -1)
+    try:
+        g = math.gcd(*w.values())
+    except TypeError:  # a Fraction or a QuadExt entry
+        if any(isinstance(x, QuadExt) for x in w.values()):
+            w = {k: _as_scalar(x) for k, x in w.items()}
+            return w if pv == 1 else {k: x / pv for k, x in w.items()}
+        den = math.lcm(*[x.denominator for x in w.values()])
+        w = {k: x.numerator * (den // x.denominator) for k, x in w.items()}
+        g = math.gcd(*w.values())
+    if pv < 0:
+        g = -g
     return w if g == 1 else {k: x // g for k, x in w.items()}
 
 

@@ -35,7 +35,7 @@ from lieq.corpus import (
     verify_entries,
     verify_entry,
 )
-from lieq import linalg
+from lieq import corpus, linalg
 from lieq.liealg import MAX_DIM, LieAlgebra
 from lieq.linalg import Echelon, MatrixQ
 
@@ -962,6 +962,23 @@ def test_verify_unknown_reference():
     (entry,) = parse_corpus(text)
     with pytest.raises(CorpusError, match=re.escape("unknown nilradical reference [2,1]")):
         verify_entry(entry)
+
+
+def test_reference_algebra_cached_by_reference_alone():
+    (entry,) = [e for e in packaged_corpus("appendix_b.lalg") if e.id == "[7,[6,4],1,1]"]
+    corpus._reference_table.cache_clear()
+    # renamed to cite another dim-6 table under fresh ids, as benchmark negatives are
+    for i in range(5):
+        renamed = dataclasses.replace(entry, id=f"[7,[6,5],1,{901 + i}]")
+        report = verify_entry(renamed, seed=i + 1, k=3)
+        assert {r.claim for r in report.failures()} == {"nilradical_table"}
+    assert corpus._reference_table.cache_info().currsize == 1
+    assert corpus._reference_table.cache_info().maxsize is not None
+    # the error names the entry, which the cache does not hold
+    for entry_id in ("[3,[2,1],1,1]", "[3,[2,1],1,2]"):
+        (unknown,) = parse_corpus(f"algebra {entry_id}\ndim 3\nbracket e1 e3 = 1*e1\n")
+        with pytest.raises(CorpusError, match=re.escape(f"[2,1] for entry {entry_id}")):
+            verify_entry(unknown)
 
 
 def test_report_text_format_and_determinism():

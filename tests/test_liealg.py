@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lieq.corpus import fingerprint, instantiate, packaged_corpus, sample_parameters
+from lieq import liealg
+from lieq.corpus import fingerprint, instantiate, packaged_corpus, sample_parameters, verify_entry
 from lieq.derivations import derivation_basis
 from lieq.liealg import JacobiViolation, LieAlgebra, SeriesProfile, Subspace
 from lieq.linalg import Echelon, MatrixQ, QuadExt, nullspace
@@ -482,6 +483,41 @@ def test_restriction_computed_once_per_span(monkeypatch):
 def test_restrict_rejects_unclosed_subspace():
     with pytest.raises(ValueError, match=r"\[u_1, u_2\] lies outside"):
         HEISENBERG3.restrict(span(3, [1, 2]))
+
+
+def test_restrictions_interned_by_term_table():
+    # SOLV5 and a second algebra acting differently on the same 4-dim nilradical
+    other = LieAlgebra(5, {(0, 4): [1, 0, 0, 0, 0], (1, 2): [1, 0, 0, 0, 0], (2, 4): [0, 0, -1, 0, 0]})
+    inner = SOLV5.restrict(span(5, [0, 1, 2, 3]))
+    assert other.restrict(span(5, [0, 1, 2, 3])) is inner
+    # a fresh copy of the same algebra also gets it back
+    assert LieAlgebra(SOLV5.dim, SOLV5.table).restrict(span(5, [0, 1, 2, 3])) is inner
+    abelian = LieAlgebra(5, {(0, 4): [1, 0, 0, 0, 0]}).restrict(span(5, [0, 1, 2, 3]))
+    assert abelian is not inner and abelian == LieAlgebra(4, {})
+    assert liealg._interned.cache_info().maxsize is not None
+    # an unclosed subspace raises before the lookup and adds nothing to the cache
+    size = liealg._interned.cache_info().currsize
+    with pytest.raises(ValueError, match="not closed"):
+        HEISENBERG3.restrict(span(3, [1, 2]))
+    assert liealg._interned.cache_info().currsize == size
+
+
+def test_verify_entry_profiles_the_shared_nilradical_once(monkeypatch):
+    entry = _appendix_b_entry("[7,[6,4],1,1]")
+    assert len(sample_parameters(entry, seed=1, k=3)) == 3
+    liealg._interned.cache_clear()
+    profiled = []
+    original = LieAlgebra.series_profile
+
+    def counting(self):
+        if self._profile is None:
+            profiled.append(self.dim)
+        return original(self)
+
+    monkeypatch.setattr(LieAlgebra, "series_profile", counting)
+    assert verify_entry(entry, seed=1, k=3).passed
+    # three instantiations of dim 7, and their one shared nilradical of dim 6
+    assert sorted(profiled) == [6, 7, 7, 7]
 
 
 def test_product_space():

@@ -141,3 +141,43 @@ def test_every_private_helper_is_used():
             if not any(used == name and nid not in inside for used, nid in uses):
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def test_console_script_target_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, _, name = meta["project"]["scripts"]["lieq"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_cli_verify_prints_the_report_text(capsys, tmp_path):
+    from lieq.cli import main
+
+    expected = lieq.verify_entries(lieq.packaged_corpus("appendix_a.lalg")).to_text()
+    assert main(["verify", "--packaged", "appendix_a.lalg"]) == 0
+    assert capsys.readouterr().out == expected
+    path = tmp_path / "appendix_a.lalg"
+    path.write_text(lieq.packaged_text("appendix_a.lalg"), encoding="utf-8")
+    assert main(["verify", str(path), "--seed", "4", "--k", "2"]) == 0
+    assert capsys.readouterr().out == lieq.verify_entries(
+        lieq.packaged_corpus("appendix_a.lalg"), seed=4, k=2).to_text()
+
+
+def test_cli_verify_exit_status(capsys, tmp_path):
+    from lieq.cli import main
+
+    wrong = tmp_path / "wrong.lalg"
+    wrong.write_text("algebra [3,[2,0],1,1]\ndim 3\nbracket e2 e3 = 1*e1\n", encoding="utf-8")
+    assert main(["verify", str(wrong)]) == 1
+    out = capsys.readouterr().out
+    assert "claim=not_nilpotent status=fail" in out and out.endswith("\n")
+    assert main(["verify", str(tmp_path / "absent.lalg")]) == 2
+    assert capsys.readouterr().err.startswith("lieq: ")
+    bad = tmp_path / "bad.lalg"
+    bad.write_text("algebra [3,1]\ndim 3\nbracket e3 e2 = 1*e1\n", encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    assert "line 3" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["verify"])  # neither FILE nor --packaged
+    with pytest.raises(SystemExit):
+        main(["verify", str(bad), "--packaged", "appendix_a.lalg"])
