@@ -855,6 +855,42 @@ def test_witness_out_of_tolerance_fails_loudly(monkeypatch):
         sp4_canonical_form(a)
 
 
+def _sqrt2_chain_member():
+    """The ThmE-2 member of test_witness_out_of_tolerance_fails_loudly, whose witness
+    needs sqrt(2) and is certified from 64-bit roots."""
+    m = MatrixQ([[2, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0], [0, 0, 0, 0]])
+    W = MatrixQ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]])
+    return solve_or_invert(W) @ m @ W
+
+
+def _patch_builds(monkeypatch, singular_at):
+    """Make every sp4 witness build return the zero matrix at the bit counts singular_at accepts."""
+    classify = canonical._sp4_classify
+
+    def patched(a, Ja):
+        lbl, build = classify(a, Ja)
+        return lbl, lambda bits: MatrixQ.zeros(4, 4) if singular_at(bits) else build(bits)
+
+    monkeypatch.setattr(canonical, "_sp4_classify", patched)
+
+
+def test_singular_witness_is_rebuilt_at_more_bits(monkeypatch):
+    a = _sqrt2_chain_member()
+    assert sp4_canonical_form(a)[1].precision_bits == 64
+    _patch_builds(monkeypatch, lambda bits: bits == 64)
+    lbl, wit = sp4_canonical_form(a)
+    assert lbl == label("ThmE-2", lambda_=F(2), epsilon=1)
+    assert wit.precision_bits == 128
+    assert 0 < wit.residual_similarity + wit.residual_group
+    assert_good_witness(wit)
+
+
+def test_always_singular_witness_fails_loudly(monkeypatch):
+    _patch_builds(monkeypatch, lambda bits: True)
+    with pytest.raises(WitnessPrecisionError):
+        sp4_canonical_form(_sqrt2_chain_member())
+
+
 def test_witness_digest_frozen():
     # label text, repr(W), both residuals and precision_bits of 70 witnesses,
     # hashed: every nonzero representative and the two irrational-spectrum

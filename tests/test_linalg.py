@@ -221,15 +221,28 @@ def test_echelon_add_rejects_exactly_the_span(rows, data):
     assert len(ech.pivots()) == len(ech.basis()) == _rank_by_minors(rows + [extra])
 
 
+@st.composite
+def quadratic_matrices(draw):
+    """1x1 to 4x4 square matrices over one Q(sqrt d) of every rank, built as a product L @ R."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    entry = st.one_of(small_fractions, st.builds(lambda a, b: QuadExt(a, b, d), small_fractions, small_fractions))
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, n))
+    left = [[draw(entry) for _ in range(r)] for _ in range(n)]
+    right = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    return [[sum((row[k] * right[k][j] for k in range(r)), F(0)) for j in range(n)] for row in left]
+
+
 @seed(6)
 @settings(max_examples=60, deadline=None)
-@given(rational_matrices())
+@given(st.one_of(rational_matrices(), quadratic_matrices()))
 def test_solve_or_invert_none_exactly_when_singular(rows):
     n = min(len(rows), len(rows[0]))
     S = mat([row[:n] for row in rows[:n]])
     inv = solve_or_invert(S)
     assert (inv is None) == (_rank_by_minors([row[:n] for row in rows[:n]]) < n)
     if inv is not None:
+        assert all(type(x) in (F, QuadExt) for x in inv.flat())
         assert S @ inv == MatrixQ.identity(n)
 
 
