@@ -38,6 +38,7 @@ from .linalg import (
     PolyQ,
     QuadExt,
     _int_rows,
+    _inverse,
     _matmul,
     char_poly,
     factor_over_rationals,
@@ -203,17 +204,12 @@ def _assemble(cols: Sequence[Vec], bits: int) -> MatrixQ:
     return MatrixQ([[_rational(c[i], bits) for c in cols] for i in range(4)])
 
 
-def _det3(m: Sequence[Sequence[int]]) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _make_witness(a: MatrixQ, target: MatrixQ, build: Callable[[int], MatrixQ],
                   js: Sequence[MatrixQ]) -> Witness:
     """The first build(bits), bits = 64, 128, ..., whose exact residuals meet RESIDUAL_TOLERANCE.
 
-    Over the integers, with W = Wi / D and a = Ai / E, W^-1 a W is
-    adj(Wi) Ai Wi / (det(Wi) E) and W^T J W is Wi^T J Wi / D^2.
+    Over the integers, with W = Wi / D and a = Ai / E, `_inverse` stores [Wi | I] reduced as rows
+    piv_r e_r | X_r, so row r of W^-1 a W is (X Ai Wi)_r / (piv_r E); W^T J W is Wi^T J Wi / D^2.
     """
     tol = Fraction(RESIDUAL_TOLERANCE)
     Ai, E = _int_rows(a._r)
@@ -221,12 +217,11 @@ def _make_witness(a: MatrixQ, target: MatrixQ, build: Callable[[int], MatrixQ],
     while bits <= _PRECISION_CAP:
         W = build(bits)
         Wi, D = _int_rows(W._r)
-        adj = [[(-1) ** (i + j) * _det3([r[:i] + r[i + 1:] for k, r in enumerate(Wi) if k != j])
-                for j in range(4)] for i in range(4)]
-        det = sum(x * adj[k][0] for k, x in enumerate(Wi[0]))
-        if det:  # a singular W is no witness
-            N = _matmul(_matmul(adj, Ai), Wi)
-            sim = [abs(Fraction(N[i][j], det * E) - target[i, j]) for i in range(4) for j in range(4)]
+        ech = _inverse(Wi)
+        if ech is not None:  # a singular W is no witness
+            rows = [ech._rows[r] for r in range(4)]
+            N = _matmul(_matmul([[row.get(4 + k, 0) for k in range(4)] for row in rows], Ai), Wi)
+            sim = [abs(Fraction(N[i][j], rows[i][i] * E) - target[i, j]) for i in range(4) for j in range(4)]
             grp = [abs(Fraction(g, D * D) - J[i, j]) for J in js
                    for i, row in enumerate(_matmul(list(zip(*Wi)), _matmul(_int_rows(J._r)[0], Wi)))
                    for j, g in enumerate(row)]

@@ -930,14 +930,14 @@ def _nilradical_span(dim: int) -> Subspace:
 def _reference_table(ref: str) -> Optional[LieAlgebra]:
     """The algebra a nilradical reference names, or None when no table has that id.
 
-    Keyed by the reference alone: the entries citing it, renamed ones included, share
-    one algebra, and the cache holds one item per table.
+    Keyed by the reference alone, so the entries citing it, renamed ones included, share
+    one algebra: the table restricted to its whole space, which `restrict` interns.
     """
     parts = _split_id(ref)
     if len(parts) == 2 and parts[1] == "0":
-        return LieAlgebra(int(parts[0]), {})
+        return LieAlgebra(int(parts[0]), {}).restrict(Subspace.full(int(parts[0])))
     table = reference_nilradical_tables().get(ref)
-    return None if table is None else instantiate(table, {})
+    return None if table is None else instantiate(table, {}).restrict(Subspace.full(table.dim))
 
 
 def _reference_algebra(ref: str, entry_id: str) -> LieAlgebra:

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import Echelon, MatrixQ, _kernel, matrix_exp_nilpotent, nullspace, solve_linear, solve_or_invert
+from .linalg import Echelon, MatrixQ, _kernel, matrix_exp_nilpotent, solve_linear
 
 # the invertible-intertwiner search enumerates an integer coefficient grid
 # exhaustively when it is no larger than this; for bigger intertwiner spaces
@@ -103,9 +103,10 @@ def is_automorphism(g: LieAlgebra, A: MatrixQ) -> bool:
     """True iff A is invertible and A[x,y] = [Ax,Ay], i.e. g.change_basis(A) == g."""
     if A.shape() != (g.dim, g.dim):
         raise ValueError(f"automorphism candidate must be {g.dim}x{g.dim}")
-    if solve_or_invert(A) is None:
+    try:
+        return g.change_basis(A) == g
+    except ValueError:  # singular: the shape is checked above
         return False
-    return g.change_basis(A) == g
 
 
 def exp_derivation(g: LieAlgebra, D: MatrixQ) -> MatrixQ:
@@ -187,16 +188,15 @@ def representation_equivalence(
     for M in list(A) + list(B):
         if M.shape() != (n, n):
             raise ValueError("matrices must be square and of equal size")
-    rows = []
+    rows: List[Dict[int, Fraction]] = []  # entry (p, q) of T A = B T, T[p][r] at p*n+r
     for MA, MB in zip(A, B):
-        for p in range(n):
-            for q in range(n):
-                row = [Fraction(0)] * (n * n)
-                for r in range(n):
-                    row[p * n + r] += MA[(r, q)]
-                    row[r * n + q] -= MB[(p, r)]
-                rows.append(row)
-    kernel = nullspace(MatrixQ(rows))
+        for p, q in product(range(n), repeat=2):
+            row: Dict[int, Fraction] = {}
+            for r in range(n):
+                row[p * n + r] = row.get(p * n + r, 0) + MA[(r, q)]
+                row[r * n + q] = row.get(r * n + q, 0) - MB[(p, r)]
+            rows.append({u: c for u, c in row.items() if c})
+    kernel = _kernel(n * n, rows)
     d = len(kernel)
     if d == 0 or any(MA.rank() != MB.rank() for MA, MB in zip(A, B)):
         return EquivalenceResult(None, True, d)

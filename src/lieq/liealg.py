@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, _int_rows, _kernel
+from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, _int_rows, _inverse, _kernel
 
 
 def _vec(entries: Sequence, n: int) -> Tuple[Fraction, ...]:
@@ -473,10 +473,10 @@ class LieAlgebra:
     def change_basis(self, P: MatrixQ) -> "LieAlgebra":
         """Structure constants in the basis given by the columns of P, from integers.
 
-        With P = N/d and c = T/delta for integer N and T, the fraction-free rows [N_r | e_r]
-        reduce to piv_r e_r | X_r, so N^-1 has rows X_r / piv_r.  Columns i and j of N
-        bracket on T to W = d^2 delta [P e_i, P e_j], and new constant r is the one Fraction
-        X_r.W / (piv_r d delta).  A QuadExt in P is a TypeError, even if the result is rational.
+        With P = N/d and c = T/delta for integer N and T, `_inverse` stores [N | I] reduced
+        as rows piv_r e_r | X_r, so N^-1 has rows X_r / piv_r.  Columns i and j of N bracket
+        on T to W = d^2 delta [P e_i, P e_j], and new constant r is the one Fraction
+        X_r.W / (piv_r d delta).  A singular P is a ValueError, a QuadExt in P a TypeError.
         """
         n = self.dim
         if P.shape() != (n, n):
@@ -484,8 +484,8 @@ class LieAlgebra:
         N, d = _int_rows([P.row(r) for r in range(n)]) or (None, 1)
         if N is None:
             raise TypeError("base change matrix must be rational, not QuadExt")
-        ech = Echelon(2 * n, [N[r] + [int(r == k) for k in range(n)] for r in range(n)])
-        if ech.pivots() != tuple(range(n)):
+        ech = _inverse(N)
+        if ech is None:
             raise ValueError("base change matrix is singular")
         delta = math.lcm(*[c.denominator for row in self._terms for ts in row for _, c in ts])
         inverse = [(r, row[r] * d * delta, [(k - n, x) for k, x in row.items() if k >= n])
@@ -521,7 +521,7 @@ class LieAlgebra:
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return self.dim == other.dim and self.table == other.table
+        return self is other or (self.dim == other.dim and self.table == other.table)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.table)})"

@@ -16,9 +16,10 @@ signs, with no elimination of its own.  `factor_over_rationals` works on one
 primitive integer polynomial from start to finish.
 
 `Echelon` is the single elimination kernel: `MatrixQ.rank`, `nullspace`,
-`solve_linear`, `solve_or_invert` and every span, membership and coordinate
-question elsewhere in the package reduce rows through it, as sparse rows that
-over Q are primitive integer rows combined fraction-free (Bareiss 1968).
+`solve_linear`, `_inverse` (the package's one inverse) and every span,
+membership and coordinate question elsewhere in the package reduce rows
+through it, as sparse rows that over Q are primitive integer rows combined
+fraction-free (Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -629,15 +630,19 @@ def nullspace(M: MatrixQ) -> List[Tuple[Scalar, ...]]:
     return _kernel(M.ncols, (_sparse(r, M.ncols) for r in M._r))
 
 
+def _inverse(rows: Sequence[Sequence]) -> Optional[Echelon]:
+    """[N | I] reduced, or None for a singular N: stored row r is piv_r e_r | X_r, N^-1 = X_r / piv_r."""
+    n = len(rows)
+    ech = Echelon(2 * n, [[*row, *(int(r == k) for k in range(n))] for r, row in enumerate(rows)])
+    return ech if ech.pivots() == tuple(range(n)) else None
+
+
 def solve_or_invert(M: MatrixQ) -> Optional[MatrixQ]:
     """Exact inverse of a square matrix, or None when singular."""
     if not M.is_square:
         raise ValueError(f"cannot invert a {M.nrows}x{M.ncols} matrix")
-    n = M.nrows
-    ech = Echelon(2 * n, [list(M.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-    if ech.pivots() != tuple(range(n)):
-        return None
-    return MatrixQ([row[n:] for row in ech.basis()])
+    ech = _inverse(M._r)
+    return None if ech is None else MatrixQ([row[M.nrows:] for row in ech.basis()])
 
 
 def solve_linear(M: MatrixQ, b: Sequence) -> Optional[Tuple[Scalar, ...]]:

@@ -1068,6 +1068,19 @@ def test_report_text_frozen_on_full_corpus():
     )
 
 
+def test_restricted_nilradical_is_the_reference_object():
+    # the reference is interned with the restrictions, so the table compare is `is`
+    entries = list(packaged_corpus("appendix_b.lalg"))
+    abelian = next(e for e in entries if re.fullmatch(r"\[\d+,0\]", e.nilradical_ref))
+    (chosen,) = [e for e in entries if e.id == "[7,[6,4],1,1]"]
+    corpus._reference_table.cache_clear()
+    for entry in (chosen, abelian):
+        span = corpus._nilradical_span(entry.dim)
+        for env in sample_parameters(entry, seed=1, k=3):
+            restricted = instantiate(entry, env).restrict(span)
+            assert restricted is corpus._reference_table(entry.nilradical_ref)
+
+
 def test_reference_tables_cover_all_refs():
     tables = reference_nilradical_tables()
     for entry in packaged_corpus("appendix_b.lalg"):

@@ -25,7 +25,7 @@ from lieq.derivations import (
     representation_equivalence,
 )
 from lieq.liealg import LieAlgebra
-from lieq.linalg import MatrixQ, solve_or_invert
+from lieq.linalg import MatrixQ, QuadExt, solve_or_invert
 
 from test_corpus import _unimodular
 from test_liealg import FIXTURES, HEISENBERG3, SL2, SOLV2
@@ -180,6 +180,16 @@ def test_non_structure_preserving_map():
 def test_automorphism_shape_error():
     with pytest.raises(ValueError, match="must be 3x3"):
         is_automorphism(HEISENBERG3, MatrixQ.identity(4))
+
+
+@pytest.mark.parametrize("A", [
+    MatrixQ.diagonal([QuadExt(0, 2, 2), QuadExt(0, 1, 2), 2]),  # e1 -> 2 sqrt2 e1: an automorphism over R
+    MatrixQ([[QuadExt(0, 1, 2), 0, 0], [0, 1, 0], [QuadExt(0, 1, 2), 0, 0]]),  # singular
+])
+def test_quadratic_automorphism_candidate_is_type_error(A):
+    # A is inverted inside change_basis, which takes rational matrices only
+    with pytest.raises(TypeError, match="must be rational"):
+        is_automorphism(HEISENBERG3, A)
 
 
 def test_scaling_automorphism_heisenberg():
