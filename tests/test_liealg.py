@@ -7,7 +7,7 @@ independent of this package).
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, seed, settings
@@ -1015,6 +1015,109 @@ def test_public_readers_return_fractions():
     assert all(_fractions_only(g.ad_basis(i).flat()) for i in range(n))
     assert _fractions_only(g.killing_matrix().flat())
     assert all(_fractions_only(v) for v in g.center().basis)
+
+
+def _input_constants(n, table):
+    """c[i][j] = [e_i, e_j] as a list of Fractions, read straight off a table of
+    pairs i < j, with no LieAlgebra involved."""
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), v in table.items():
+        c[i][j] = [Fraction(x) for x in v]
+        c[j][i] = [-x for x in c[i][j]]
+    return c
+
+
+def _input_jacobi(n, nonzero):
+    """The first triple i < j < k where the Jacobi identity fails, and its residual,
+    from nonzero[i][j], the (k, c_ij^k) with c_ij^k nonzero."""
+    for i, j, k in combinations(range(n), 3):
+        res = [Fraction(0)] * n
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, a in nonzero[p][q]:
+                for m, b in nonzero[l][r]:
+                    res[m] += a * b
+        if any(res):
+            return JacobiViolation(i, j, k, tuple(res))
+    return None
+
+
+def _assert_readers_match_input(g, table):
+    """table, structure_constant, bracket, ad_basis, killing_matrix and the Jacobi
+    residual of g against values computed from its input table alone."""
+    n = g.dim
+    c = _input_constants(n, table)
+    nonzero = [[[(l, a) for l, a in enumerate(v) if a] for v in row] for row in c]
+    assert g.table == {ij: tuple(c[ij[0]][ij[1]]) for ij in table if any(c[ij[0]][ij[1]])}
+    for i in range(n):
+        assert g.ad_basis(i).flat() == tuple(c[i][q][p] for p in range(n) for q in range(n))
+        for j in range(n):
+            assert g.structure_constant(i, j) == tuple(c[i][j])
+    x, y = [Fraction(k + 1, 2) for k in range(n)], [Fraction(1, n - k + 1) for k in range(n)]
+    expected = [Fraction(0)] * n
+    for i, j in product(range(n), repeat=2):
+        for k, a in nonzero[i][j]:
+            expected[k] += x[i] * y[j] * a
+    assert g.bracket(x, y) == tuple(expected)
+    killing = [
+        sum((a * c[j][l][k] for k in range(n) for l, a in nonzero[i][k]), Fraction(0))
+        for i in range(n) for j in range(n)
+    ]
+    assert g.killing_matrix().flat() == tuple(killing)
+    assert g.check_jacobi() == _input_jacobi(n, nonzero)
+
+
+# hand-written tables in pair order, with mixed denominators; the last is not Lie
+FRACTIONAL_TABLES = [
+    (2, {(0, 1): [Fraction(1, 2), Fraction(-2, 3)]}),
+    (
+        4,
+        {
+            (0, 1): [0, 0, Fraction(3, 4), 0],
+            (0, 3): [Fraction(-1, 6), 0, 0, 0],
+            (1, 3): [0, Fraction(5, 2), 0, 0],
+            (2, 3): [0, 0, Fraction(7, 3), 0],
+        },
+    ),
+    (3, {(0, 1): [0, 0, Fraction(2, 5)], (0, 2): [Fraction(1, 3), 0, 0], (1, 2): [0, Fraction(-1, 4), 1]}),
+]
+
+
+def test_public_readers_match_input_on_non_integral_tables():
+    """Every public reader of a non-integral table gives the value computed from
+    the input alone, for hand-written tables and for the 683 corpus algebras at
+    sample_parameters(seed=1, k=3) with a non-integral constant; equal tables
+    compare equal however the algebra was built, and one changed denominator
+    makes them differ."""
+    for n, table in FRACTIONAL_TABLES:
+        g = LieAlgebra(n, table)
+        _assert_readers_match_input(g, table)
+        assert list(g.table) == [ij for ij in table if any(table[ij])]
+        assert g == g.restrict(Subspace.full(n)) == g.change_basis(MatrixQ.identity(n))
+    assert LieAlgebra(*FRACTIONAL_TABLES[2]).check_jacobi() is not None
+    count = 0
+    for entry in list(packaged_corpus("appendix_a.lalg")) + list(packaged_corpus("appendix_b.lalg")):
+        for env in sample_parameters(entry, seed=1, k=3):
+            table = {
+                (i - 1, j - 1): [poly.evaluate(env) for poly in coeffs]
+                for i, j, coeffs in sorted(entry.brackets, key=lambda b: b[:2])
+            }
+            if all(Fraction(x).denominator == 1 for v in table.values() for x in v):
+                continue
+            g = instantiate(entry, env)
+            _assert_readers_match_input(g, table)
+            n = entry.dim
+            assert g == LieAlgebra(n, table) == g.restrict(Subspace.full(n))
+            assert g == g.change_basis(MatrixQ.identity(n)), entry.id
+            count += 1
+    assert count == 683
+    half = LieAlgebra(3, {(0, 1): [0, 0, Fraction(1, 2)], (0, 2): [0, Fraction(1, 3), 0]})
+    for other in (
+        LieAlgebra(3, {(0, 1): [0, 0, Fraction(1, 4)], (0, 2): [0, Fraction(1, 3), 0]}),
+        LieAlgebra(3, {(0, 1): [0, 0, Fraction(1, 2)], (0, 2): [0, Fraction(1, 9), 0]}),
+        LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [0, Fraction(1, 3), 0]}),
+    ):
+        assert half != other and other != half
+    assert half == LieAlgebra(3, {(0, 2): [0, Fraction(2, 6), 0], (0, 1): [0, 0, Fraction(3, 6)]})
 
 
 # ------------------------------------------------------- frozen invariant digests
