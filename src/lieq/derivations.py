@@ -57,15 +57,16 @@ def _square(v: Sequence, n: int) -> MatrixQ:
     return MatrixQ([v[p * n:(p + 1) * n] for p in range(n)])
 
 
-def _leibniz_rows(g: LieAlgebra) -> List[Dict[int, Fraction]]:
+def _leibniz_rows(g: LieAlgebra) -> List[Dict[int, int]]:
     """Rows of D[e_i,e_j] = [De_i,e_j] + [e_i,De_j], one per i < j and coordinate k.
 
     The unknowns are the n^2 entries of D, (p,q) at index p*n+q as in `MatrixQ.flat`.
-    Each row is {unknown: coefficient} with zeros left out, read off the signed
-    term table of g; rows that vanish are dropped.
+    Each row is {unknown: coefficient} with zeros left out, read off the integer
+    term table of g; its common scale g._den leaves the solutions alone.  Rows
+    that vanish are dropped.
     """
     n, terms = g.dim, g._terms
-    rows: List[Dict[int, Fraction]] = []
+    rows: List[Dict[int, int]] = []
     for i, j in combinations(range(n), 2):
         block = [{k * n + q: c for q, c in terms[i][j]} for k in range(n)]
         for p in range(n):
@@ -140,9 +141,8 @@ def check_bracket_table(mats: Sequence[MatrixQ], g: LieAlgebra) -> Optional[Tabl
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             actual = mats[i] @ mats[j] - mats[j] @ mats[i]
-            expected = MatrixQ.zeros(n, n)
-            for k, c in g._terms[i][j]:
-                expected = expected + mats[k] * c
+            terms = enumerate(g.structure_constant(i, j))
+            expected = sum((mats[k] * c for k, c in terms if c), MatrixQ.zeros(n, n))
             if actual != expected:
                 return TableMismatch(i, j, expected, actual)
     return None

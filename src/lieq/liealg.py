@@ -1,20 +1,28 @@
 """Finite-dimensional Lie algebras over Q given by structure constants.
 
-A `LieAlgebra` stores the brackets [e_i, e_j] for i < j as exact coefficient
-vectors; everything else (Jacobi checking, adjoint matrices, derived and
-lower central series, centers, ideals, nilradical checks, base change) is
-derived from that table with exact arithmetic.
+A `LieAlgebra` stores its structure constants in one form, a sparse integer
+structure tensor over one positive denominator `_den`, the lcm of the
+constants' denominators (1 for an integral table): for every ordered pair
+(i, j), `_terms[i][j]` holds the nonzero terms (k, _den c_ij^k) of
+[e_i, e_j], signs already applied for j < i, every one an `int`.  Everything
+else (Jacobi checking, adjoint matrices, derived and lower central series,
+centers, ideals, nilradical checks, base change) is derived from it with
+exact arithmetic, and `table`, the dense dict of the brackets for i < j, is
+read off it on each read.
 
-The table is also kept as a sparse structure tensor, built once: for every
-ordered pair (i, j) the nonzero terms (k, c_ij^k) of [e_i, e_j], signs
-already applied for j < i, with integral constants held as `int`.  Both are
-built by `LieAlgebra._of_terms`.  Only the public constructor checks each
-entry (`_vec`): `change_basis` and `restrict` make exact terms from integer
-rows, one Fraction per constant, and `corpus.instantiate` from parsed
-polynomials.  Brackets run over the nonzero coordinates of their arguments
-only.  The Jacobi check, the centre (one sparse row {i: c_ij^k} per (j, k))
-and the Killing form (sum of c_ik^l c_jl^k) contract the tensor directly,
-without forming any bracket or adjoint matrix.
+A common scale changes no subspace, so the derived algebra, the series, the
+centre, closure and ideal tests and the nilradical's trace rows run on the
+integer tensor as it is; readers that return values divide once, at the
+boundary: `structure_constant`, `bracket` and `ad_basis` by `_den`, the
+Jacobi residual and the Killing form by _den^2, and `restrict` and
+`change_basis` fold it into their own denominators.  The tensor is built by
+`LieAlgebra._of_terms`.  Only the public constructor checks each entry
+(`_vec`): `change_basis` and `restrict` make exact terms from integer rows,
+one Fraction per constant, and `corpus.instantiate` from parsed polynomials.
+Brackets run over the nonzero coordinates of their arguments only.  The
+Jacobi check, the centre (one sparse row {i: c_ij^k} per (j, k)) and the
+Killing form (sum of c_ik^l c_jl^k) contract the tensor directly, without
+forming any bracket or adjoint matrix.
 
 The nilradical search forms no matrix when [g, g] has codimension 1: N is
 then [g, g] unless g is nilpotent.  Otherwise it grows words in ad(T), T the
@@ -29,7 +37,7 @@ are primitive integer rows.  Series, derived algebras, ideal and nilradical
 tests and restrictions bracket those rows as {index: value} maps from end to
 end; dense `Fraction` vectors are built only where they leave the module:
 `Subspace.basis` (on first read), `coordinates`, `bracket`,
-`structure_constant` and the tables of new algebras.
+`structure_constant` and `table`.
 
 `restrict` interns what it returns by exact term table, in a bounded cache
 shared by the process: every corpus family with the same nilradical table gets
@@ -64,11 +72,11 @@ def _nonzero(v: Sequence) -> List[Tuple[int, Fraction]]:
     return [(i, a) for i, a in enumerate(v) if a]
 
 
-def _dense(w: Dict[int, object], n: int) -> Tuple[Fraction, ...]:
-    """The length-n vector of the sparse map w, every entry a Fraction."""
+def _dense(w: Iterable[Tuple[int, object]], n: int, den: int) -> Tuple[Fraction, ...]:
+    """The length-n vector of the sparse terms (k, x) over den, every entry a Fraction."""
     out = [Fraction(0)] * n
-    for k, x in w.items():
-        out[k] = Fraction(x) if type(x) is int else x
+    for k, x in w:
+        out[k] = Fraction(x, den)
     return tuple(out)
 
 
@@ -173,7 +181,7 @@ class LieAlgebra:
     """
 
     __slots__ = (
-        "dim", "table", "_terms", "_profile", "_derived", "_nilradical", "_ads",
+        "dim", "_den", "_terms", "_profile", "_derived", "_nilradical", "_ads",
         "_restrictions",
     )
 
@@ -192,13 +200,17 @@ class LieAlgebra:
         return cls.__new__(cls)._set_terms(dim, terms)
 
     def _set_terms(self, dim: int, terms: Dict[Tuple[int, int], list]) -> "LieAlgebra":
+        """Store the constants as one integer tensor over one denominator.
+
+        _den is the lcm of the constants' denominators, 1 for an integral table,
+        and _terms[i][j] holds the nonzero (k, _den c_ij^k) of [e_i, e_j] in both
+        orders, every one an int.
+        """
         self.dim = dim
-        self.table = {ij: _dense(dict(ts), dim) for ij, ts in terms.items() if ts}
-        # _terms[i][j]: the nonzero (k, c_ij^k) of [e_i, e_j], in both orders,
-        # an integral constant held as int
-        full: List[List[Tuple[Tuple[int, object], ...]]] = [[()] * dim for _ in range(dim)]
+        den = self._den = math.lcm(*[c.denominator for ts in terms.values() for _, c in ts])
+        full: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * dim for _ in range(dim)]
         for (i, j), ts in terms.items():
-            full[i][j] = tuple((k, c.numerator if c.denominator == 1 else c) for k, c in ts)
+            full[i][j] = tuple((k, c.numerator * (den // c.denominator)) for k, c in ts)
             full[j][i] = tuple((k, -c) for k, c in full[i][j])
         self._terms = full
         # invariants (a series profile, [g, g], the nilradical, ad(e_i)), each computed on first use
@@ -210,7 +222,16 @@ class LieAlgebra:
         """[e_i, e_j] as a coefficient vector, any order of indices in 0..n-1."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError(f"basis index pair ({i}, {j}) outside 0..{self.dim - 1}")
-        return _dense(dict(self._terms[i][j]), self.dim)
+        return _dense(self._terms[i][j], self.dim, self._den)
+
+    @property
+    def table(self) -> Dict[Tuple[int, int], Tuple[Fraction, ...]]:
+        """The nonzero brackets [e_i, e_j], i < j, as Fraction vectors in pair order.
+
+        Built from the term table on each read, so the dict is the caller's own.
+        """
+        pairs = combinations(range(self.dim), 2)
+        return {(i, j): self.structure_constant(i, j) for i, j in pairs if self._terms[i][j]}
 
     def bracket(self, x: Sequence, y: Sequence) -> Tuple[Fraction, ...]:
         """[x, y] = sum of x_i y_j [e_i, e_j] over nonzero x_i and y_j only.
@@ -220,17 +241,17 @@ class LieAlgebra:
         coordinate cost nothing.
         """
         xv, yv = _vec(x, self.dim), _vec(y, self.dim)
-        return _dense(self._bracket_terms(_nonzero(xv), _nonzero(yv)), self.dim)
+        return _dense(self._bracket_terms(_nonzero(xv), _nonzero(yv)).items(), self.dim, self._den)
 
     def _bracket_terms(
-        self, xs: Iterable[Tuple[int, Fraction]], ys: Collection[Tuple[int, Fraction]], table=None
+        self, xs: Iterable[Tuple[int, Fraction]], ys: Collection[Tuple[int, Fraction]]
     ) -> Dict[int, Fraction]:
-        """[x, y] as {k: nonzero value} on `_terms` or a table like it, from the (index,
-        value) pairs of the nonzero coordinates of x and y; terms that cancel are dropped."""
-        rows = self._terms if table is None else table
+        """_den [x, y] as {k: nonzero value}, from the (index, value) pairs of the nonzero
+        coordinates of x and y; terms that cancel are dropped.  Integer rows give
+        integer values."""
         out: Dict[int, Fraction] = {}
         for i, a in xs:
-            row = rows[i]
+            row = self._terms[i]
             for j, b in ys:
                 terms = row[j]
                 if terms:
@@ -245,7 +266,8 @@ class LieAlgebra:
         Triples i < j < k are scanned in lexicographic order.  The residual
         [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is contracted
         straight from the term table, with no bracket call:
-        res_m = sum over l of c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m.
+        res_m = sum over l of c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m,
+        summed in integers as _den^2 res_m.
         """
         terms = self._terms
         for i, j, k in combinations(range(self.dim), 3):
@@ -255,7 +277,7 @@ class LieAlgebra:
                     for m, b in terms[l][r]:
                         res[m] += a * b
             if any(res):
-                return JacobiViolation(i, j, k, tuple(Fraction(x) for x in res))
+                return JacobiViolation(i, j, k, tuple(Fraction(x, self._den ** 2) for x in res))
         return None
 
     def ad_matrix(self, x: Sequence) -> MatrixQ:
@@ -269,15 +291,15 @@ class LieAlgebra:
     def ad_basis(self, i: int) -> MatrixQ:
         """ad(e_i), read off the term table once: entry (p, q) is c_iq^p."""
         if self._ads is None:
-            n = self.dim
+            n, den = self.dim, self._den
             self._ads = tuple(
-                MatrixQ._exact(list(zip(*(_dense(dict(terms), n) for terms in row))))
+                MatrixQ._exact(list(zip(*(_dense(terms, n, den) for terms in row))))
                 for row in self._terms
             )
         return self._ads[i]
 
     def _ad_trace(self, i: int, W: MatrixQ):
-        """tr(ad(e_i) W), the sum of c_iq^p W[q][p] over the term table."""
+        """_den tr(ad(e_i) W), the sum of _den c_iq^p W[q][p] over the term table."""
         s = 0
         for q, terms in enumerate(self._terms[i]):
             w = W.row(q)
@@ -318,8 +340,8 @@ class LieAlgebra:
     def derived_algebra(self) -> Subspace:
         """[g, g], spanned by the brackets of basis pairs, read off the term table."""
         if self._derived is None:
-            terms = self._terms
-            self._derived = Subspace._spanned(self.dim, (dict(terms[i][j]) for i, j in self.table))
+            pairs = combinations(range(self.dim), 2)
+            self._derived = Subspace._spanned(self.dim, (dict(self._terms[i][j]) for i, j in pairs))
         return self._derived
 
     def _series_dims(self, step) -> Tuple[Tuple[int, ...], bool]:
@@ -374,8 +396,8 @@ class LieAlgebra:
         if inner is not None:
             return inner
         # each stored row is d_i u_i with d_i its pivot entry, so [u_i, u_j] is
-        # the bracket of rows i and j over d_i d_j; inside s, its coordinates
-        # are its entries at the pivot columns
+        # the integer bracket of rows i and j over d_i d_j _den; inside s, its
+        # coordinates are its entries at the pivot columns
         rows = s._rows()
         pivots = [min(w) for w in rows]
         xs = [w.items() for w in rows]
@@ -388,7 +410,7 @@ class LieAlgebra:
                     f"[u_{i + 1}, u_{j + 1}] lies outside"
                 )
             if w:
-                d = rows[i][pivots[i]] * rows[j][pivots[j]]
+                d = rows[i][pivots[i]] * rows[j][pivots[j]] * self._den
                 terms[(i, j)] = tuple((c, Fraction(w[p], d)) for c, p in enumerate(pivots) if p in w)
         inner = self._restrictions[s] = _interned(s.dim, tuple(terms.items()))
         return inner
@@ -473,10 +495,10 @@ class LieAlgebra:
     def change_basis(self, P: MatrixQ) -> "LieAlgebra":
         """Structure constants in the basis given by the columns of P, from integers.
 
-        With P = N/d and c = T/delta for integer N and T, `_inverse` stores [N | I] reduced
-        as rows piv_r e_r | X_r, so N^-1 has rows X_r / piv_r.  Columns i and j of N bracket
-        on T to W = d^2 delta [P e_i, P e_j], and new constant r is the one Fraction
-        X_r.W / (piv_r d delta).  A singular P is a ValueError, a QuadExt in P a TypeError.
+        With P = N/d for integer N, `_inverse` stores [N | I] reduced as rows piv_r e_r | X_r,
+        so N^-1 has rows X_r / piv_r.  Columns i and j of N bracket on the term table to
+        W = d^2 _den [P e_i, P e_j], and new constant r is the one Fraction
+        X_r.W / (piv_r d _den).  A singular P is a ValueError, a QuadExt in P a TypeError.
         """
         n = self.dim
         if P.shape() != (n, n):
@@ -487,23 +509,19 @@ class LieAlgebra:
         ech = _inverse(N)
         if ech is None:
             raise ValueError("base change matrix is singular")
-        delta = math.lcm(*[c.denominator for row in self._terms for ts in row for _, c in ts])
-        inverse = [(r, row[r] * d * delta, [(k - n, x) for k, x in row.items() if k >= n])
+        inverse = [(r, row[r] * d * self._den, [(k - n, x) for k, x in row.items() if k >= n])
                    for r, row in sorted(ech._rows.items())]
-        T = self._terms if delta == 1 else [
-            [tuple((k, c.numerator * (delta // c.denominator)) for k, c in ts) for ts in row]
-            for row in self._terms
-        ]
         cols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*N)]
         terms = {}
         for i, j in combinations(range(n), 2):
-            w = self._bracket_terms(cols[i], cols[j], T)
+            w = self._bracket_terms(cols[i], cols[j])
             ys = [(r, den, sum([x * w[k] for k, x in X if k in w])) for r, den, X in inverse]
             terms[(i, j)] = [(r, Fraction(y, den)) for r, den, y in ys if y]
         return LieAlgebra._of_terms(n, terms)
 
     def killing_matrix(self) -> MatrixQ:
-        """K[i][j] = tr(ad e_i ad e_j), the sum of c_ik^l c_jl^k over the term table."""
+        """K[i][j] = tr(ad e_i ad e_j), the sum of c_ik^l c_jl^k over the term table,
+        summed in integers and divided by _den^2 once."""
         n, terms = self.dim, self._terms
         lookup = [[dict(ts) for ts in row] for row in terms]
         K = [[Fraction(0)] * n for _ in range(n)]
@@ -515,13 +533,14 @@ class LieAlgebra:
                         b = lookup[j][l].get(k)
                         if b:
                             s += a * b
-                K[i][j] = K[j][i] = Fraction(s)
+                K[i][j] = K[j][i] = Fraction(s, self._den ** 2)
         return MatrixQ._exact([tuple(r) for r in K])
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return self is other or (self.dim == other.dim and self.table == other.table)
+        return self is other or (
+            (self.dim, self._den, self._terms) == (other.dim, other._den, other._terms))
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.table)})"

@@ -5,6 +5,7 @@ independent of this package).
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -154,6 +155,24 @@ def test_bad_coefficient_length():
 def test_zero_rows_dropped():
     g = LieAlgebra(3, {(0, 1): [0, 0, 0], (1, 2): [1, 0, 0]})
     assert set(g.table) == {(1, 2)}
+
+
+def test_table_is_a_snapshot():
+    """table is built on each read: changing the dict it returns changes nothing
+    in the algebra, and its keys come in pair order whatever order the
+    constructor was given."""
+    g, h = LieAlgebra(4, NILP42.table), LieAlgebra(4, NILP42.table)
+    g.table.clear()
+    g.table[(0, 1)] = (0, 0, 0, 1)
+    snapshot = g.table
+    snapshot.clear()
+    snapshot[(0, 1)] = (0, 0, 0, 1)
+    assert g == h == NILP42 and g.table == h.table
+    assert g.derived_algebra() == span(4, [0, 1])
+    assert g.series_profile() == NILP42.series_profile()
+    assert g.bracket(e(4, 1), e(4, 3)) == (1, 0, 0, 0)
+    shuffled = LieAlgebra(4, {(2, 3): [0, 1, 0, 0], (0, 1): [0, 0, 1, 0], (1, 3): [1, 0, 0, 0]})
+    assert list(shuffled.table) == [(0, 1), (1, 3), (2, 3)]
 
 
 # -------------------------------------------------------------------- brackets
@@ -763,7 +782,8 @@ def _dense_inverse(rows):
 
 
 def _reference_change_basis(g, P):
-    """The dense table and the typed term table of P^-1 [P e_i, P e_j], in Fractions."""
+    """The dense table of P^-1 [P e_i, P e_j], in Fractions, the lcm den of its
+    denominators and the typed term table of den [P e_i, P e_j], in ints."""
     n = g.dim
     rows = [list(P.row(i)) for i in range(n)]
     inv_cols, cols = list(zip(*_dense_inverse(rows))), list(zip(*rows))
@@ -774,15 +794,17 @@ def _reference_change_basis(g, P):
     consts = [[g.structure_constant(a, b) for b in range(n)] for a in range(n)]
     # left[i][b] = [P e_i, e_b]
     left = [[combine(cols[i], [consts[a][b] for a in range(n)]) for b in range(n)] for i in range(n)]
-    terms = [[() for _ in range(n)] for _ in range(n)]
     table = {}
     for i, j in combinations(range(n), 2):
         v = combine(combine(cols[j], left[i]), inv_cols)
-        terms[i][j] = tuple((r, c.numerator if c.denominator == 1 else c) for r, c in enumerate(v) if c)
-        terms[j][i] = tuple((r, -c) for r, c in terms[i][j])
         if any(v):
             table[(i, j)] = tuple(v)
-    return table, _typed_terms(terms)
+    den = math.lcm(*[c.denominator for v in table.values() for c in v])
+    terms = [[() for _ in range(n)] for _ in range(n)]
+    for (i, j), v in table.items():
+        terms[i][j] = tuple((r, int(c * den)) for r, c in enumerate(v) if c)
+        terms[j][i] = tuple((r, -c) for r, c in terms[i][j])
+    return table, den, _typed_terms(terms)
 
 
 def _base_change_cases():
@@ -793,7 +815,7 @@ def _base_change_cases():
     for entry in list(packaged_corpus("appendix_b.lalg"))[::7]:
         for env in sample_parameters(entry, seed=1, k=3):
             g = instantiate(entry, env)
-            if found < 20 and any(type(c) is Fraction for row in g._terms for ts in row for _, c in ts):
+            if found < 20 and g._den > 1:
                 found += 1
                 yield g
                 break
@@ -802,8 +824,8 @@ def _base_change_cases():
 
 def test_change_basis_matches_dense_reference():
     """change_basis gives P^-1 [P e_i, P e_j] exactly, in its table (keys in pair
-    order) and in its term table (integral constants as int), for rational P
-    with denominators up to 3 and for unimodular P."""
+    order), its denominator and its integer term table, for rational P with
+    denominators up to 3 and for unimodular P."""
     from test_corpus import _unimodular
 
     rng = random.Random(23)
@@ -811,10 +833,10 @@ def test_change_basis_matches_dense_reference():
     for g in _base_change_cases():
         rational = [_random_invertible(rng, g.dim, max_den=3) for _ in range(4)]
         for P in rational + [_unimodular(rng, g.dim) for _ in range(2)]:
-            table, terms = _reference_change_basis(g, P)
+            table, den, terms = _reference_change_basis(g, P)
             moved = g.change_basis(P)
             assert moved.table == table and list(moved.table) == list(table)
-            assert _typed_terms(moved._terms) == terms
+            assert moved._den == den and _typed_terms(moved._terms) == terms
             count += 1
     assert count == 138
 
@@ -1117,6 +1139,9 @@ def test_public_readers_match_input_on_non_integral_tables():
         LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [0, Fraction(1, 3), 0]}),
     ):
         assert half != other and other != half
+    # one constant each, so only the denominator tells the integer tensors apart
+    one_half, one_third = ({(0, 1): [Fraction(1, d), 0]} for d in (2, 3))
+    assert LieAlgebra(2, one_half) != LieAlgebra(2, one_third)
     assert half == LieAlgebra(3, {(0, 2): [0, Fraction(2, 6), 0], (0, 1): [0, 0, Fraction(3, 6)]})
 
 
