@@ -72,6 +72,13 @@ def _nonzero(v: Sequence) -> List[Tuple[int, Fraction]]:
     return [(i, a) for i, a in enumerate(v) if a]
 
 
+def _same_ambient(n: int, *spaces: "Subspace") -> None:
+    """Refuse a subspace of Q^m, m != n, where a subspace of Q^n is wanted."""
+    for s in spaces:
+        if s.ambient != n:
+            raise ValueError(f"ambient dimensions differ: subspace of Q^{s.ambient} against Q^{n}")
+
+
 def _dense(w: Iterable[Tuple[int, object]], n: int, den: int) -> Tuple[Fraction, ...]:
     """The length-n vector of the sparse terms (k, x) over den, every entry a Fraction."""
     out = [Fraction(0)] * n
@@ -134,6 +141,7 @@ class Subspace:
         return self._echelon.coordinates(v)
 
     def contains(self, other: "Subspace") -> bool:
+        _same_ambient(self.ambient, other)
         return not any(self._echelon._reduce(dict(w)) for w in other._echelon._rows.values())
 
     def __eq__(self, other):
@@ -333,6 +341,7 @@ class LieAlgebra:
         span the same brackets.  For a is b over unordered pairs only, as
         [u, u] = 0 and [v, u] = -[u, v].
         """
+        _same_ambient(self.dim, a, b)
         xs = [w.items() for w in a._rows()]
         pairs = combinations(xs, 2) if a is b else product(xs, [w.items() for w in b._rows()])
         return Subspace._spanned(self.dim, (self._bracket_terms(x, y) for x, y in pairs))
@@ -392,6 +401,7 @@ class LieAlgebra:
         tables are one object, whose invariants (a series profile, say) are computed
         once in the process however many algebras restrict to it.
         """
+        _same_ambient(self.dim, s)
         inner = self._restrictions.get(s)
         if inner is not None:
             return inner

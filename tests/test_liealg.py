@@ -504,6 +504,24 @@ def test_restrict_rejects_unclosed_subspace():
         HEISENBERG3.restrict(span(3, [1, 2]))
 
 
+def test_subspaces_of_another_ambient_dimension_refused():
+    """A subspace of Q^m handed to an algebra or subspace of dimension n != m is
+    a ValueError that names both dimensions, not a silent answer or a crash."""
+    four = Subspace(4, [[1, 0, 0, 0]])
+    cases = [
+        # s.contains([g, g]) is the first step to see a subspace of the other space
+        (lambda: SOLV2.verify_nilradical(Subspace(1, [[1]])), 2, 1),
+        (lambda: HEISENBERG3.is_ideal(four), 4, 3),
+        (lambda: HEISENBERG3.restrict(four), 4, 3),
+        (lambda: Subspace(2, [[1, 0]]).contains(Subspace(3, [[1, 0, 0]])), 3, 2),
+        (lambda: HEISENBERG3.product_space(Subspace.full(3), four), 4, 3),
+        (lambda: HEISENBERG3.product_space(four, four), 4, 3),
+    ]
+    for call, m, n in cases:
+        with pytest.raises(ValueError, match=rf"subspace of Q\^{m} against Q\^{n}$"):
+            call()
+
+
 def test_restrictions_interned_by_term_table():
     # SOLV5 and a second algebra acting differently on the same 4-dim nilradical
     other = LieAlgebra(5, {(0, 4): [1, 0, 0, 0, 0], (1, 2): [1, 0, 0, 0, 0], (2, 4): [0, 0, -1, 0, 0]})
