@@ -1,28 +1,25 @@
 """Finite-dimensional Lie algebras over Q given by structure constants.
 
-A `LieAlgebra` stores its structure constants in one form, a sparse integer
-structure tensor over one positive denominator `_den`, the lcm of the
-constants' denominators (1 for an integral table): for every ordered pair
-(i, j), `_terms[i][j]` holds the nonzero terms (k, _den c_ij^k) of
-[e_i, e_j], signs already applied for j < i, every one an `int`.  Everything
-else (Jacobi checking, adjoint matrices, derived and lower central series,
-centers, ideals, nilradical checks, base change) is derived from it with
-exact arithmetic, and `table`, the dense dict of the brackets for i < j, is
-read off it on each read.
+A `LieAlgebra` stores its structure constants once, as a sparse integer
+tensor over one positive denominator `_den`, the lcm of the constants'
+denominators: for every ordered pair (i, j), `_terms[i][j]` holds the nonzero
+terms (k, _den c_ij^k) of [e_i, e_j], signs already applied for j < i, every
+one an `int`.  Everything else (Jacobi checking, adjoint matrices, series,
+centers, ideals, nilradical checks, base change, and `table`, the dense dict
+of the brackets for i < j) is derived from it with exact arithmetic.
 
-A common scale changes no subspace, so the derived algebra, the series, the
-centre, closure and ideal tests and the nilradical's trace rows run on the
-integer tensor as it is; readers that return values divide once, at the
-boundary: `structure_constant`, `bracket` and `ad_basis` by `_den`, the
-Jacobi residual and the Killing form by _den^2, and `restrict` and
-`change_basis` fold it into their own denominators.  The tensor is built by
-`LieAlgebra._of_terms`.  Only the public constructor checks each entry
-(`_vec`): `change_basis` and `restrict` make exact terms from integer rows,
-one Fraction per constant, and `corpus.instantiate` from parsed polynomials.
-Brackets run over the nonzero coordinates of their arguments only.  The
-Jacobi check, the centre (one sparse row {i: c_ij^k} per (j, k)) and the
-Killing form (sum of c_ik^l c_jl^k) contract the tensor directly, without
-forming any bracket or adjoint matrix.
+A common scale changes no subspace, so series, centre, closure and ideal
+tests and the nilradical's trace rows run on the integer tensor as it is.
+Readers that return values divide once, at the boundary: `structure_constant`,
+`bracket` and `ad_basis` by `_den`, the Jacobi residual and the Killing form
+by _den^2; `restrict` and `change_basis` fold it into their own denominators.
+The tensor is built by `LieAlgebra._of_terms`.  Only the public constructor
+checks each entry (`_vec`): `change_basis` and `restrict` make exact terms
+from integer rows, one Fraction per constant, and `corpus.instantiate` from
+parsed polynomials.  Brackets run over the nonzero coordinates of their
+arguments only.  The Jacobi check, the centre (one sparse row {i: c_ij^k} per
+(j, k)) and the Killing form (sum of c_ik^l c_jl^k) contract the tensor
+directly, without forming any bracket or adjoint matrix.
 
 The nilradical search forms no matrix when [g, g] has codimension 1: N is
 then [g, g] unless g is nilpotent.  Otherwise it grows words in ad(T), T the
