@@ -162,8 +162,6 @@ def test_table_is_a_snapshot():
     in the algebra, and its keys come in pair order whatever order the
     constructor was given."""
     g, h = LieAlgebra(4, NILP42.table), LieAlgebra(4, NILP42.table)
-    g.table.clear()
-    g.table[(0, 1)] = (0, 0, 0, 1)
     snapshot = g.table
     snapshot.clear()
     snapshot[(0, 1)] = (0, 0, 0, 1)
