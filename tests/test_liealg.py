@@ -695,23 +695,36 @@ def _full_closure_nilradical(g):
     return Subspace(n, nullspace(rows))
 
 
+def _rational_base_change(n):
+    """_unit_bidiagonal(n) with column j divided by j + 1: not unimodular."""
+    return _unit_bidiagonal(n) @ MatrixQ.diagonal([Fraction(1, j + 1) for j in range(n)])
+
+
 def test_nilradical_matches_full_closure_reference():
     entries = list(packaged_corpus("appendix_a.lalg")) + list(
         packaged_corpus("appendix_b.lalg")
     )[::25]
-    checked = 0
+    cases = []
     for entry in entries:
         for env in sample_parameters(entry, seed=1, k=1):
             g0 = instantiate(entry, env)
-            for g in (g0, g0.change_basis(_unit_bidiagonal(g0.dim))):
-                if not g.is_solvable():
-                    continue
-                nil = g.nilradical_codim_search()[0]
-                assert nil == _full_closure_nilradical(g), entry.id
-                for x in nil.basis:
-                    assert (g.ad_matrix(x) ** g.dim).is_zero(), entry.id
-                checked += 1
-    assert checked == 2 * len(entries)
+            cases += [(entry.id, g0), (entry.id, g0.change_basis(_unit_bidiagonal(g0.dim)))]
+    # constants over a denominator > 1; KILLING_DEGENERATE6 needs words of degree 2
+    for tag, g0 in (("killing_degenerate6", KILLING_DEGENERATE6), ("solv5", SOLV5),
+                    ("r2_cubed", R2_CUBED)):
+        g = g0.change_basis(_rational_base_change(g0.dim))
+        assert g._den > 1, tag
+        cases.append((tag, g))
+    checked = 0
+    for tag, g in cases:
+        if not g.is_solvable():
+            continue
+        nil = g.nilradical_codim_search()[0]
+        assert nil == _full_closure_nilradical(g), tag
+        for x in nil.basis:
+            assert (g.ad_matrix(x) ** g.dim).is_zero(), tag
+        checked += 1
+    assert checked == 2 * len(entries) + 3
 
 
 def test_invariants_computed_once(monkeypatch):
