@@ -6,28 +6,31 @@ denominators: for every ordered pair (i, j), `_terms[i][j]` holds the nonzero
 terms (k, _den c_ij^k) of [e_i, e_j], signs already applied for j < i, every
 one an `int`.  Everything else (Jacobi checking, adjoint matrices, series,
 centers, ideals, nilradical checks, base change, and `table`, the dense dict
-of the brackets for i < j) is derived from it with exact arithmetic.
+of the brackets for i < j) is derived from it with exact arithmetic, and
+every internal computation runs on it in integers.
 
-A common scale changes no subspace, so series, centre, closure and ideal
-tests and the nilradical's trace rows run on the integer tensor as it is.
-Readers that return values divide once, at the boundary: `structure_constant`,
-`bracket` and `ad_basis` by `_den`, the Jacobi residual and the Killing form
-by _den^2; `restrict` and `change_basis` fold it into their own denominators.
-The tensor is built by `LieAlgebra._of_terms`.  Only the public constructor
-checks each entry (`_vec`): `change_basis` and `restrict` make exact terms
-from integer rows, one Fraction per constant, and `corpus.instantiate` from
-parsed polynomials.  Brackets run over the nonzero coordinates of their
-arguments only.  The Jacobi check, the centre (one sparse row {i: c_ij^k} per
-(j, k)) and the Killing form (sum of c_ik^l c_jl^k) contract the tensor
-directly, without forming any bracket or adjoint matrix.
+A common scale changes no subspace, so series, centre, closure and ideal tests
+and the nilradical's words and trace rows run on the integer tensor as it is.
+`MatrixQ` and `Fraction` appear only at the public boundary, where readers
+that return values divide once: `structure_constant`, `bracket`, `ad_basis`
+and `ad_matrix` by `_den`, the Jacobi residual and the Killing form by _den^2;
+`restrict` and `change_basis` fold it into their own denominators and hand the
+constructor exact terms.  The tensor is built by `LieAlgebra._of_terms`.  Only
+the public constructor checks each entry (`_vec`): `change_basis` and
+`restrict` make exact terms from integer rows, one Fraction per constant, and
+`corpus.instantiate` from parsed polynomials.  Brackets run over the nonzero
+coordinates of their arguments only.  The Jacobi check, the centre (one sparse
+row {i: c_ij^k} per (j, k)) and the Killing form (sum of c_ik^l c_jl^k)
+contract the tensor directly, without forming any bracket or adjoint matrix.
 
 The nilradical search forms no matrix when [g, g] has codimension 1: N is
 then [g, g] unless g is nilpotent.  Otherwise it grows words in ad(T), T the
-basis vectors off the pivots of [g, g], only until the trace functionals they
-give cut out a kernel in T whose basis vectors are all ad-nilpotent.  That
-kernel contains N meet T because the functionals vanish on N, and lies in N
-because N is the set of ad-nilpotent elements, so the answer is certified
-from both sides and is exact.
+basis vectors off the pivots of [g, g], as products (`linalg._matmul`) of the
+integer rows of _den ad(e_i), only until the trace functionals they give cut
+out a kernel in T whose basis vectors are all ad-nilpotent.  That kernel
+contains N meet T because the functionals vanish on N, and lies in N because N
+is the set of ad-nilpotent elements, so the answer is certified from both
+sides and is exact.
 
 A `Subspace` is a view of the sparse rows its `Echelon` stores, which over Q
 are primitive integer rows.  Series, derived algebras, ideal and nilradical
@@ -54,7 +57,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, _int_rows, _inverse, _kernel
+from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, _int_rows, _inverse, _kernel, _matmul
 
 
 def _vec(entries: Sequence, n: int) -> Tuple[Fraction, ...]:
@@ -186,8 +189,7 @@ class LieAlgebra:
     """
 
     __slots__ = (
-        "dim", "_den", "_terms", "_profile", "_derived", "_nilradical", "_ads",
-        "_restrictions",
+        "dim", "_den", "_terms", "_profile", "_derived", "_nilradical", "_restrictions",
     )
 
     def __init__(self, dim: int, table: Dict[Tuple[int, int], Sequence]):
@@ -218,8 +220,8 @@ class LieAlgebra:
             full[i][j] = tuple((k, c.numerator * (den // c.denominator)) for k, c in ts)
             full[j][i] = tuple((k, -c) for k, c in full[i][j])
         self._terms = full
-        # invariants (a series profile, [g, g], the nilradical, ad(e_i)), each computed on first use
-        self._profile = self._derived = self._nilradical = self._ads = None
+        # invariants (a series profile, [g, g], the nilradical), each computed on first use
+        self._profile = self._derived = self._nilradical = None
         self._restrictions: Dict[Subspace, LieAlgebra] = {}
         return self
 
@@ -286,31 +288,26 @@ class LieAlgebra:
         return None
 
     def ad_matrix(self, x: Sequence) -> MatrixQ:
-        """Matrix of ad(x) = sum of x_i ad(e_i); column j holds [x, e_j]."""
-        n = self.dim
-        out = MatrixQ.zeros(n, n)
-        for i, c in _nonzero(_vec(x, n)):
-            out = out + self.ad_basis(i).scale(c)
-        return out
+        """Matrix of ad(x); column q holds [x, e_q]."""
+        n, xs = self.dim, _nonzero(_vec(x, self.dim))
+        cols = (self._bracket_terms(xs, [(q, 1)]).items() for q in range(n))
+        return MatrixQ._exact(list(zip(*(_dense(w, n, self._den) for w in cols))))
 
     def ad_basis(self, i: int) -> MatrixQ:
-        """ad(e_i), read off the term table once: entry (p, q) is c_iq^p."""
-        if self._ads is None:
-            n, den = self.dim, self._den
-            self._ads = tuple(
-                MatrixQ._exact(list(zip(*(_dense(terms, n, den) for terms in row))))
-                for row in self._terms
-            )
-        return self._ads[i]
+        """ad(e_i), read off the term table on each call: entry (p, q) is c_iq^p."""
+        return MatrixQ._exact([tuple(Fraction(c, self._den) for c in r) for r in self._ad_rows(i)])
 
-    def _ad_trace(self, i: int, W: MatrixQ):
-        """_den tr(ad(e_i) W), the sum of _den c_iq^p W[q][p] over the term table."""
-        s = 0
+    def _ad_rows(self, i: int) -> List[List[int]]:
+        """_den ad(e_i) as integer rows: entry (p, q) is _den c_iq^p."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
         for q, terms in enumerate(self._terms[i]):
-            w = W.row(q)
             for p, c in terms:
-                s += c * w[p]
-        return s
+                rows[p][q] = c
+        return rows
+
+    def _ad_trace(self, i: int, W: Sequence[Sequence[int]]) -> int:
+        """_den tr(ad(e_i) W) for W given by integer rows: the sum of _den c_iq^p W[q][p]."""
+        return sum([c * W[q][p] for q, terms in enumerate(self._terms[i]) for p, c in terms])
 
     def _ad_nilpotent(self, z: Dict[int, object]) -> bool:
         """ad z is nilpotent, z a sparse vector {index: nonzero value}.
@@ -456,10 +453,13 @@ class LieAlgebra:
         formed.
 
         Otherwise words in ad(T) are grown degree by degree from the
-        identity, as matrices, and each new word W gives the functionals
-        x -> tr(ad(x) W) on T.  They vanish on N, since ad x is strictly
-        triangular for x in N, so their common kernel K in T contains N meet T.
-        After each degree, when every basis vector of K is ad-nilpotent, K lies
+        identity, as integer rows: the generators are _den ad(e_i), so a word
+        of degree k is _den^k times the true word, and its trace row
+        (`_ad_trace`) _den^(k+1) times the true row.  A scale changes neither
+        the span of the words nor the kernel of the rows.  Each new word W
+        gives the functionals x -> tr(ad(x) W) on T.  They vanish on N, since
+        ad x is strictly triangular for x in N, so their common kernel K in T
+        contains N meet T.  After each degree, when every basis vector of K is ad-nilpotent, K lies
         in N as well and N = [g, g] + K.  Diagonals of words are the
         polynomials in the lambda_k, which separate distinct weights, so once
         the words span their algebra K is N meet T; the loop stops there at
@@ -476,9 +476,9 @@ class LieAlgebra:
                 self._nilradical = derived
             else:
                 free = [i for i in range(n) if i not in derived._echelon._rows]
-                gens = [self.ad_basis(i) for i in free]
-                frontier = [MatrixQ.identity(n)]
-                words = Echelon(n * n, [frontier[0].flat()])
+                gens = [self._ad_rows(i) for i in free]
+                frontier = [[[int(p == q) for q in range(n)] for p in range(n)]]
+                words = Echelon(n * n, [[x for r in frontier[0] for x in r]])
                 rows: List[Dict[int, object]] = []
                 while frontier:
                     for W in frontier:
@@ -489,8 +489,8 @@ class LieAlgebra:
                     ]
                     if all(self._ad_nilpotent(z) for z in kernel):
                         break
-                    fresh = (A @ W for W in frontier for A in gens)
-                    frontier = [P for P in fresh if words.add(P.flat())]
+                    fresh = (_matmul(A, W) for W in frontier for A in gens)
+                    frontier = [P for P in fresh if words.add([x for r in P for x in r])]
                 # Echelon._add may keep and reduce the rows it is given
                 self._nilradical = Subspace._spanned(
                     n, [*(dict(w) for w in derived._rows()), *kernel]
@@ -550,7 +550,8 @@ class LieAlgebra:
             (self.dim, self._den, self._terms) == (other.dim, other._den, other._terms))
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={len(self.table)})"
+        brackets = sum(1 for i, j in combinations(range(self.dim), 2) if self._terms[i][j])
+        return f"LieAlgebra(dim={self.dim}, brackets={brackets})"
 
 
 @lru_cache(maxsize=256)

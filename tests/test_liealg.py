@@ -364,8 +364,8 @@ def test_center_witnesses():
 
 def test_invariants_read_cached_ad_matrices(monkeypatch):
     """The centre, Killing matrix and nilradical never call the public
-    bracket: the first two read the term table, and the nilradical search
-    reads it too, taking ad(e_i) from the cache when it forms words."""
+    bracket: all three read the term table, the nilradical search taking the
+    integer rows of _den ad(e_i) from it when it forms words."""
     # a fresh copy of a solvable, non-nilpotent dim-6 algebra
     entry = _appendix_b_entry("[6,[5,0],2,1]")
     g0 = instantiate(entry, sample_parameters(entry, seed=1, k=1)[0])
@@ -385,8 +385,6 @@ def test_invariants_read_cached_ad_matrices(monkeypatch):
     g.nilradical_codim_search()
     # rebuilding ad(e_i) through bracket for each of the three took 108 calls
     assert calls == []
-    for i in range(g.dim):
-        assert g.ad_basis(i) is g.ad_basis(i)
 
 
 def _count_calls(monkeypatch, targets):
@@ -415,7 +413,9 @@ def test_invariants_skip_dense_ad_products(monkeypatch):
     for entry in entries:
         g = instantiate(entry, sample_parameters(entry, seed=1, k=1)[0])
         algebras.append(g.change_basis(_unimodular(rng, g.dim)))
-    calls = _count_calls(monkeypatch, [(MatrixQ, "__matmul__"), (LieAlgebra, "ad_basis")])
+    calls = _count_calls(
+        monkeypatch, [(MatrixQ, "__matmul__"), (LieAlgebra, "ad_basis"), (liealg, "_matmul")]
+    )
     t_one = 0
     for g0 in algebras:
         g = LieAlgebra(g0.dim, g0.table)
@@ -425,7 +425,7 @@ def test_invariants_skip_dense_ad_products(monkeypatch):
         g.center()
         g.killing_matrix()
     assert t_one >= 10
-    assert calls == {"__matmul__": 0, "ad_basis": 0}
+    assert calls == {"__matmul__": 0, "ad_basis": 0, "_matmul": 0}
 
 
 @pytest.mark.parametrize("tag", sorted(FIXTURES))
@@ -636,9 +636,9 @@ def test_nilradical_search_goes_past_vanishing_traces(monkeypatch):
     g = LieAlgebra(KILLING_DEGENERATE6.dim, KILLING_DEGENERATE6.table)
     assert g.ad_basis(4).trace() == 0 and g.killing_matrix()[4, 4] == 0
     assert g.derived_algebra() == span(6, [0, 1, 2, 3])
-    calls = _count_calls(monkeypatch, [(MatrixQ, "__matmul__")])
+    calls = _count_calls(monkeypatch, [(liealg, "_matmul")])
     nil, codim = g.nilradical_codim_search()
-    assert calls["__matmul__"] >= 2  # ad(T) times ad(T)
+    assert calls["_matmul"] >= 2  # ad(T) times ad(T)
     assert nil == span(6, [0, 1, 2, 3, 5])
     assert (nil.dim, codim) == (NILRADICAL_DIMS["killing_degenerate6"], 1)
 
@@ -659,9 +659,11 @@ def test_nilradical_shortcut_after_base_change(monkeypatch):
             (3, 4): [2, -2, -1, 1, 0],
         },
     )
-    calls = _count_calls(monkeypatch, [(MatrixQ, "__matmul__"), (LieAlgebra, "ad_basis")])
+    calls = _count_calls(
+        monkeypatch, [(MatrixQ, "__matmul__"), (LieAlgebra, "ad_basis"), (liealg, "_matmul")]
+    )
     nil, codim = g.nilradical_codim_search()
-    assert calls == {"__matmul__": 0, "ad_basis": 0}
+    assert calls == {"__matmul__": 0, "ad_basis": 0, "_matmul": 0}
     assert nil is g.derived_algebra()
     assert (nil.dim, codim) == (NILRADICAL_DIMS["solv5_moved"], 1)
     for x in nil.basis:
