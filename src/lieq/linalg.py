@@ -87,8 +87,9 @@ def _square_free(n: int) -> Tuple[int, int]:
 class QuadExt:
     """Element a + b*sqrt(d) of a real or imaginary quadratic field.
 
-    d is normalized to a square-free integer; a rational radicand p/q is
-    rewritten as sqrt(p*q)/q first.  Arithmetic is closed for a fixed d and
+    a, b and d are exact rationals (int, Fraction or str, as `_as_rational`
+    takes them); a float is a TypeError.  d is normalized to a square-free
+    integer; a rational radicand p/q is rewritten as sqrt(p*q)/q first.  Arithmetic is closed for a fixed d and
     mixes freely with Fraction/int.  Order comparisons are defined for real
     values whenever both operands live in a common quadratic field (or one of
     them is rational, or both are pure multiples of square roots).
@@ -97,11 +98,10 @@ class QuadExt:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=1):
-        a = Fraction(a)
-        b = Fraction(b)
+        a, b = _as_rational(a), _as_rational(b)
         if isinstance(d, QuadExt):
             raise TypeError("radicand must be rational")
-        d = Fraction(d)
+        d = _as_rational(d)
         if b == 0 or d == 0:
             self.a, self.b, self.d = a, Fraction(0), 1
             return
@@ -312,8 +312,9 @@ class QuadExt:
 
 
 def sqrt_exact(q) -> Scalar:
-    """Exact square root of a nonnegative rational: Fraction when perfect, else QuadExt."""
-    q = Fraction(q)
+    """Exact square root of a nonnegative rational (int, Fraction or str; a float is a
+    TypeError): Fraction when perfect, else QuadExt."""
+    q = _as_rational(q)
     if q < 0:
         raise ValueError("sqrt_exact needs a nonnegative rational")
     if q == 0:

@@ -811,6 +811,19 @@ def test_sqrt_exact():
     assert repr(QuadExt(0, 1, -8 * p * p)) == f"{2 * p}*sqrt(-2)"
 
 
+def test_quadext_and_sqrt_exact_refuse_floats():
+    """a, b, d and q are int, Fraction or str; a float, exact or not, is a TypeError
+    rather than the rational value of its binary expansion."""
+    for make in (lambda: sqrt_exact(0.1), lambda: sqrt_exact(4.0), lambda: QuadExt(0.5),
+                 lambda: QuadExt(1, 0.5, 2), lambda: QuadExt(0, 1, 2.0)):
+        with pytest.raises(TypeError, match="cannot use float"):
+            make()
+    with pytest.raises(TypeError, match="radicand must be rational"):
+        QuadExt(0, 1, QuadExt(0, 1, 2))
+    assert sqrt_exact("9/4") == F(3, 2)
+    assert QuadExt("1/2", 1, "3/4") == QuadExt(F(1, 2), F(1, 2), 3)
+
+
 def test_quadext_matrix_ops():
     r2 = QuadExt(0, 1, 2)
     M = MatrixQ([[r2, 1], [0, r2]])
