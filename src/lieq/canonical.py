@@ -127,10 +127,6 @@ def _normalize_scalar(x) -> Scalar:
     return x
 
 
-def _fmt_scalar(x) -> str:
-    return repr(x) if isinstance(x, QuadExt) else str(x)
-
-
 @dataclass(frozen=True)
 class CanonicalLabel:
     """A canonical-form family tag plus exact named parameters.
@@ -150,7 +146,7 @@ class CanonicalLabel:
         raise KeyError(name)
 
     def __str__(self) -> str:
-        return " ".join([self.family] + [f"{k}={_fmt_scalar(v)}" for k, v in self.params])
+        return " ".join([self.family] + [f"{k}={v}" for k, v in self.params])
 
 
 def _label(family: str, *params: Tuple[str, object]) -> CanonicalLabel:
