@@ -459,11 +459,11 @@ class LieAlgebra:
         the span of the words nor the kernel of the rows.  Each new word W
         gives the functionals x -> tr(ad(x) W) on T.  They vanish on N, since
         ad x is strictly triangular for x in N, so their common kernel K in T
-        contains N meet T.  After each degree, when every basis vector of K is ad-nilpotent, K lies
-        in N as well and N = [g, g] + K.  Diagonals of words are the
-        polynomials in the lambda_k, which separate distinct weights, so once
-        the words span their algebra K is N meet T; the loop stops there at
-        the latest.
+        contains N meet T.  After each degree, when every basis vector of K is
+        ad-nilpotent, K lies in N as well and N = [g, g] + K.  Diagonals of
+        words are the polynomials in the lambda_k, which separate distinct
+        weights, so once the words span their algebra K is N meet T; the loop
+        stops there at the latest.
         """
         if not self.is_solvable():
             raise ValueError("nilradical search requires a solvable algebra")

@@ -89,16 +89,18 @@ class QuadExt:
 
     a, b and d are exact rationals (int, Fraction or str, as `_as_rational`
     takes them); a float is a TypeError.  d is normalized to a square-free
-    integer; a rational radicand p/q is rewritten as sqrt(p*q)/q first.  Arithmetic is closed for a fixed d and
-    mixes freely with Fraction/int.  Order comparisons are defined for real
-    values whenever both operands live in a common quadratic field (or one of
-    them is rational, or both are pure multiples of square roots).
+    integer; a rational radicand p/q is rewritten as sqrt(p*q)/q first.
+    Arithmetic is closed for a fixed d and mixes freely with Fraction/int.
+    Order comparisons are defined for real values whenever both operands live
+    in a common quadratic field (or one of them is rational, or both are pure
+    multiples of square roots).
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=1):
-        a, b = _as_rational(a), _as_rational(b)
+        a = _as_rational(a)
+        b = _as_rational(b)
         if isinstance(d, QuadExt):
             raise TypeError("radicand must be rational")
         d = _as_rational(d)

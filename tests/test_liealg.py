@@ -1066,6 +1066,8 @@ def test_public_readers_return_fractions():
     moved = g.change_basis(_unit_bidiagonal(n))
     assert moved.table and all(_fractions_only(v) for v in moved.table.values())
     assert all(_fractions_only(g.ad_basis(i).flat()) for i in range(n))
+    assert _fractions_only(g.ad_matrix([1, 0, 2, 1]).flat())
+    assert _fractions_only(g.ad_matrix([0, 0, 0, 0]).flat())
     assert _fractions_only(g.killing_matrix().flat())
     assert all(_fractions_only(v) for v in g.center().basis)
 
@@ -1095,8 +1097,8 @@ def _input_jacobi(n, nonzero):
 
 
 def _assert_readers_match_input(g, table):
-    """table, structure_constant, bracket, ad_basis, killing_matrix and the Jacobi
-    residual of g against values computed from its input table alone."""
+    """table, structure_constant, bracket, ad_basis, ad_matrix, killing_matrix and the
+    Jacobi residual of g against values computed from its input table alone."""
     n = g.dim
     c = _input_constants(n, table)
     nonzero = [[[(l, a) for l, a in enumerate(v) if a] for v in row] for row in c]
@@ -1111,6 +1113,8 @@ def _assert_readers_match_input(g, table):
         for k, a in nonzero[i][j]:
             expected[k] += x[i] * y[j] * a
     assert g.bracket(x, y) == tuple(expected)
+    ad_x = [sum((x[i] * c[i][q][p] for i in range(n)), Fraction(0)) for p in range(n) for q in range(n)]
+    assert g.ad_matrix(x).flat() == tuple(ad_x)
     killing = [
         sum((a * c[j][l][k] for k in range(n) for l, a in nonzero[i][k]), Fraction(0))
         for i in range(n) for j in range(n)
