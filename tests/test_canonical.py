@@ -923,6 +923,50 @@ def test_witness_digest_frozen():
     assert digest.hexdigest() == "5095d6eb771d575b8e5b0477a8886a71d4f7485466bf93f5783603e3868c634b"
 
 
+def _exact_residuals(a, target, W, js):
+    """The entries of |W^-1 a W - C| and of |W^T J W - J| over js, as exact Fraction or
+    QuadExt values (entries in two quadratic fields are not ordered, so no max is taken)."""
+    sim = [abs(x) for x in (solve_or_invert(W) @ a @ W - target).flat()]
+    grp = [abs(x) for J in js for x in (W.transpose() @ J @ W - J).flat()]
+    return sim, grp
+
+
+def test_witness_residuals_are_rounded_exact_residuals():
+    # both reported residuals are the largest float() of the exact entries, bit for bit:
+    # seeded conjugates of every representative, the three irrational members
+    # of test_irrational_parameter_labels (QuadExt targets) as they are and
+    # conjugated, and the sqrt(2) chain member certified from 64-bit roots
+    irrational = [
+        MatrixQ([[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 3, 0, 0]]),
+        MatrixQ([[0, 0, 1, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -5, 0, 0]]),
+        MatrixQ([[1, 2, 0, 0], [1, 1, 0, 0], [0, 0, -1, -1], [0, 0, -2, -1]]),
+    ]
+    rng = random.Random(37)
+    cases = [(m, True) for m in irrational + [_sqrt2_chain_member()]]
+    for m in irrational:
+        W = random_symplectic(rng)
+        cases.append((solve_or_invert(W) @ m @ W, True))
+    for lbl in SP4_SAMPLE_LABELS:
+        W = random_symplectic(rng)
+        cases.append((solve_or_invert(W) @ sp4_canonical_matrix(lbl) @ W, True))
+    for lbl in HJ2_SAMPLE_LABELS:
+        W = random_structure_group_element(rng)
+        cases.append((solve_or_invert(W) @ hJ2_canonical_matrix(lbl) @ W, False))
+    bits, irrational_targets = set(), 0
+    for a, sp4 in cases:
+        lbl, wit = sp4_canonical_form(a) if sp4 else hJ2_canonical_form(a)
+        target = sp4_canonical_matrix(lbl) if sp4 else hJ2_canonical_matrix(lbl)
+        js = (J_SP4,) if sp4 else (J_HJ2_1, J_HJ2_2)
+        sim, grp = _exact_residuals(a, target, wit.W, js)
+        assert max(map(float, sim)) == wit.residual_similarity
+        assert max(map(float, grp)) == wit.residual_group
+        assert (wit.precision_bits == 0) == (not any(sim + grp))
+        bits.add(wit.precision_bits)
+        irrational_targets += any(isinstance(x, QuadExt) for x in target.flat())
+    assert irrational_targets == 6
+    assert {0, 64} <= bits
+
+
 def _spectrum_sp4_member(rng, kind):
     """A seeded sp(4,R) member whose spectrum depends on the kind: a random
     member (mostly an irreducible quartic), A (+) -A^T (real pairs such as
