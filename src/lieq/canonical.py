@@ -62,7 +62,10 @@ J_SP4 = MatrixQ([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
 J_HJ2_1 = J_SP4
 J_HJ2_2 = MatrixQ([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
 
-_LIE_FAMILIES = {"sp4": (J_SP4,), "hJ2": (J_HJ2_1, J_HJ2_2)}
+#: each family's structure matrices J as signed row permutations: row i holds (p, J_ip < 0) for
+#: the one nonzero J_ip of that row, so row i of J a is row p of a, negated when J_ip < 0
+_LIE_FAMILIES = {name: tuple(tuple(next((p, J[i, p] < 0) for p in range(4) if J[i, p]) for i in range(4))
+                             for J in mats) for name, mats in (("sp4", (J_SP4,)), ("hJ2", (J_HJ2_1, J_HJ2_2)))}
 _GROUP_FAMILIES = {"Sp4": (J_SP4,), "HJ2": (J_HJ2_1, J_HJ2_2)}
 
 
@@ -89,18 +92,22 @@ def lie_membership(a: MatrixQ, family: str) -> bool:
 
 def _lie_products(a: MatrixQ, family: str) -> Optional[Tuple[MatrixQ, ...]]:
     """The products J a over the family's structure matrices J when all are
-    symmetric (a is a member), else None; the sp(4) classifier reuses J a."""
-    mats = _LIE_FAMILIES.get(family)
-    if mats is None:
+    symmetric (a is a member), else None; the sp(4) classifier reuses J a.
+
+    Each J is a signed permutation, so J a is read off a's rows, negated where
+    J has a -1, and compared with its transpose as tuples: no entry is multiplied.
+    """
+    perms = _LIE_FAMILIES.get(family)
+    if perms is None:
         raise ValueError(f"unknown algebra family {family!r}; expected 'sp4' or 'hJ2'")
     if a.shape() != (4, 4):
         raise MembershipError(f"membership test needs a 4x4 matrix, got {a.nrows}x{a.ncols}")
     products = []
-    for J in mats:
-        S = J @ a
-        if S != S.transpose():
+    for perm in perms:
+        S = tuple(tuple(-x for x in a._r[p]) if neg else a._r[p] for p, neg in perm)
+        if S != tuple(zip(*S)):
             return None
-        products.append(S)
+        products.append(MatrixQ._exact(S))
     return tuple(products)
 
 
@@ -113,6 +120,12 @@ def group_membership(A: MatrixQ, family: str) -> bool:
         raise MembershipError(f"membership test needs a 4x4 matrix, got {A.nrows}x{A.ncols}")
     At = A.transpose()
     return all(At @ J @ A == J for J in mats)
+
+
+def _check_rational(m: MatrixQ) -> None:
+    """Raise TypeError at the first QuadExt entry of m, in row order: the classifiers take rational matrices."""
+    for i, j in ((i, j) for i in range(m.nrows) for j in range(m.ncols) if isinstance(m[i, j], QuadExt)):
+        raise TypeError(f"entry ({i}, {j}) of the matrix is {m[i, j]}: the classifiers take rational matrices")
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +176,8 @@ class Witness:
 
     ``residual_similarity`` is max|W^-1 a W - C| for the canonical matrix C and
     ``residual_group`` is max|W^T J W - J| over the structure matrices, both
-    computed exactly, at most RESIDUAL_TOLERANCE, and rounded to float here.
+    computed exactly, at most RESIDUAL_TOLERANCE, and rounded to float here:
+    each float is the exact residual, correctly rounded when it is rational.
     ``precision_bits`` is 0 for an exact W (residuals 0.0), else the bits of
     the rounded square roots W was built from.
     """
@@ -202,13 +216,21 @@ def _assemble(cols: Sequence[Vec], bits: int) -> MatrixQ:
 
 def _make_witness(a: MatrixQ, target: MatrixQ, build: Callable[[int], MatrixQ],
                   js: Sequence[MatrixQ]) -> Witness:
-    """The first build(bits), bits = 64, 128, ..., whose exact residuals meet RESIDUAL_TOLERANCE.
+    """The first build(bits), bits = 64, 128, ..., whose exact residuals meet RESIDUAL_TOLERANCE = tn / td.
 
-    Over the integers, with W = Wi / D and a = Ai / E, `_inverse` stores [Wi | I] reduced as rows
-    piv_r e_r | X_r, so row r of W^-1 a W is (X Ai Wi)_r / (piv_r E); W^T J W is Wi^T J Wi / D^2.
+    Both residuals are compared on integer rows, with no Fraction per entry.  Write W = Wi / D,
+    a = Ai / E and C = T / Dt, and take each J as integer rows.  `_inverse` stores [Wi | I] reduced
+    as rows piv_r e_r | X_r with piv_r > 0, so entry (i, j) of |W^-1 a W - C| is R / den with
+    R = |(X Ai Wi)_ij Dt - piv_i E T_ij| and den = piv_i E Dt, and |W^T J W - J| is
+    |Wi^T J Wi - D^2 J| / D^2.  An entry passes when R td <= tn den, and is reported as R / den.
+    An irrational label parameter leaves a QuadExt in T, which takes the same expression.
     """
-    tol = Fraction(RESIDUAL_TOLERANCE)
+    tn, td = Fraction(RESIDUAL_TOLERANCE).as_integer_ratio()
     Ai, E = _int_rows(a._r)
+    Dt = math.lcm(*[x.denominator for x in target.flat() if isinstance(x, Fraction)])
+    T = [[x.numerator * (Dt // x.denominator) if isinstance(x, Fraction) else x * Dt for x in row]
+         for row in target._r]
+    Jrows = [_int_rows(J._r)[0] for J in js]
     bits = _PRECISION_START
     while bits <= _PRECISION_CAP:
         W = build(bits)
@@ -217,13 +239,13 @@ def _make_witness(a: MatrixQ, target: MatrixQ, build: Callable[[int], MatrixQ],
         if ech is not None:  # a singular W is no witness
             rows = [ech._rows[r] for r in range(4)]
             N = _matmul(_matmul([[row.get(4 + k, 0) for k in range(4)] for row in rows], Ai), Wi)
-            sim = [abs(Fraction(N[i][j], rows[i][i] * E) - target[i, j]) for i in range(4) for j in range(4)]
-            grp = [abs(Fraction(g, D * D) - J[i, j]) for J in js
-                   for i, row in enumerate(_matmul(list(zip(*Wi)), _matmul(_int_rows(J._r)[0], Wi)))
-                   for j, g in enumerate(row)]
-            if all(e <= tol for e in sim + grp):
-                exact = all(e == 0 for e in sim + grp)
-                return Witness(W, max(map(float, sim)), max(map(float, grp)), 0 if exact else bits)
+            pe = [rows[i][i] * E for i in range(4)]
+            sim = [(abs(N[i][j] * Dt - pe[i] * T[i][j]), pe[i] * Dt) for i in range(4) for j in range(4)]
+            grp = max(abs(g - D * D * Ji[i][j]) for Ji in Jrows
+                      for i, row in enumerate(_matmul(list(zip(*Wi)), _matmul(Ji, Wi))) for j, g in enumerate(row))
+            if grp * td <= tn * D * D and all(r * td <= tn * den for r, den in sim):
+                exact = grp == 0 and not any(r for r, _ in sim)
+                return Witness(W, max(float(r / den) for r, den in sim), grp / (D * D), 0 if exact else bits)
         bits *= 2
     raise WitnessPrecisionError(
         f"no witness within {RESIDUAL_TOLERANCE} from square roots rounded to {_PRECISION_CAP} bits"
@@ -366,6 +388,7 @@ def rjcf_shape(M: MatrixQ) -> Tuple[RjcfShape, Optional[MatrixQ]]:
     """
     if not M.is_square:
         raise ValueError("real Jordan shape of a non-square matrix")
+    _check_rational(M)
     towers = []
     for term in factor_over_rationals(char_poly(M)):
         q = term.poly
@@ -768,7 +791,8 @@ def _sp4_classify(a: MatrixQ, Ja: MatrixQ) -> Tuple[CanonicalLabel, Callable[[in
 
 
 def _sp4_product(a: MatrixQ) -> MatrixQ:
-    """J_SP4 @ a for a member a of sp(4,R); MembershipError otherwise."""
+    """J_SP4 @ a for a rational member a of sp(4,R); TypeError or MembershipError otherwise."""
+    _check_rational(a)
     products = _lie_products(a, "sp4")
     if products is None:
         raise MembershipError("matrix is not in sp(4,R): a^T J + J a != 0")
@@ -862,19 +886,24 @@ def _hJ2_classify(a: MatrixQ) -> Tuple[CanonicalLabel, Callable[[int], MatrixQ]]
             lambda bits: _witness_ee_eigen(a, (lam, eps * mu), bits))
 
 
-def hJ2_canonical_form(a: MatrixQ) -> Tuple[CanonicalLabel, Witness]:
-    """Exact canonical label and certified H(J2) witness for a member of h(J2)."""
+def _check_hJ2(a: MatrixQ) -> None:
+    """TypeError unless a is rational, MembershipError unless it is in h(J2)."""
+    _check_rational(a)
     if not lie_membership(a, "hJ2"):
         raise MembershipError("matrix is not in h(J2): a^T J_i + J_i a != 0 for a structure matrix")
+
+
+def hJ2_canonical_form(a: MatrixQ) -> Tuple[CanonicalLabel, Witness]:
+    """Exact canonical label and certified H(J2) witness for a member of h(J2)."""
+    _check_hJ2(a)
     label, build = _hJ2_classify(a)
     return label, _make_witness(a, hJ2_canonical_matrix(label), build, (J_HJ2_1, J_HJ2_2))
 
 
 def hJ2_similar(a: MatrixQ, b: MatrixQ) -> bool:
     """Whether two h(J2) members are conjugate under H(J2), by label equality."""
-    for m in (a, b):
-        if not lie_membership(m, "hJ2"):
-            raise MembershipError("matrix is not in h(J2): a^T J_i + J_i a != 0 for a structure matrix")
+    _check_hJ2(a)
+    _check_hJ2(b)
     return _hJ2_classify(a)[0] == _hJ2_classify(b)[0]
 
 

@@ -770,6 +770,34 @@ def test_hJ2_requires_membership():
             hJ2_similar(*pair)
 
 
+def test_irrational_entries_rejected_with_location():
+    # the classifiers take rational matrices: a QuadExt entry is a TypeError
+    # naming the first such entry, while the membership and pairing tests
+    # still accept it
+    r = sqrt_exact(F(2))
+    a = diag(r, 1, -r, -1)
+    b = diag(r, r, -r, -r)
+    c = MatrixQ([[1, 0, 0, 0], [0, r, 0, 0], [0, 0, -1, 0], [0, 0, 0, -r]])
+    calls = [
+        (sp4_canonical_form, (a,), "(0, 0)"),
+        (symplectically_similar, (diag(1, 2, -1, -2), c), "(1, 1)"),
+        (symplectically_similar, (a, diag(1, 2, -1, -2)), "(0, 0)"),
+        (rjcf_shape, (a,), "(0, 0)"),
+        (rjcf_shape, (c,), "(1, 1)"),
+        (hJ2_canonical_form, (b,), "(0, 0)"),
+        (hJ2_similar, (diag(1, 1, -1, -1), b), "(0, 0)"),
+    ]
+    for call, args, where in calls:
+        with pytest.raises(TypeError) as err:
+            call(*args)
+        assert f"entry {where}" in str(err.value)
+        assert "rational matrices" in str(err.value)
+    for m in (a, b, c):
+        assert lie_membership(m, "sp4")
+        assert eigen_pairing_check(m)
+    assert lie_membership(b, "hJ2")
+
+
 def test_large_rational_eigenvalues_classify_fast():
     # a 61-bit prime eigenvalue: its square roots are read off with isqrt, so
     # the time does not grow with the size of the eigenvalue
@@ -837,6 +865,23 @@ def test_rational_roots_give_exact_witnesses():
         assert group_membership(wit.W, "Sp4" if sp4 else "HJ2")
         target = sp4_canonical_matrix(lbl) if sp4 else hJ2_canonical_matrix(lbl)
         assert solve_or_invert(wit.W) @ a @ wit.W == target
+
+
+def test_exact_witnesses_meet_a_zero_tolerance(monkeypatch):
+    # a residual equal to the tolerance passes: with RESIDUAL_TOLERANCE = 0 the
+    # exact witnesses of test_rational_roots_give_exact_witnesses still come back
+    monkeypatch.setattr(canonical, "RESIDUAL_TOLERANCE", 0)
+    W = random_structure_group_element(random.Random(5))
+    ee3 = label("ThmEE-3", lambda_=F(2), mu=F(3), epsilon=-1)
+    cases = [
+        (diag(3, 5, -3, -5), label("ThmE-1", lambda_=F(5), mu=F(3))),
+        (solve_or_invert(W) @ hJ2_canonical_matrix(ee3) @ W, ee3),
+    ]
+    for a, lbl in cases:
+        sp4 = lbl.family.startswith("ThmE-")
+        got, wit = sp4_canonical_form(a) if sp4 else hJ2_canonical_form(a)
+        assert got == lbl
+        assert (wit.residual_similarity, wit.residual_group, wit.precision_bits) == (0.0, 0.0, 0)
 
 
 def test_witness_out_of_tolerance_fails_loudly(monkeypatch):
