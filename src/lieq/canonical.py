@@ -124,7 +124,7 @@ def group_membership(A: MatrixQ, family: str) -> bool:
 
 def _check_rational(m: MatrixQ) -> None:
     """Raise TypeError at the first QuadExt entry of m, in row order: the classifiers take rational matrices."""
-    for i, j in ((i, j) for i in range(m.nrows) for j in range(m.ncols) if isinstance(m[i, j], QuadExt)):
+    for i, j in ((i, j) for i, row in enumerate(m._r) for j, x in enumerate(row) if isinstance(x, QuadExt)):
         raise TypeError(f"entry ({i}, {j}) of the matrix is {m[i, j]}: the classifiers take rational matrices")
 
 

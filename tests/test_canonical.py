@@ -849,15 +849,19 @@ def test_witness_contract_under_deep_shear_conjugation():
     assert trials >= 130
 
 
-def test_rational_roots_give_exact_witnesses():
-    # every square root these constructions take is rational, so W is exact
+def _exact_witness_cases():
+    """Members whose constructions take only rational square roots, with their labels."""
     W = random_structure_group_element(random.Random(5))
     ee3 = label("ThmEE-3", lambda_=F(2), mu=F(3), epsilon=-1)
-    cases = [
+    return [
         (diag(3, 5, -3, -5), label("ThmE-1", lambda_=F(5), mu=F(3))),
         (solve_or_invert(W) @ hJ2_canonical_matrix(ee3) @ W, ee3),
     ]
-    for a, lbl in cases:
+
+
+def test_rational_roots_give_exact_witnesses():
+    # every square root these constructions take is rational, so W is exact
+    for a, lbl in _exact_witness_cases():
         sp4 = lbl.family.startswith("ThmE-")
         got, wit = sp4_canonical_form(a) if sp4 else hJ2_canonical_form(a)
         assert got == lbl
@@ -871,13 +875,7 @@ def test_exact_witnesses_meet_a_zero_tolerance(monkeypatch):
     # a residual equal to the tolerance passes: with RESIDUAL_TOLERANCE = 0 the
     # exact witnesses of test_rational_roots_give_exact_witnesses still come back
     monkeypatch.setattr(canonical, "RESIDUAL_TOLERANCE", 0)
-    W = random_structure_group_element(random.Random(5))
-    ee3 = label("ThmEE-3", lambda_=F(2), mu=F(3), epsilon=-1)
-    cases = [
-        (diag(3, 5, -3, -5), label("ThmE-1", lambda_=F(5), mu=F(3))),
-        (solve_or_invert(W) @ hJ2_canonical_matrix(ee3) @ W, ee3),
-    ]
-    for a, lbl in cases:
+    for a, lbl in _exact_witness_cases():
         sp4 = lbl.family.startswith("ThmE-")
         got, wit = sp4_canonical_form(a) if sp4 else hJ2_canonical_form(a)
         assert got == lbl
