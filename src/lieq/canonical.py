@@ -219,33 +219,37 @@ def _make_witness(a: MatrixQ, target: MatrixQ, build: Callable[[int], MatrixQ],
     """The first build(bits), bits = 64, 128, ..., whose exact residuals meet RESIDUAL_TOLERANCE = tn / td.
 
     Both residuals are compared on integer rows, with no Fraction per entry.  Write W = Wi / D,
-    a = Ai / E and C = T / Dt, and take each J as integer rows.  `_inverse` stores [Wi | I] reduced
+    a = Ai / E and C = T / Dt, and take each J as integer rows.  |W^T J W - J| is
+    |Wi^T J Wi - D^2 J| / D^2, computed first.  When it is 0, W^T J W = J makes W invertible,
+    and W is exact when also Ai Wi Dt = Wi T E entrywise (a W = W C): then W^-1 a W = C and
+    both residuals are 0, with no inverse taken.  Otherwise `_inverse` stores [Wi | I] reduced
     as rows piv_r e_r | X_r with piv_r > 0, so entry (i, j) of |W^-1 a W - C| is R / den with
-    R = |(X Ai Wi)_ij Dt - piv_i E T_ij| and den = piv_i E Dt, and |W^T J W - J| is
-    |Wi^T J Wi - D^2 J| / D^2.  An entry passes when R td <= tn den, and is reported as R / den.
-    An irrational label parameter leaves a QuadExt in T, which takes the same expression.
+    R = |(X Ai Wi)_ij Dt - piv_i E T_ij| and den = piv_i E Dt.  An entry passes when
+    R td <= tn den, and is reported as R / den.  An irrational label parameter leaves a QuadExt
+    in T, which takes the same expressions.
     """
     tn, td = Fraction(RESIDUAL_TOLERANCE).as_integer_ratio()
-    Ai, E = _int_rows(a._r)
+    Ai, E = a._ints()
     Dt = math.lcm(*[x.denominator for x in target.flat() if isinstance(x, Fraction)])
     T = [[x.numerator * (Dt // x.denominator) if isinstance(x, Fraction) else x * Dt for x in row]
          for row in target._r]
-    Jrows = [_int_rows(J._r)[0] for J in js]
+    Jrows = [J._ints()[0] for J in js]
     bits = _PRECISION_START
     while bits <= _PRECISION_CAP:
         W = build(bits)
-        Wi, D = _int_rows(W._r)
+        Wi, D = W._ints()
+        grp = max(abs(g - D * D * Ji[i][j]) for Ji in Jrows
+                  for i, row in enumerate(_matmul(list(zip(*Wi)), _matmul(Ji, Wi))) for j, g in enumerate(row))
+        if grp == 0 and all(x * Dt == y * E for p, q in zip(_matmul(Ai, Wi), _matmul(Wi, T)) for x, y in zip(p, q)):
+            return Witness(W, 0.0, 0.0, 0)
         ech = _inverse(Wi)
         if ech is not None:  # a singular W is no witness
             rows = [ech._rows[r] for r in range(4)]
             N = _matmul(_matmul([[row.get(4 + k, 0) for k in range(4)] for row in rows], Ai), Wi)
             pe = [rows[i][i] * E for i in range(4)]
             sim = [(abs(N[i][j] * Dt - pe[i] * T[i][j]), pe[i] * Dt) for i in range(4) for j in range(4)]
-            grp = max(abs(g - D * D * Ji[i][j]) for Ji in Jrows
-                      for i, row in enumerate(_matmul(list(zip(*Wi)), _matmul(Ji, Wi))) for j, g in enumerate(row))
             if grp * td <= tn * D * D and all(r * td <= tn * den for r, den in sim):
-                exact = grp == 0 and not any(r for r, _ in sim)
-                return Witness(W, max(float(r / den) for r, den in sim), grp / (D * D), 0 if exact else bits)
+                return Witness(W, max(float(r / den) for r, den in sim), grp / (D * D), bits)
         bits *= 2
     raise WitnessPrecisionError(
         f"no witness within {RESIDUAL_TOLERANCE} from square roots rounded to {_PRECISION_CAP} bits"
@@ -498,12 +502,14 @@ def _chain_sign(S: MatrixQ, basis_cols: Sequence[Vec]) -> int:
 # --------------------------------------------------------------------------
 # sp(4) witness constructions
 # --------------------------------------------------------------------------
-# Vectors are column tuples.  A builder takes the kernels and matrices
+# Vectors are column tuples of Fractions, or of QuadExts where a label parameter
+# is irrational.  `_lin` and `MatrixQ.apply` combine rational ones as integer rows
+# over one common denominator, one Fraction per entry, and `_shifted` adds a
+# scalar to the diagonal only.  A builder takes the kernels and matrices
 # (a^2, a^2 + m, ...) that its classifier computed, and the bits to which it
 # rounds the square roots it cannot take exactly; it returns the rational W.
 
-_I4 = MatrixQ.identity(4)
-_UNITS = [_I4.col(j) for j in range(4)]
+_UNITS = list(MatrixQ.identity(4)._r)  # e_j is row j of the identity
 
 
 def _omega(x: Vec, y: Vec) -> Scalar:
@@ -512,8 +518,18 @@ def _omega(x: Vec, y: Vec) -> Scalar:
 
 
 def _lin(*terms: Tuple[Scalar, Vec]) -> Vec:
-    """The linear combination of (coefficient, vector) pairs."""
-    return tuple(sum(c * v[i] for c, v in terms) for i in range(4))
+    """The linear combination of (coefficient, vector) pairs: over the integer rows (c, *v)
+    of one common denominator D, one Fraction per entry, unless a value is a QuadExt."""
+    ints = _int_rows([(c, *v) for c, v in terms])
+    if ints is None:
+        return tuple(sum(c * v[i] for c, v in terms) for i in range(4))
+    rows, D = ints
+    return tuple(Fraction(sum([r[0] * r[i] for r in rows]), D * D) for i in range(1, 5))
+
+
+def _shifted(m: MatrixQ, c: Scalar) -> MatrixQ:
+    """m + c I, adding c to the diagonal entries only."""
+    return MatrixQ._exact([tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m._r)])
 
 
 def _omega_perp(*vs: Vec) -> List[Vec]:
@@ -542,7 +558,7 @@ def _eigen_pair(a: MatrixQ, lam: Scalar) -> Tuple[Vec, Vec]:
     """Darboux pair of +-lam eigenvectors, or of ker a when lam = 0."""
     if lam == 0:
         return _pair(*nullspace(a)[:2])
-    return _pair(nullspace(a - _I4 * lam)[0], nullspace(a + _I4 * lam)[0])
+    return _pair(nullspace(_shifted(a, -lam))[0], nullspace(_shifted(a, lam))[0])
 
 
 def _chain_pair(a: MatrixQ, w: Vec, eps: int, bits: int) -> Tuple[Vec, Vec]:
@@ -565,7 +581,7 @@ def _witness_e1(a: MatrixQ, lam: Scalar, mu: Scalar, bits: int) -> MatrixQ:
 
 
 def _witness_e1_double(a: MatrixQ, lam: Scalar, bits: int) -> MatrixQ:
-    Vp, Vm = nullspace(a - _I4 * lam), nullspace(a + _I4 * lam)
+    Vp, Vm = nullspace(_shifted(a, -lam)), nullspace(_shifted(a, lam))
     G = solve_or_invert(MatrixQ([[_omega(vp, vm) for vm in Vm] for vp in Vp]))
     Wm = [_lin((G[0, j], Vm[0]), (G[1, j], Vm[1])) for j in range(2)]
     return _assemble([Vp[0], Vp[1], Wm[0], Wm[1]], bits)
@@ -579,7 +595,7 @@ def _witness_e2(a: MatrixQ, lam: Scalar, eps: int, ker_a2: Sequence[Vec], bits: 
 
 
 def _witness_e3_hyperbolic(a: MatrixQ, lam: Scalar, bits: int) -> MatrixQ:
-    Ap, Am = a - _I4 * lam, a + _I4 * lam
+    Ap, Am = _shifted(a, -lam), _shifted(a, lam)
     v2 = _outside_kernel(Ap, nullspace(Ap @ Ap))
     w2 = _outside_kernel(Am, nullspace(Am @ Am))
     w1p = Am.apply(w2)
@@ -628,8 +644,8 @@ def _witness_e5(a: MatrixQ, a2: MatrixQ, eps: int, bits: int) -> MatrixQ:
 
 def _witness_e8(a: MatrixQ, a2: MatrixQ, lam: Fraction, s: Fraction, bits: int) -> MatrixQ:
     mu = _root(s - lam * lam, bits)
-    u = nullspace(a2 - a * (2 * lam) + _I4 * s)[0]
-    z = nullspace(a2 + a * (2 * lam) + _I4 * s)[0]
+    u = nullspace(_shifted(a2 - a * (2 * lam), s))[0]
+    z = nullspace(_shifted(a2 + a * (2 * lam), s))[0]
     v2 = _lin((-1 / mu, a.apply(u)), (lam / mu, u))
     w2c = _lin((-1 / mu, a.apply(z)), (-lam / mu, z))
     alpha, beta = _omega(u, z), _omega(u, w2c)
@@ -726,7 +742,7 @@ def _classify_all_real(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, lam: Scalar, mu: Sc
 def _classify_mixed(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, lam: Scalar, m: Fraction):
     """Eigenvalues +-lam with lam >= 0 and the roots of x^2 + m, m > 0."""
     mu = sqrt_exact(m)
-    b = a2 + _I4 * m
+    b = _shifted(a2, m)
     plane = nullspace(b)
     plane_sign = -_definite_sign(Ja, plane)
     if lam != 0 or (a @ b).is_zero():
@@ -743,7 +759,7 @@ def _classify_imaginary(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, m: Fraction, m2: F
     """Eigenvalues the roots of x^2 + m and x^2 + m2, m >= m2 > 0."""
     mu = sqrt_exact(m)
     if m != m2:
-        plane1, plane2 = nullspace(a2 + _I4 * m), nullspace(a2 + _I4 * m2)
+        plane1, plane2 = nullspace(_shifted(a2, m)), nullspace(_shifted(a2, m2))
         s1 = -_definite_sign(Ja, plane1)
         s2 = -_definite_sign(Ja, plane2)
         f2 = sqrt_exact(m2)
@@ -751,7 +767,7 @@ def _classify_imaginary(a: MatrixQ, a2: MatrixQ, Ja: MatrixQ, m: Fraction, m2: F
         return (_label("ThmE-9", ("mu", mu), ("epsilon", s1), ("eta", eta)),
                 lambda bits: _frame(_plane_pair(a, m, plane1[0], bits),
                                     _plane_pair(a, m2, plane2[0], bits), bits))
-    b = a2 + _I4 * m
+    b = _shifted(a2, m)
     if b.is_zero():
         pos, neg, _ = symmetric_signature(Ja)
         if (pos, neg) == (2, 2):
@@ -849,7 +865,7 @@ def _realify_basis(x1: Vec, x2: Vec, bits: int) -> MatrixQ:
 
 def _witness_ee_eigen(a: MatrixQ, w, bits: int) -> MatrixQ:
     """Complex eigenvectors for w and -w, the second divided by their determinant."""
-    shift = _I4 * w[0] + _K * w[1]
+    shift = _shifted(_K * w[1], w[0])
     xp, xm = nullspace(a - shift)[0], nullspace(a + shift)[0]
     return _realify_basis(xp, _cscale(_cinv(_cform(xp, xm)), xm), bits)
 

@@ -9,8 +9,10 @@ in this module.
 Each operation has one path.  `_matmul` is the one row product: `@` runs it
 on integer rows over one common denominator (`_int_rows`), so its multiply-adds
 are `int` operations and each result entry becomes a `Fraction` once, and on
-the entries themselves when one is a `QuadExt`.  `_char_coeffs` is the one
-Faddeev-LeVerrier loop, over the same integer rows or `QuadExt` entries:
+the entries themselves when one is a `QuadExt`.  `apply` takes the same two
+paths for a matrix-vector product.  A `MatrixQ` computes its integer rows once,
+on first use, and keeps them for every later `@` and `apply`.  `_char_coeffs`
+is the one Faddeev-LeVerrier loop, over the same integer rows or `QuadExt` entries:
 `char_poly` rescales its coefficients, and `symmetric_signature` reads their
 signs, with no elimination of its own.  `factor_over_rationals` works on one
 primitive integer polynomial from start to finish.
@@ -456,7 +458,7 @@ class Echelon:
 class MatrixQ:
     """Immutable dense matrix with exact entries (Fraction or QuadExt)."""
 
-    __slots__ = ("nrows", "ncols", "_r")
+    __slots__ = ("nrows", "ncols", "_r", "_ir")
 
     def __init__(self, rows: Sequence[Sequence]):
         data = tuple(tuple(_as_scalar(x) for x in row) for row in rows)
@@ -468,13 +470,20 @@ class MatrixQ:
         self.nrows = len(data)
         self.ncols = w
         self._r = data
+        self._ir = False
 
     @classmethod
     def _exact(cls, rows: Sequence[Tuple[Scalar, ...]]) -> "MatrixQ":
         """The matrix of nonempty rows whose entries are Fraction or QuadExt already."""
         m = cls.__new__(cls)
-        m.nrows, m.ncols, m._r = len(rows), len(rows[0]), tuple(rows)
+        m.nrows, m.ncols, m._r, m._ir = len(rows), len(rows[0]), tuple(rows), False
         return m
+
+    def _ints(self) -> Optional[Tuple[List[List[int]], int]]:
+        """`_int_rows` of the entries, computed on first use and kept (the rows are not to be mutated)."""
+        if self._ir is False:
+            self._ir = _int_rows(self._r)
+        return self._ir
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatrixQ":
@@ -544,7 +553,7 @@ class MatrixQ:
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
-        a, b = _int_rows(self._r), _int_rows(other._r)
+        a, b = self._ints(), other._ints()
         if a is None or b is None:
             return MatrixQ._exact([tuple(s or Fraction(0) for s in row) for row in _matmul(self._r, other._r)])
         D = a[1] * b[1]
@@ -585,12 +594,17 @@ class MatrixQ:
         return self.nrows, self.ncols
 
     def apply(self, v: Sequence) -> Tuple[Scalar, ...]:
-        """Matrix-vector product with a plain sequence."""
+        """Matrix-vector product with a plain sequence, on integer rows like `@`."""
         if len(v) != self.ncols:
             raise ValueError(f"vector length {len(v)} vs {self.ncols} columns")
         vv = [x if type(x) is Fraction or type(x) is QuadExt else _as_scalar(x) for x in v]
-        nz = [(k, x) for k, x in enumerate(vv) if x]
-        return tuple(sum([r[k] * x for k, x in nz if r[k]], Fraction(0)) for r in self._r)
+        a, b = self._ints(), _int_rows([vv])
+        if a is None or b is None:
+            nz = [(k, x) for k, x in enumerate(vv) if x]
+            return tuple(sum([r[k] * x for k, x in nz if r[k]], Fraction(0)) for r in self._r)
+        D = a[1] * b[1]
+        nz = [(k, x) for k, x in enumerate(b[0][0]) if x]
+        return tuple(Fraction(sum([r[k] * x for k, x in nz]), D) for r in a[0])
 
     def flat(self) -> Tuple[Scalar, ...]:
         """Entries in row-major order."""
@@ -609,20 +623,21 @@ class MatrixQ:
 
 
 def _kernel(ncols: int, rows: Iterable[Dict[int, Scalar]]) -> List[Tuple[Scalar, ...]]:
-    """`nullspace` of the sparse rows {column: nonzero entry}."""
+    """`nullspace` of the sparse rows {column: nonzero entry}, read off the stored rows:
+    over Q entry x of a row with pivot piv gives Fraction(-x, piv)."""
     ech = Echelon(ncols)
     for w in rows:
         ech._add(w)
-    reduced = dict(zip(ech.pivots(), ech.basis()))
     basis = []
     for f in range(ncols):
-        if f in reduced:
+        if f in ech._rows:
             continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for p, row in reduced.items():
-            if row[f] != 0:
-                v[p] = -row[f]
+        for p, row in ech._rows.items():
+            x = row.get(f)
+            if x:
+                v[p] = Fraction(-x, row[p]) if type(x) is int else -x
         basis.append(tuple(v))
     return basis
 

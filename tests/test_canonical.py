@@ -906,13 +906,13 @@ def _sqrt2_chain_member():
     return solve_or_invert(W) @ m @ W
 
 
-def _patch_builds(monkeypatch, singular_at):
-    """Make every sp4 witness build return the zero matrix at the bit counts singular_at accepts."""
+def _patch_builds(monkeypatch, rebuild):
+    """Make every sp4 witness build return rebuild(bits, W) in place of the W it builds."""
     classify = canonical._sp4_classify
 
     def patched(a, Ja):
         lbl, build = classify(a, Ja)
-        return lbl, lambda bits: MatrixQ.zeros(4, 4) if singular_at(bits) else build(bits)
+        return lbl, lambda bits: rebuild(bits, build(bits))
 
     monkeypatch.setattr(canonical, "_sp4_classify", patched)
 
@@ -920,7 +920,7 @@ def _patch_builds(monkeypatch, singular_at):
 def test_singular_witness_is_rebuilt_at_more_bits(monkeypatch):
     a = _sqrt2_chain_member()
     assert sp4_canonical_form(a)[1].precision_bits == 64
-    _patch_builds(monkeypatch, lambda bits: bits == 64)
+    _patch_builds(monkeypatch, lambda bits, W: MatrixQ.zeros(4, 4) if bits == 64 else W)
     lbl, wit = sp4_canonical_form(a)
     assert lbl == label("ThmE-2", lambda_=F(2), epsilon=1)
     assert wit.precision_bits == 128
@@ -929,9 +929,33 @@ def test_singular_witness_is_rebuilt_at_more_bits(monkeypatch):
 
 
 def test_always_singular_witness_fails_loudly(monkeypatch):
-    _patch_builds(monkeypatch, lambda bits: True)
+    _patch_builds(monkeypatch, lambda bits, W: MatrixQ.zeros(4, 4))
     with pytest.raises(WitnessPrecisionError):
         sp4_canonical_form(_sqrt2_chain_member())
+
+
+def test_exact_shortcut_needs_a_group_element(monkeypatch):
+    # 2 W for an exact witness W still has a (2 W) = (2 W) C, but (2 W)^T J (2 W) = 4 J:
+    # it is never certified, so no build at any precision comes back
+    a, _ = _exact_witness_cases()[0]
+    _patch_builds(monkeypatch, lambda bits, W: W * 2)
+    with pytest.raises(WitnessPrecisionError):
+        sp4_canonical_form(a)
+
+
+def test_exact_shortcut_needs_a_conjugation(monkeypatch):
+    # W S for an exact witness W and a symplectic shear S near the identity is a
+    # group element with W^-1 a W != C: it reports the exact residual, not 0
+    a, lbl = _exact_witness_cases()[0]
+    S = MatrixQ([[1, 0, F(1, 2 ** 40), 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert group_membership(S, "Sp4")
+    _patch_builds(monkeypatch, lambda bits, W: W @ S)
+    got, wit = sp4_canonical_form(a)
+    assert got == lbl
+    sim, grp = _exact_residuals(a, sp4_canonical_matrix(lbl), wit.W, (J_SP4,))
+    assert max(grp) == 0 and wit.residual_group == 0.0
+    assert 0 < wit.residual_similarity == float(max(sim))
+    assert wit.precision_bits == 64
 
 
 def test_witness_digest_frozen():

@@ -516,9 +516,27 @@ def test_products_and_char_poly_match_dense_reference(kind, data):
     assert _exact_entries([AB.flat(), p.coeffs])
 
 
+APPLY_ENTRIES = {"int": KERNEL_ENTRIES["int"], **PRODUCT_ENTRIES}
+
+
+@pytest.mark.parametrize("kind", sorted(APPLY_ENTRIES))
+@seed(9)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_apply_matches_dense_reference(kind, data):
+    """apply, on integer rows or on QuadExt entries, gives each column of the dense
+    reference product and only Fraction or QuadExt values, for int vector entries too."""
+    A, B = data.draw(product_operands(APPLY_ENTRIES[kind]))
+    M, ref = MatrixQ(A), _reference_matmul(A, B)
+    for j, v in enumerate(zip(*B)):
+        got = M.apply(v)
+        assert got == tuple(r[j] for r in ref)
+        assert _exact_entries([got])
+
+
 def test_integer_kernels_make_no_fraction_arithmetic(monkeypatch):
-    """@, char_poly and symmetric_signature on Fraction matrices multiply and add
-    integer rows only."""
+    """@, apply, char_poly and symmetric_signature on Fraction matrices (and vectors)
+    multiply and add integer rows only."""
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
         op = getattr(F, name)
@@ -526,7 +544,8 @@ def test_integer_kernels_make_no_fraction_arithmetic(monkeypatch):
     A = mat([[F(1, 2), 3, 0, F(-2, 3)], [-1, 0, F(2, 7), 0], [5, 1, -2, F(1, 3)], [0, F(-2, 5), 1, 0]])
     B = mat([[F(2**64 + 1, 3), 1, 0, 0], [0, F(1, 2**64), 0, 1], [1, 0, 1, 0], [0, 0, 0, F(-5, 9)]])
     S = mat([[F(1, 2), F(-2, 3), 0], [F(-2, 3), 5, F(1, 7)], [0, F(1, 7), F(-3, 4)]])
-    A @ B, char_poly(A), char_poly(B), symmetric_signature(S)
+    v = (F(3, 2**64), 0, F(-7, 5), 2)
+    A @ B, A.apply(v), B.apply(v), char_poly(A), char_poly(B), symmetric_signature(S)
     assert calls == []
 
 
