@@ -1,9 +1,12 @@
 """Derivation algebras, automorphism checks, and representation comparisons.
 
-The derivation algebra of a structure-constant Lie algebra is computed as the
-exact nullspace of the Leibniz system in the n^2 matrix unknowns; a single
-matrix is a derivation when it satisfies every row of that same system, and
-an automorphism when base change by it leaves the structure constants fixed.
+The Leibniz system of a structure-constant Lie algebra, in the n^2 matrix
+unknowns, is read by columns off the integer structure tensor: one sparse
+column per unknown (`_leibniz_cols`).  The derivation algebra is the exact
+nullspace of that system, its dimension n^2 minus the system's rank (the
+forward-only `linalg._rank`, with no reduced form), and a single matrix is a
+derivation when its entries combine the columns to zero.  A matrix is an
+automorphism when base change by it leaves the structure constants fixed.
 Companion helpers exponentiate nilpotent derivations, check explicit matrix
 families against the bracket relations of a `LieAlgebra`, and decide
 equivalence of matrix representations via the intertwiner space.
@@ -18,7 +21,7 @@ from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import Echelon, MatrixQ, _kernel, matrix_exp_nilpotent, solve_linear
+from .linalg import MatrixQ, _kernel, _rank, matrix_exp_nilpotent, solve_linear
 
 # the invertible-intertwiner search enumerates an integer coefficient grid
 # exhaustively when it is no larger than this; for bigger intertwiner spaces
@@ -57,47 +60,66 @@ def _square(v: Sequence, n: int) -> MatrixQ:
     return MatrixQ([v[p * n:(p + 1) * n] for p in range(n)])
 
 
-def _leibniz_rows(g: LieAlgebra) -> List[Dict[int, int]]:
-    """Rows of D[e_i,e_j] = [De_i,e_j] + [e_i,De_j], one per i < j and coordinate k.
+def _leibniz_cols(g: LieAlgebra) -> List[Dict[int, int]]:
+    """The Leibniz system D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] of g, by columns.
 
-    The unknowns are the n^2 entries of D, (p,q) at index p*n+q as in `MatrixQ.flat`.
-    Each row is {unknown: coefficient} with zeros left out, read off the integer
-    term table of g; its common scale g._den leaves the solutions alone.  Rows
-    that vanish are dropped.
+    Column p*n+q belongs to the unknown D_pq, the (p, q) entry as in `MatrixQ.flat`;
+    equation (i, j, k), i < j, coordinate k of e_k, is row (i*n+j)*n+k.  Column
+    (p, q) holds c_ij^q at row (i, j, p) for each pair with q in [e_i, e_j], and
+    -c_pj^k at row (q, j, k) for j > q, +c_pj^k at row (j, q, k) for j < q.  Each
+    column is {row: coefficient} with zeros left out, read off the integer term
+    table of g; its common scale g._den leaves the solutions alone.
     """
     n, terms = g.dim, g._terms
-    rows: List[Dict[int, int]] = []
+    lhs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # q -> (row of (i, j, 0), c_ij^q)
     for i, j in combinations(range(n), 2):
-        block = [{k * n + q: c for q, c in terms[i][j]} for k in range(n)]
-        for p in range(n):
-            for u, ts in ((p * n + i, terms[p][j]), (p * n + j, terms[i][p])):
-                for k, c in ts:
-                    block[k][u] = block[k].get(u, 0) - c
-        rows += filter(None, ({u: c for u, c in r.items() if c} for r in block))
-    return rows
+        for q, c in terms[i][j]:
+            lhs[q].append(((i * n + j) * n, c))
+    cols: List[Dict[int, int]] = []
+    for p in range(n):
+        tp = terms[p]
+        for q in range(n):
+            col = {}
+            for j in range(n):
+                if j != q and tp[j]:
+                    base, s = ((q * n + j) * n, -1) if j > q else ((j * n + q) * n, 1)
+                    col.update((base + k, s * c) for k, c in tp[j])
+            for base, c in lhs[q]:
+                r = base + p
+                x = col.get(r, 0) + c
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+            cols.append(col)
+    return cols
 
 
 def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     """The exact nullspace of the Leibniz system of g, as n x n matrices."""
     n = g.dim
-    return DerivationBasis(n, tuple(_square(v, n) for v in _kernel(n * n, _leibniz_rows(g))))
+    rows: Dict[int, Dict[int, int]] = {}
+    for u, col in enumerate(_leibniz_cols(g)):
+        for r, c in col.items():
+            rows.setdefault(r, {})[u] = c
+    return DerivationBasis(n, tuple(_square(v, n) for v in _kernel(n * n, rows.values())))
 
 
 def _derivation_dim(g: LieAlgebra) -> int:
-    """dim Der(g): n^2 minus the rank of the Leibniz rows of g, added sparse rows first."""
-    n = g.dim
-    ech = Echelon(n * n)
-    for w in sorted(_leibniz_rows(g), key=len):
-        ech._add(w)
-    return n * n - len(ech.pivots())
+    """dim Der(g): n^2 minus the rank of the Leibniz columns of g."""
+    return g.dim * g.dim - _rank(_leibniz_cols(g))
 
 
 def is_derivation(g: LieAlgebra, D: MatrixQ) -> bool:
-    """True iff the entries of D satisfy every row of the Leibniz system of g."""
+    """True iff the entries d_u of D satisfy the Leibniz system of g: sum d_u col_u = 0."""
     if D.shape() != (g.dim, g.dim):
         raise ValueError(f"derivation candidate must be {g.dim}x{g.dim}")
-    d = D.flat()
-    return all(sum(c * d[u] for u, c in row.items()) == 0 for row in _leibniz_rows(g))
+    acc: Dict[int, Fraction] = {}
+    for d, col in zip(D.flat(), _leibniz_cols(g)):
+        if d:
+            for r, c in col.items():
+                acc[r] = acc.get(r, 0) + c * d
+    return not any(acc.values())
 
 
 def is_automorphism(g: LieAlgebra, A: MatrixQ) -> bool:

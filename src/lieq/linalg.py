@@ -11,17 +11,20 @@ on integer rows over one common denominator (`_int_rows`), so its multiply-adds
 are `int` operations and each result entry becomes a `Fraction` once, and on
 the entries themselves when one is a `QuadExt`.  `apply` takes the same two
 paths for a matrix-vector product.  A `MatrixQ` computes its integer rows once,
-on first use, and keeps them for every later `@` and `apply`.  `_char_coeffs`
-is the one Faddeev-LeVerrier loop, over the same integer rows or `QuadExt` entries:
-`char_poly` rescales its coefficients, and `symmetric_signature` reads their
-signs, with no elimination of its own.  `factor_over_rationals` works on one
-primitive integer polynomial from start to finish.
+on first use, and keeps them for every later `@`, `apply`, `rank` and
+`_char_coeffs`.  `_char_coeffs` is the one Faddeev-LeVerrier loop, over those
+integer rows or `QuadExt` entries: `char_poly` rescales its coefficients, and
+`symmetric_signature` reads their signs, with no elimination of its own.
+`factor_over_rationals` works on one primitive integer polynomial from start to
+finish.
 
-`Echelon` is the single elimination kernel: `MatrixQ.rank`, `nullspace`,
-`solve_linear`, `_inverse` (the package's one inverse) and every span,
-membership and coordinate question elsewhere in the package reduce rows
-through it, as sparse rows that over Q are primitive integer rows combined
-fraction-free (Bareiss 1968).
+`Echelon` is the single reduced-echelon kernel: `nullspace`, `solve_linear`,
+`_inverse` (the package's one inverse) and every span, membership and
+coordinate question elsewhere in the package reduce rows through it, as sparse
+rows that over Q are primitive integer rows combined fraction-free (Bareiss
+1968).  A rank needs no reduced form: `_rank` is the one rank, a forward-only
+pass with the same `_primitive` rows and `_eliminate` step, behind
+`MatrixQ.rank` and the derivation algebra's dimension.
 """
 
 from __future__ import annotations
@@ -455,6 +458,26 @@ class Echelon:
         return tuple(sorted(self._rows))
 
 
+def _rank(rows: Iterable[Dict[int, Scalar]]) -> int:
+    """Rank of sparse rows {column: nonzero entry}, by one forward fraction-free pass.
+
+    Shorter rows go first.  Each row is cleared by `_eliminate` at the least
+    column of every stored row it meets there, and stored, made `_primitive`, at
+    its own least column once no row is stored at it.  A rank needs no reduced
+    form, so no stored row is revisited.  Integer rows stay integer rows; the
+    given rows may be changed in place.
+    """
+    stored: Dict[int, Dict[int, Scalar]] = {}
+    for w in sorted(rows, key=len):
+        while w:
+            p = min(w)
+            if p not in stored:
+                stored[p] = _primitive(w)
+                break
+            _eliminate(w, p, stored[p])
+    return len(stored)
+
+
 class MatrixQ:
     """Immutable dense matrix with exact entries (Fraction or QuadExt)."""
 
@@ -611,7 +634,8 @@ class MatrixQ:
         return tuple(x for row in self._r for x in row)
 
     def rank(self) -> int:
-        return len(Echelon(self.ncols, self._r).pivots())
+        ints = self._ints()
+        return _rank(_sparse(r, self.ncols) for r in (self._r if ints is None else ints[0]))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self._r)
@@ -815,16 +839,16 @@ class PolyQ:
         return out
 
 
-def _char_coeffs(rows: Sequence[Sequence[Scalar]]) -> Tuple[List, int]:
+def _char_coeffs(M: MatrixQ) -> Tuple[List, int]:
     """c_1, ..., c_n and D > 0 with det(x*I - D*M) = x^n - c_1 x^(n-1) - ... - c_n
-    for the square matrix M of the given rows, by Faddeev-LeVerrier at any size.
+    for the square matrix M, by Faddeev-LeVerrier at any size.
 
-    The loop runs over the integer rows of A = D*M (`_int_rows`), where each
-    c_k = tr(A_k)/k is an exact integer division, or over M's own rows with
-    D = 1 when an entry is a QuadExt.
+    The loop runs over the integer rows of A = D*M that M keeps (`MatrixQ._ints`),
+    where each c_k = tr(A_k)/k is an exact integer division, or over M's own rows
+    with D = 1 when an entry is a QuadExt.
     """
-    ints = _int_rows(rows)
-    A, D = (rows, 1) if ints is None else ints
+    ints = M._ints()
+    A, D = (M._r, 1) if ints is None else ints
     n = len(A)
     cs, Ak = [], A
     for k in range(1, n + 1):
@@ -847,7 +871,7 @@ def char_poly(M: MatrixQ) -> PolyQ:
     n = M.nrows
     if n > MAX_DIM:
         raise ValueError(f"size {n} exceeds the supported bound of {MAX_DIM}")
-    cs, D = _char_coeffs(M._r)
+    cs, D = _char_coeffs(M)
     # det(M - x*I) = (-1)^n det(x*I - M), and det(x*I - M) = D^-n det(D*x*I - D*M)
     # gives M's c_k as those of D*M over D^k
     sign = -1 if n % 2 else 1
@@ -1035,7 +1059,7 @@ def symmetric_signature(S: MatrixQ) -> Tuple[int, int, int]:
     if S != S.transpose():
         raise ValueError("matrix is not symmetric")
     n = S.nrows
-    cs, _ = _char_coeffs(S._r)  # D*S, D > 0, has the signature of S
+    cs, _ = _char_coeffs(S)  # D*S, D > 0, has the signature of S
     zero = next((k for k, c in enumerate(reversed(cs)) if c), n)
     signs = [1] + [(c < 0) - (c > 0) for c in cs if c]
     pos = sum(a != b for a, b in zip(signs, signs[1:]))

@@ -17,6 +17,7 @@ from lieq.derivations import (
     INTERTWINER_GRID_BUDGET,
     EquivalenceResult,
     TableMismatch,
+    _derivation_dim,
     check_bracket_table,
     derivation_basis,
     exp_derivation,
@@ -75,6 +76,7 @@ def test_derivation_basis_dim(tag):
     der = derivation_basis(FIXTURES[tag])
     assert der.dim == DERIVATION_DIMS[tag]
     assert der.algebra_dim == FIXTURES[tag].dim
+    assert _derivation_dim(FIXTURES[tag]) == DERIVATION_DIMS[tag]
 
 
 @pytest.mark.parametrize("tag", sorted(DERIVATION_DIMS))
@@ -101,6 +103,20 @@ def test_derivation_basis_digest_frozen():
     assert digest.hexdigest() == (
         "77796108390ef438b8f9045d8cccb7c99acd69e8c86aea13fcdbe4f5b56c6fa8"
     )
+
+
+def test_derivation_dim_matches_basis_after_base_change():
+    """The rank path (forward elimination of the Leibniz columns) and the kernel
+    path (reduced rows of the transposed system) agree on every 10th appendix-B
+    entry after a seeded unimodular base change."""
+    rng = random.Random(13)
+    entries = list(packaged_corpus("appendix_b.lalg"))[::10]
+    assert len(entries) == 74
+    for entry in entries:
+        (env,) = sample_parameters(entry, seed=1, k=1)
+        g = instantiate(entry, env)
+        h = g.change_basis(_unimodular(rng, g.dim))
+        assert _derivation_dim(h) == derivation_basis(h).dim, entry.id
 
 
 @pytest.mark.parametrize("tag", ["heisenberg3", "sl2", "nilp69", "solv5"])
@@ -136,6 +152,28 @@ def test_derivation_basis_membership_and_coordinates():
 def test_zero_and_identity_maps():
     assert is_derivation(HEISENBERG3, MatrixQ.zeros(3, 3))
     assert not is_derivation(HEISENBERG3, MatrixQ.identity(3))
+
+
+@pytest.mark.parametrize("tag", ["sl2", "heisenberg3", "solv5"])
+def test_is_derivation_agrees_with_basis_membership(tag):
+    """Each basis derivation, a seeded combination of them, and each of those
+    plus a unit matrix E_pq: is_derivation (the columns combined to zero)
+    accepts a candidate exactly when the basis span contains it."""
+    g = FIXTURES[tag]
+    n = g.dim
+    der = derivation_basis(g)
+    rng = random.Random(f"is_derivation/{tag}")
+    combo = sum((D * Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for D in der.basis), MatrixQ.zeros(n, n))
+    accepted = 0
+    for D in (*der.basis, combo):
+        assert is_derivation(g, D)
+        for p in range(n):
+            for q in range(n):
+                cand = D + unit(n, p, q) * rng.randint(1, 3)
+                inside = der.contains(cand)
+                assert is_derivation(g, cand) == inside, (p, q)
+                accepted += inside
+    assert accepted < (der.dim + 1) * n * n  # some perturbations leave the span
 
 
 def test_is_derivation_shape_error():

@@ -203,6 +203,42 @@ def test_rank_plus_nullity(rows):
         assert all(x == 0 for x in A.apply(v))
 
 
+def _product(rng, nrows, ncols, r, entry):
+    """L @ R with L nrows x r and R r x ncols drawn entry by entry: rank at most r."""
+    left = [[entry() for _ in range(r)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(r)]
+    return [[sum((row[k] * right[k][j] for k in range(r)), F(0)) for j in range(ncols)] for row in left]
+
+
+def test_rank_by_rank_nullity_and_row_order():
+    """MatrixQ.rank (forward elimination) against nullspace (reduced rows) on
+    seeded rational matrices, rank-deficient products with a zero row, and
+    products over Q(sqrt d): the two add up to the column count, and no row
+    permutation changes the rank."""
+    rng = random.Random(41)
+    frac = lambda: F(rng.randint(-5, 5), rng.randint(1, 4))
+    cases = [_product(rng, rng.randint(1, 6), rng.randint(1, 7), 7, frac) for _ in range(20)]
+    for _ in range(30):
+        nrows, ncols = rng.randint(2, 6), rng.randint(2, 7)
+        rows = _product(rng, nrows, ncols, rng.randint(0, min(nrows, ncols) - 1), frac)
+        rows[rng.randrange(nrows)] = [F(0)] * ncols
+        cases.append(rows)
+    for d in (2, 3, 5):
+        quad = lambda: QuadExt(rng.randint(-3, 3), rng.randint(-3, 3), d)
+        cases += [_product(rng, 4, 4, r, quad) for r in range(5)]
+    ranks = set()
+    for rows in cases:
+        A = mat(rows)
+        rank = A.rank()
+        ranks.add(rank)
+        assert rank + len(nullspace(A)) == A.ncols, rows
+        for _ in range(3):
+            perm = list(rows)
+            rng.shuffle(perm)
+            assert mat(perm).rank() == rank, rows
+    assert ranks == set(range(6))  # every rank from 0 to 5 occurs
+
+
 @seed(5)
 @settings(max_examples=60, deadline=None)
 @given(rational_matrices(), st.data())
