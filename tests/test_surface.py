@@ -67,6 +67,27 @@ def test_all_lists_each_public_name_once():
         assert not isinstance(getattr(lieq, name), types.ModuleType), name
 
 
+def test_export_list_frozen():
+    # a refactor keeps the public surface: no name added, none lost
+    assert sorted(lieq.__all__) == [
+        "Bracket", "CanonicalLabel", "ClaimRecord", "Constraint", "ConstraintViolation",
+        "CorpusEntry", "CorpusError", "DerivationBasis", "EquivalenceResult", "FactorTerm",
+        "Fingerprint", "J_HJ2_1", "J_HJ2_2", "J_SP4", "JacobiViolation", "LieAlgebra", "MatrixQ",
+        "MembershipError", "ParseError", "PolyExpr", "PolyQ", "QuadExt", "RESIDUAL_TOLERANCE",
+        "RjcfShape", "SeriesProfile", "Subspace", "TableMismatch", "UnsupportedFactorError",
+        "VerificationReport", "Witness", "WitnessPrecisionError", "char_poly",
+        "check_bracket_table", "derivation_basis", "eigen_pairing_check", "exp_derivation",
+        "factor_over_rationals", "fingerprint", "group_membership", "hJ2_canonical_form",
+        "hJ2_canonical_matrix", "hJ2_similar", "instantiate", "is_automorphism", "is_derivation",
+        "lie_membership", "load_matrices", "matrix_exp_nilpotent", "nullspace", "packaged_corpus",
+        "packaged_matrices", "packaged_text", "parse_corpus", "reference_nilradical_tables",
+        "representation_equivalence", "rjcf_catalog", "rjcf_shape", "sample_parameters",
+        "serialize_corpus", "solve_linear", "solve_or_invert", "sp4_canonical_form",
+        "sp4_canonical_matrix", "sqrt_exact", "symmetric_signature", "symplectically_similar",
+        "verify_entries", "verify_entry",
+    ]
+
+
 def test_package_imports_only_itself_and_the_standard_library():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
