@@ -33,10 +33,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import (
     MAX_DIM,
-    Echelon,
     MatrixQ,
     PolyQ,
     QuadExt,
+    Subspace,
     _int_rows,
     _inverse,
     _matmul,
@@ -62,11 +62,12 @@ J_SP4 = MatrixQ([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
 J_HJ2_1 = J_SP4
 J_HJ2_2 = MatrixQ([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
 
-#: each family's structure matrices J as signed row permutations: row i holds (p, J_ip < 0) for
+#: each group family's structure matrices J, listed once
+_GROUP_FAMILIES = {"Sp4": (J_SP4,), "HJ2": (J_HJ2_1, J_HJ2_2)}
+#: the same matrices by algebra family, as signed row permutations: row i holds (p, J_ip < 0) for
 #: the one nonzero J_ip of that row, so row i of J a is row p of a, negated when J_ip < 0
 _LIE_FAMILIES = {name: tuple(tuple(next((p, J[i, p] < 0) for p in range(4) if J[i, p]) for i in range(4))
-                             for J in mats) for name, mats in (("sp4", (J_SP4,)), ("hJ2", (J_HJ2_1, J_HJ2_2)))}
-_GROUP_FAMILIES = {"Sp4": (J_SP4,), "HJ2": (J_HJ2_1, J_HJ2_2)}
+                             for J in _GROUP_FAMILIES[group]) for name, group in (("sp4", "Sp4"), ("hJ2", "HJ2"))}
 
 
 class MembershipError(ValueError):
@@ -366,7 +367,7 @@ def _jordan_chains(N: MatrixQ, powers: Sequence[MatrixQ], kernels: Sequence[List
     carried: List[Vec] = []
     for h in range(len(kernels) - 1, 0, -1):
         wanted = sizes.count(h)
-        span = Echelon(N.nrows, kernels[h - 1] + carried)
+        span = Subspace(N.nrows, kernels[h - 1] + carried)
         fresh: List[Vec] = []
         for v in kernels[h]:
             if len(fresh) == wanted:
@@ -818,7 +819,7 @@ def _sp4_product(a: MatrixQ) -> MatrixQ:
 def sp4_canonical_form(a: MatrixQ) -> Tuple[CanonicalLabel, Witness]:
     """Exact canonical label and certified Sp(4,R) witness for a member of sp(4,R)."""
     label, build = _sp4_classify(a, _sp4_product(a))
-    return label, _make_witness(a, sp4_canonical_matrix(label), build, (J_SP4,))
+    return label, _make_witness(a, sp4_canonical_matrix(label), build, _GROUP_FAMILIES["Sp4"])
 
 
 def symplectically_similar(a: MatrixQ, b: MatrixQ) -> bool:
@@ -913,7 +914,7 @@ def hJ2_canonical_form(a: MatrixQ) -> Tuple[CanonicalLabel, Witness]:
     """Exact canonical label and certified H(J2) witness for a member of h(J2)."""
     _check_hJ2(a)
     label, build = _hJ2_classify(a)
-    return label, _make_witness(a, hJ2_canonical_matrix(label), build, (J_HJ2_1, J_HJ2_2))
+    return label, _make_witness(a, hJ2_canonical_matrix(label), build, _GROUP_FAMILIES["HJ2"])
 
 
 def hJ2_similar(a: MatrixQ, b: MatrixQ) -> bool:

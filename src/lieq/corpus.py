@@ -922,8 +922,7 @@ def _assignment_text(entry: CorpusEntry, env: Mapping[str, Fraction]) -> str:
 
 
 def _nilradical_span(dim: int) -> Subspace:
-    basis = [[1 if c == r else 0 for c in range(dim)] for r in range(dim - 1)]
-    return Subspace(dim, basis)
+    return Subspace._spanned(dim, ({r: 1} for r in range(dim - 1)))
 
 
 @lru_cache(maxsize=256)

@@ -32,7 +32,7 @@ INTERTWINER_RANDOM_TRIALS = 300
 
 @dataclass(frozen=True)
 class DerivationBasis:
-    """Echelon-deterministic basis of the derivation algebra of one algebra."""
+    """Reduced-echelon (so deterministic) basis of the derivation algebra of one algebra."""
 
     algebra_dim: int
     basis: Tuple[MatrixQ, ...]

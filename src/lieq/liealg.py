@@ -32,12 +32,13 @@ contains N meet T because the functionals vanish on N, and lies in N because N
 is the set of ad-nilpotent elements, so the answer is certified from both
 sides and is exact.
 
-A `Subspace` is a view of the sparse rows its `Echelon` stores, which over Q
-are primitive integer rows.  Series, derived algebras, ideal and nilradical
-tests and restrictions bracket those rows as {index: value} maps from end to
-end; dense `Fraction` vectors are built only where they leave the module:
-`Subspace.basis` (on first read), `coordinates`, `bracket`,
-`structure_constant` and `table`.
+Subspaces are `linalg.Subspace`, the package's one span type, re-exported
+here: its stored sparse rows are primitive integer rows over Q.  Series,
+derived algebras, ideal and nilradical tests and restrictions bracket those
+rows (`Subspace._pivot_rows`) as {index: value} maps from end to end, and
+hand the brackets back to `Subspace._spanned` as they are; dense `Fraction`
+vectors are built only where they leave the module: `Subspace.basis` (on first
+read), `coordinates`, `bracket`, `structure_constant` and `table`.
 
 `restrict` interns what it returns by exact term table, in a bounded cache
 shared by the process: every corpus family with the same nilradical table gets
@@ -57,7 +58,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import MAX_DIM, Echelon, MatrixQ, _as_rational, _int_rows, _inverse, _kernel, _matmul
+from .linalg import MAX_DIM, MatrixQ, Subspace, _as_rational, _int_rows, _inverse, _kernel, _matmul, _same_ambient
 
 
 def _vec(entries: Sequence, n: int) -> Tuple[Fraction, ...]:
@@ -72,89 +73,12 @@ def _nonzero(v: Sequence) -> List[Tuple[int, Fraction]]:
     return [(i, a) for i, a in enumerate(v) if a]
 
 
-def _same_ambient(n: int, *spaces: "Subspace") -> None:
-    """Refuse a subspace of Q^m, m != n, where a subspace of Q^n is wanted."""
-    for s in spaces:
-        if s.ambient != n:
-            raise ValueError(f"ambient dimensions differ: subspace of Q^{s.ambient} against Q^{n}")
-
-
 def _dense(w: Iterable[Tuple[int, object]], n: int, den: int) -> Tuple[Fraction, ...]:
     """The length-n vector of the sparse terms (k, x) over den, every entry a Fraction."""
     out = [Fraction(0)] * n
     for k, x in w:
         out[k] = Fraction(x, den)
     return tuple(out)
-
-
-class Subspace:
-    """Subspace of Q^n with a unique reduced-echelon basis.
-
-    Vectors are taken as `Echelon` takes them: entries int, Fraction, str or
-    QuadExt, and a float is rejected with TypeError.  The subspace is a view
-    of its echelon's stored sparse rows, primitive integer rows over Q: `dim`
-    counts their pivots, `contains` reduces them, and the dense `Fraction`
-    basis is built on first read.  Equality and hashing mean "same basis".
-    """
-
-    __slots__ = ("ambient", "_echelon", "_basis")
-
-    def __init__(self, ambient: int, vectors: Sequence[Sequence] = ()):
-        self.ambient = ambient
-        self._echelon = Echelon(ambient, vectors)
-        self._basis: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
-
-    @classmethod
-    def _spanned(cls, ambient: int, rows: Iterable[Dict[int, object]]) -> "Subspace":
-        """The span of sparse rows {index: nonzero value}, each reduced by `Echelon._add`."""
-        s = cls(ambient)
-        for w in rows:
-            s._echelon._add(w)
-        return s
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        s = cls(n)
-        s._echelon._rows = {i: {i: 1} for i in range(n)}
-        return s
-
-    @property
-    def basis(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        if self._basis is None:
-            self._basis = self._echelon.basis()
-        return self._basis
-
-    @property
-    def dim(self) -> int:
-        return len(self._echelon._rows)
-
-    def _rows(self) -> List[Dict[int, object]]:
-        """The stored sparse rows in pivot order: nonzero multiples of the basis vectors."""
-        rows = self._echelon._rows
-        return [rows[p] for p in sorted(rows)]
-
-    def contains_vector(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None
-
-    def coordinates(self, v: Sequence) -> Optional[Tuple[Fraction, ...]]:
-        """Coordinates of v in the echelon basis, or None when v is outside."""
-        return self._echelon.coordinates(v)
-
-    def contains(self, other: "Subspace") -> bool:
-        _same_ambient(self.ambient, other)
-        return not any(self._echelon._reduce(dict(w)) for w in other._echelon._rows.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient == other.ambient and (self is other or self.basis == other.basis)
-
-    def __hash__(self):
-        # equal bases have equal pivots; the pivots alone spare building the basis
-        return hash((self.ambient, self._echelon.pivots()))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim} of {self.ambient})"
 
 
 @dataclass(frozen=True)
@@ -336,8 +260,8 @@ class LieAlgebra:
         [u, u] = 0 and [v, u] = -[u, v].
         """
         _same_ambient(self.dim, a, b)
-        xs = [w.items() for w in a._rows()]
-        pairs = combinations(xs, 2) if a is b else product(xs, [w.items() for w in b._rows()])
+        xs = [w.items() for w in a._pivot_rows()]
+        pairs = combinations(xs, 2) if a is b else product(xs, [w.items() for w in b._pivot_rows()])
         return Subspace._spanned(self.dim, (self._bracket_terms(x, y) for x, y in pairs))
 
     def derived_algebra(self) -> Subspace:
@@ -402,13 +326,13 @@ class LieAlgebra:
         # each stored row is d_i u_i with d_i its pivot entry, so [u_i, u_j] is
         # the integer bracket of rows i and j over d_i d_j _den; inside s, its
         # coordinates are its entries at the pivot columns
-        rows = s._rows()
+        rows = s._pivot_rows()
         pivots = [min(w) for w in rows]
         xs = [w.items() for w in rows]
         terms = {}
         for i, j in combinations(range(s.dim), 2):
             w = self._bracket_terms(xs[i], xs[j])
-            if s._echelon._reduce(dict(w)):
+            if s._reduce(dict(w)):
                 raise ValueError(
                     f"subspace is not closed under the bracket: "
                     f"[u_{i + 1}, u_{j + 1}] lies outside"
@@ -475,10 +399,10 @@ class LieAlgebra:
             elif derived.dim == n - 1:
                 self._nilradical = derived
             else:
-                free = [i for i in range(n) if i not in derived._echelon._rows]
+                free = [i for i in range(n) if i not in derived._rows]
                 gens = [self._ad_rows(i) for i in free]
                 frontier = [[[int(p == q) for q in range(n)] for p in range(n)]]
-                words = Echelon(n * n, [[x for r in frontier[0] for x in r]])
+                words = Subspace._spanned(n * n, [{p * (n + 1): 1 for p in range(n)}])
                 rows: List[Dict[int, object]] = []
                 while frontier:
                     for W in frontier:
@@ -490,10 +414,11 @@ class LieAlgebra:
                     if all(self._ad_nilpotent(z) for z in kernel):
                         break
                     fresh = (_matmul(A, W) for W in frontier for A in gens)
-                    frontier = [P for P in fresh if words.add([x for r in P for x in r])]
-                # Echelon._add may keep and reduce the rows it is given
+                    frontier = [P for P in fresh if words._add(
+                        {k: x for k, x in enumerate(x for r in P for x in r) if x})]
+                # Subspace._add may keep and reduce the rows it is given
                 self._nilradical = Subspace._spanned(
-                    n, [*(dict(w) for w in derived._rows()), *kernel]
+                    n, [*(dict(w) for w in derived._pivot_rows()), *kernel]
                 )
         return self._nilradical, n - self._nilradical.dim
 
@@ -517,7 +442,7 @@ class LieAlgebra:
         if ech is None:
             raise ValueError("base change matrix is singular")
         inverse = [(r, row[r] * d * self._den, [(k - n, x) for k, x in row.items() if k >= n])
-                   for r, row in sorted(ech._rows.items())]
+                   for r, row in enumerate(ech._pivot_rows())]
         cols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*N)]
         terms = {}
         for i, j in combinations(range(n), 2):

@@ -18,8 +18,9 @@ integer rows or `QuadExt` entries: `char_poly` rescales its coefficients, and
 `factor_over_rationals` works on one primitive integer polynomial from start to
 finish.
 
-`Echelon` is the single reduced-echelon kernel: `nullspace`, `solve_linear`,
-`_inverse` (the package's one inverse) and every span, membership and
+`Subspace` is the one span type and the single reduced-echelon kernel:
+`nullspace`, `solve_linear`, `_inverse` (the package's one inverse), the
+series, centres and nilradicals of `liealg`, and every membership and
 coordinate question elsewhere in the package reduce rows through it, as sparse
 rows that over Q are primitive integer rows combined fraction-free (Bareiss
 1968).  A rank needs no reduced form: `_rank` is the one rank, a forward-only
@@ -395,23 +396,54 @@ def _eliminate(w: Dict[int, Scalar], p: int, row: Dict[int, Scalar]) -> None:
             del w[k]
 
 
-class Echelon:
-    """Incremental reduced row echelon form over Q or a quadratic field Q(sqrt d).
+def _same_ambient(n: int, *spaces: "Subspace") -> None:
+    """Refuse a subspace of Q^m, m != n, where a subspace of Q^n is wanted."""
+    for s in spaces:
+        if s.ambient != n:
+            raise ValueError(f"ambient dimensions differ: subspace of Q^{s.ambient} against Q^{n}")
 
-    Rows are sparse ({column: nonzero entry}), stored by pivot column in the
-    form `_primitive` gives, combined fraction-free by `_eliminate` and kept
-    zero in every other row's pivot column; `basis()` divides each by its
-    pivot.  The reduced echelon form of a row space is unique, so the basis
-    does not depend on the order in which vectors are added.
+
+class Subspace:
+    """Subspace of Q^n, or of Q(sqrt d)^n, with a unique reduced-echelon basis.
+
+    Vectors are taken as `_sparse` takes them: entries int, Fraction, str or
+    QuadExt, and a float is rejected with TypeError.  Rows are sparse
+    ({column: nonzero entry}), stored by pivot column in the form `_primitive`
+    gives (primitive integer rows over Q), combined fraction-free by
+    `_eliminate` and kept zero in every other row's pivot column.  `dim`
+    counts the pivots, `contains` reduces the rows, and the dense basis
+    divides each row by its pivot on first read.  The reduced echelon form of
+    a row space is unique, so the basis does not depend on the order in which
+    vectors are added, and equality and hashing mean "same basis".
+
+    A span is grown (`add`, `_add`) only while it is being built; one handed
+    to a caller, kept as an invariant or used as a key is not grown again.
+    `_add` drops the cached basis.
     """
 
-    __slots__ = ("ncols", "_rows")
+    __slots__ = ("ambient", "_rows", "_basis")
 
-    def __init__(self, ncols: int, rows: Iterable[Sequence] = ()):
-        self.ncols = ncols
+    def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
+        self.ambient = ambient
         self._rows: Dict[int, Dict[int, Scalar]] = {}
-        for r in rows:
-            self.add(r)
+        self._basis: Optional[Tuple[Tuple[Scalar, ...], ...]] = None
+        for v in vectors:
+            self.add(v)
+
+    @classmethod
+    def _spanned(cls, ambient: int, rows: Iterable[Dict[int, Scalar]]) -> "Subspace":
+        """The span of sparse rows {index: nonzero value}, each reduced by `_add`, which
+        may keep and change the dicts it is given."""
+        s = cls(ambient)
+        for w in rows:
+            s._add(w)
+        return s
+
+    @classmethod
+    def full(cls, n: int) -> "Subspace":
+        s = cls(n)
+        s._rows = {i: {i: 1} for i in range(n)}
+        return s
 
     def _reduce(self, w: Dict[int, Scalar]) -> Dict[int, Scalar]:
         """A multiple of the sparse row w, zero in every pivot column."""
@@ -433,29 +465,60 @@ class Echelon:
                 _eliminate(row, p, w)
                 self._rows[q] = _primitive(row)
         self._rows[p] = w
+        self._basis = None
         return True
 
     def add(self, v: Sequence) -> bool:
         """Reduce v into the span; False when v already lies in it."""
-        return self._add(_sparse(v, self.ncols))
+        return self._add(_sparse(v, self.ambient))
 
     def coordinates(self, v: Sequence) -> Optional[Tuple[Scalar, ...]]:
-        """Coefficients of v over basis(), or None when v is outside the span."""
-        if self._reduce(_sparse(v, self.ncols)):
+        """Coefficients of v over `basis`, or None when v is outside the span."""
+        if self._reduce(_sparse(v, self.ambient)):
             return None
         return tuple(_as_scalar(v[p]) for p in self.pivots())
 
+    def contains_vector(self, v: Sequence) -> bool:
+        return self.coordinates(v) is not None
+
+    def contains(self, other: "Subspace") -> bool:
+        _same_ambient(self.ambient, other)
+        return not any(self._reduce(dict(w)) for w in other._rows.values())
+
+    @property
     def basis(self) -> Tuple[Tuple[Scalar, ...], ...]:
-        out = []
-        for p in self.pivots():
-            v = [Fraction(0)] * self.ncols
-            for k, x in self._rows[p].items():
-                v[k] = Fraction(x, self._rows[p][p]) if type(x) is int else x
-            out.append(tuple(v))
-        return tuple(out)
+        if self._basis is None:
+            out = []
+            for p in self.pivots():
+                v = [Fraction(0)] * self.ambient
+                for k, x in self._rows[p].items():
+                    v[k] = Fraction(x, self._rows[p][p]) if type(x) is int else x
+                out.append(tuple(v))
+            self._basis = tuple(out)
+        return self._basis
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
 
     def pivots(self) -> Tuple[int, ...]:
         return tuple(sorted(self._rows))
+
+    def _pivot_rows(self) -> List[Dict[int, Scalar]]:
+        """The stored sparse rows in pivot order: nonzero multiples of the basis vectors."""
+        return [self._rows[p] for p in self.pivots()]
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient == other.ambient and (self is other or self.basis == other.basis)
+
+    def __hash__(self):
+        # equal bases have equal pivots; the pivots alone spare building the basis
+        return hash((self.ambient, self.pivots()))
+
+    def __repr__(self):
+        return f"Subspace(dim={self.dim} of {self.ambient})"
 
 
 def _rank(rows: Iterable[Dict[int, Scalar]]) -> int:
@@ -649,9 +712,7 @@ class MatrixQ:
 def _kernel(ncols: int, rows: Iterable[Dict[int, Scalar]]) -> List[Tuple[Scalar, ...]]:
     """`nullspace` of the sparse rows {column: nonzero entry}, read off the stored rows:
     over Q entry x of a row with pivot piv gives Fraction(-x, piv)."""
-    ech = Echelon(ncols)
-    for w in rows:
-        ech._add(w)
+    ech = Subspace._spanned(ncols, rows)
     basis = []
     for f in range(ncols):
         if f in ech._rows:
@@ -672,10 +733,10 @@ def nullspace(M: MatrixQ) -> List[Tuple[Scalar, ...]]:
     return _kernel(M.ncols, (_sparse(r, M.ncols) for r in M._r))
 
 
-def _inverse(rows: Sequence[Sequence]) -> Optional[Echelon]:
+def _inverse(rows: Sequence[Sequence]) -> Optional[Subspace]:
     """[N | I] reduced, or None for a singular N: stored row r is piv_r e_r | X_r, N^-1 = X_r / piv_r."""
     n = len(rows)
-    ech = Echelon(2 * n, [[*row, *(int(r == k) for k in range(n))] for r, row in enumerate(rows)])
+    ech = Subspace(2 * n, [[*row, *(int(r == k) for k in range(n))] for r, row in enumerate(rows)])
     return ech if ech.pivots() == tuple(range(n)) else None
 
 
@@ -684,7 +745,7 @@ def solve_or_invert(M: MatrixQ) -> Optional[MatrixQ]:
     if not M.is_square:
         raise ValueError(f"cannot invert a {M.nrows}x{M.ncols} matrix")
     ech = _inverse(M._r)
-    return None if ech is None else MatrixQ([row[M.nrows:] for row in ech.basis()])
+    return None if ech is None else MatrixQ([row[M.nrows:] for row in ech.basis])
 
 
 def solve_linear(M: MatrixQ, b: Sequence) -> Optional[Tuple[Scalar, ...]]:
@@ -692,11 +753,11 @@ def solve_linear(M: MatrixQ, b: Sequence) -> Optional[Tuple[Scalar, ...]]:
     bb = [_as_scalar(x) for x in b]
     if len(bb) != M.nrows:
         raise ValueError("right-hand side length mismatch")
-    ech = Echelon(M.ncols + 1, [list(M.row(i)) + [bb[i]] for i in range(M.nrows)])
+    ech = Subspace(M.ncols + 1, [list(M.row(i)) + [bb[i]] for i in range(M.nrows)])
     if M.ncols in ech.pivots():
         return None
     x = [Fraction(0)] * M.ncols
-    for p, row in zip(ech.pivots(), ech.basis()):
+    for p, row in zip(ech.pivots(), ech.basis):
         x[p] = row[M.ncols]
     return tuple(x)
 

@@ -37,7 +37,7 @@ from lieq.corpus import (
 )
 from lieq import corpus, linalg
 from lieq.liealg import MAX_DIM, LieAlgebra
-from lieq.linalg import Echelon, MatrixQ
+from lieq.linalg import MatrixQ, Subspace
 
 N_APPENDIX_A = 44
 N_APPENDIX_B = 731
@@ -1037,7 +1037,7 @@ def test_corpus_verification_brackets_sparse_rows(monkeypatch):
         packaged_corpus("appendix_b.lalg")
     )[::25]
     calls = {"sparse": 0, "basis": 0}
-    sparse, basis = linalg._sparse, Echelon.basis
+    sparse, basis = linalg._sparse, Subspace.basis.fget
 
     def counting_sparse(*args):
         calls["sparse"] += 1
@@ -1048,7 +1048,7 @@ def test_corpus_verification_brackets_sparse_rows(monkeypatch):
         return basis(self)
 
     monkeypatch.setattr(linalg, "_sparse", counting_sparse)
-    monkeypatch.setattr(Echelon, "basis", counting_basis)
+    monkeypatch.setattr(Subspace, "basis", property(counting_basis))
     verify_entries(entries, seed=1, k=3)
     assert calls["sparse"] <= 374
     assert calls["basis"] == 0

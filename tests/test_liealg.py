@@ -18,7 +18,7 @@ from lieq import liealg
 from lieq.corpus import fingerprint, instantiate, packaged_corpus, sample_parameters, verify_entry
 from lieq.derivations import derivation_basis
 from lieq.liealg import JacobiViolation, LieAlgebra, SeriesProfile, Subspace
-from lieq.linalg import Echelon, MatrixQ, QuadExt, nullspace
+from lieq.linalg import MatrixQ, QuadExt, nullspace
 
 N_RANDOM_BASE_CHANGES = 50
 N_BRACKET_SAMPLES = 100
@@ -677,7 +677,7 @@ def _full_closure_nilradical(g):
     n = g.dim
     identity = [e(n, i) for i in range(n)]
     ads = [list(zip(*(g.bracket(x, y) for y in identity))) for x in identity]
-    span = Echelon(n * n)
+    span = Subspace(n * n)
     words = [W for W in [identity, *ads] if span.add([c for row in W for c in row])]
     frontier = list(words)
     while frontier:
@@ -935,7 +935,7 @@ def test_subspace_coordinates_and_membership():
     assert s.coordinates([2, 2, 5]) == (2, 5)
     assert s.coordinates([1, 0, 0]) is None
     assert not s.contains_vector([1, 0, 0])
-    # entries are exact scalars, as Echelon takes them: a float is rejected
+    # entries are exact scalars, as `_sparse` takes them: a float is rejected
     with pytest.raises(TypeError):
         Subspace(3, [[0.5, 0, 0]])
     with pytest.raises(TypeError):
@@ -986,7 +986,7 @@ def _rational(x):
 
 
 def _dense_rank(rows, n):
-    """Rank over Q by dense Gaussian elimination, independent of Echelon."""
+    """Rank over Q by dense Gaussian elimination, independent of Subspace."""
     m = [[_rational(x) for x in r] for r in rows]
     rank = 0
     for c in range(n):

@@ -10,16 +10,16 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from lieq.linalg import (
     MAX_DIM,
-    Echelon,
     FactorTerm,
     MatrixQ,
     PolyQ,
     QuadExt,
+    Subspace,
     char_poly,
     factor_over_rationals,
     matrix_exp_nilpotent,
@@ -178,8 +178,8 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rref_is_reduced_and_spans_the_rows(rows):
     ncols = len(rows[0])
-    ech = Echelon(ncols, rows)
-    R, pivots = ech.basis(), ech.pivots()
+    ech = Subspace(ncols, rows)
+    R, pivots = ech.basis, ech.pivots()
     assert len(pivots) == len(R) == _rank_by_minors(rows)
     assert list(pivots) == sorted(set(pivots))
     for r, p in enumerate(pivots):
@@ -245,16 +245,68 @@ def test_rank_by_rank_nullity_and_row_order():
 def test_echelon_add_rejects_exactly_the_span(rows, data):
     ncols = len(rows[0])
     extra = data.draw(st.lists(small_fractions, min_size=ncols, max_size=ncols))
-    ech = Echelon(ncols)
+    ech = Subspace(ncols)
     for i, row in enumerate(rows + [extra]):
         grew = _rank_by_minors(rows[:i] + [row]) > _rank_by_minors(rows[:i])
         inside = ech.coordinates(row)
         assert (inside is None) == grew
         if inside is not None:
-            basis = ech.basis()
+            basis = ech.basis
             assert [sum((c * b[j] for c, b in zip(inside, basis)), F(0)) for j in range(ncols)] == row
         assert ech.add(row) == grew
-    assert len(ech.pivots()) == len(ech.basis()) == _rank_by_minors(rows + [extra])
+    assert len(ech.pivots()) == len(ech.basis) == _rank_by_minors(rows + [extra])
+
+
+def _combination(data, rows, ncols):
+    """A drawn rational combination of rows: a vector inside their span."""
+    cs = data.draw(st.lists(small_fractions, min_size=len(rows), max_size=len(rows)))
+    return [sum((c * row[j] for c, row in zip(cs, rows)), F(0)) for j in range(ncols)]
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_subspace_grown_after_a_basis_read_matches_a_fresh_one(rows, data):
+    ncols = len(rows[0])
+    span = Subspace(ncols, rows)
+    free = [f for f in range(ncols) if f not in span.pivots()]
+    assume(free)
+    f = data.draw(st.sampled_from(free))
+    outside = [x + int(j == f) for j, x in enumerate(_combination(data, rows, ncols))]
+    assert span.basis == Subspace(ncols, rows).basis
+    assert span.add(outside) is True
+    fresh = Subspace(ncols, rows + [outside])
+    assert span.basis == fresh.basis
+    assert span.dim == fresh.dim == len(span.basis)
+
+
+@seed(12)
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_subspace_add_inside_changes_nothing(rows, data):
+    ncols = len(rows[0])
+    span = Subspace(ncols, rows)
+    basis, pivots, key = span.basis, span.pivots(), hash(span)
+    assert span.add(_combination(data, rows, ncols)) is False
+    assert (span.basis, span.pivots(), hash(span)) == (basis, pivots, key)
+
+
+@seed(13)
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_subspace_grown_in_two_orders_is_one_span(rows, data):
+    ncols = len(rows[0])
+    vectors = rows + [data.draw(st.lists(small_fractions, min_size=ncols, max_size=ncols))]
+    spans = []
+    for order in (vectors, data.draw(st.permutations(vectors))):
+        span = Subspace(ncols)
+        for v in order:
+            span.basis  # a read between adds must not pin the basis
+            span.add(v)
+        spans.append(span)
+    a, b = spans
+    assert a == b and hash(a) == hash(b)
+    assert a.basis == b.basis == Subspace(ncols, vectors).basis
 
 
 @st.composite
@@ -283,7 +335,7 @@ def test_solve_or_invert_none_exactly_when_singular(rows):
 
 
 def _reference_rref(ncols, rows):
-    """Dense Gauss-Jordan over Fraction/QuadExt, written independently of Echelon.
+    """Dense Gauss-Jordan over Fraction/QuadExt, written independently of Subspace.
 
     Returns whether each row grew the span, and the unit-pivot reduced rows by
     pivot column.  Zero tests are `!= 0`, never truthiness.
@@ -347,11 +399,11 @@ def _exact_entries(vectors):
 def test_echelon_matches_dense_reference(kind, data):
     ncols, rows, probe = data.draw(kernel_rows(KERNEL_ENTRIES[kind]))
     grew, reduced = _reference_rref(ncols, rows)
-    ech = Echelon(ncols)
+    ech = Subspace(ncols)
     assert [ech.add(r) for r in rows] == grew
     assert ech.pivots() == tuple(reduced)
-    assert ech.basis() == tuple(tuple(r) for r in reduced.values())
-    assert _exact_entries(ech.basis())
+    assert ech.basis == tuple(tuple(r) for r in reduced.values())
+    assert _exact_entries(ech.basis)
     inside = not _reference_rref(ncols, rows + [probe])[0][-1]
     expected = tuple(F(probe[p]) if not isinstance(probe[p], QuadExt) else probe[p] for p in reduced)
     assert ech.coordinates(probe) == (expected if inside else None)
@@ -378,7 +430,7 @@ def _echelon_entry(rng, d):
 
 
 def _echelon_cases(count):
-    """Seeded sparse rows for one Echelon each, a third over Q(sqrt d): ints, integral and
+    """Seeded sparse rows for one Subspace each, a third over Q(sqrt d): ints, integral and
     non-integral Fractions, negative pivots, and combinations that fall into the span."""
     rng = random.Random("echelon-digest")
     for case in range(count):
@@ -409,12 +461,12 @@ def test_echelon_rows_and_basis_digest_frozen():
     included, frozen before `_primitive` took its int fast path."""
     digest = hashlib.sha256()
     for ncols, rows, probe in _echelon_cases(600):
-        ech = Echelon(ncols)
+        ech = Subspace(ncols)
         grew = [ech._add(dict(w)) if i % 2 else ech.add([w.get(k, 0) for k in range(ncols)])
                 for i, w in enumerate(rows)]
         stored = {p: {k: _typed(x) for k, x in sorted(row.items())}
                   for p, row in sorted(ech._rows.items())}
-        basis = [[_typed(x) for x in v] for v in ech.basis()]
+        basis = [[_typed(x) for x in v] for v in ech.basis]
         coords = ech.coordinates(probe)
         coords = None if coords is None else [_typed(x) for x in coords]
         digest.update(f"{grew}|{stored}|{basis}|{coords}\n".encode())
@@ -426,10 +478,10 @@ def test_zero_quadext_is_falsy():
     assert not (QuadExt(0, 1, 2) - QuadExt(0, 1, 2))
     assert R2 and QuadExt(1, -1, 2) and QuadExt(F(1, 2))
     # [2, sqrt2] = sqrt2 * [sqrt2, 1] cancels to zero against the stored row
-    ech = Echelon(2, [[R2, 1]])
+    ech = Subspace(2, [[R2, 1]])
     assert ech.add([2, R2]) is False
     assert ech.coordinates([2, R2]) == (2,)
-    assert ech.basis() == ((1, R2 / 2),)
+    assert ech.basis == ((1, R2 / 2),)
 
 
 # ---------------------------------------------------------- char polynomial

@@ -86,6 +86,8 @@ def test_export_list_frozen():
         "sp4_canonical_matrix", "sqrt_exact", "symmetric_signature", "symplectically_similar",
         "verify_entries", "verify_entry",
     ]
+    # one span type, defined in linalg and re-exported by liealg
+    assert lieq.Subspace is lieq.liealg.Subspace is lieq.linalg.Subspace
 
 
 def test_package_imports_only_itself_and_the_standard_library():
