@@ -415,7 +415,7 @@ class LieAlgebra:
                         break
                     fresh = (_matmul(A, W) for W in frontier for A in gens)
                     frontier = [P for P in fresh if words._add(
-                        {k: x for k, x in enumerate(x for r in P for x in r) if x})]
+                        {p * n + q: x for p, r in enumerate(P) for q, x in enumerate(r) if x})]
                 # Subspace._add may keep and reduce the rows it is given
                 self._nilradical = Subspace._spanned(
                     n, [*(dict(w) for w in derived._pivot_rows()), *kernel]
