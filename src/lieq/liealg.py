@@ -234,20 +234,25 @@ class LieAlgebra:
         return sum([c * W[q][p] for q, terms in enumerate(self._terms[i]) for p, c in terms])
 
     def _ad_nilpotent(self, z: Dict[int, object]) -> bool:
-        """ad z is nilpotent, z a sparse vector {index: nonzero value}.
+        """ad z is nilpotent, z a sparse vector {index: nonzero int or Fraction}.
 
-        The image chain g, [z, g], [z, [z, g]], ... is spanned on sparse rows:
-        ad z is nilpotent when it reaches 0, and not when a step keeps the
-        dimension, as ad z then maps that nonzero term onto itself.  z is
-        stored as a row of its own span, which may keep the dict.
+        ad z is nilpotent exactly when (ad z)^n e_q = 0 for every basis vector
+        e_q, n = dim.  z is scaled to integers by the lcm of its denominators,
+        as a scale changes no nilpotency, and each e_q is bracketed with it at
+        most n times on the term table (so _den ad z, in integers), with no
+        elimination; the first e_q still nonzero after n steps answers False.
         """
-        line = Subspace._spanned(self.dim, [z])
-        image = Subspace.full(self.dim)
-        while image.dim:
-            step = self.product_space(line, image)
-            if step.dim == image.dim:
+        d = math.lcm(*[x.denominator for x in z.values()])
+        zs = [(i, x.numerator * (d // x.denominator)) for i, x in z.items()]
+        n = self.dim
+        for q in range(n):
+            v = {q: 1}
+            for _ in range(n):
+                v = self._bracket_terms(zs, v.items())
+                if not v:
+                    break
+            else:
                 return False
-            image = step
         return True
 
     # ------------------------------------------------------------- subspaces

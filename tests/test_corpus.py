@@ -1030,9 +1030,9 @@ def test_corpus_verification_skips_public_bracket_and_ideal_test(monkeypatch):
 
 
 def test_corpus_verification_brackets_sparse_rows(monkeypatch):
-    """Subspaces bracket their echelon's stored sparse rows: verification
-    builds no dense echelon basis and re-sparsifies only the input spans.
-    The bounds are the counts when this guard was written (374 and 0)."""
+    """Subspaces bracket their stored sparse rows: verification builds no
+    dense basis and re-sparsifies no dense row (the input spans are built
+    sparse by `_nilradical_span`)."""
     entries = list(packaged_corpus("appendix_a.lalg")) + list(
         packaged_corpus("appendix_b.lalg")
     )[::25]
@@ -1050,8 +1050,7 @@ def test_corpus_verification_brackets_sparse_rows(monkeypatch):
     monkeypatch.setattr(linalg, "_sparse", counting_sparse)
     monkeypatch.setattr(Subspace, "basis", property(counting_basis))
     verify_entries(entries, seed=1, k=3)
-    assert calls["sparse"] <= 374
-    assert calls["basis"] == 0
+    assert calls == {"sparse": 0, "basis": 0}
 
 
 def test_report_text_frozen_on_full_corpus():
@@ -1079,6 +1078,24 @@ def test_restricted_nilradical_is_the_reference_object():
         for env in sample_parameters(entry, seed=1, k=3):
             restricted = instantiate(entry, env).restrict(span)
             assert restricted is corpus._reference_table(entry.nilradical_ref)
+
+
+def test_degenerate_point_fails_only_the_nilpotency_claims():
+    """[7,[6,31],1,22] at a = 0 is nilpotent (lower central series dims 3, 1, 0) and
+    the corpus does not exclude a = 0, so exactly not_nilpotent and nilradical fail
+    there; at a = 1 every claim passes."""
+    (entry,) = [e for e in packaged_corpus("appendix_b.lalg") if e.id == "[7,[6,31],1,22]"]
+    report = verify_entry(entry, [{"a": Fraction(0)}])
+    assert len(report.records) == 6
+    assert {(r.claim, r.detail) for r in report.failures()} == {
+        ("not_nilpotent", "lower central series reaches 0"),
+        ("nilradical", "span(e1..e6) is not the nilradical"),
+    }
+    # g's own series say the same
+    g = instantiate(entry, {"a": Fraction(0)})
+    assert g.series_profile().lcs_dims == (3, 1, 0)
+    assert not g.verify_nilradical(corpus._nilradical_span(7))
+    assert verify_entry(entry, [{"a": Fraction(1)}]).passed
 
 
 def test_reference_tables_cover_all_refs():

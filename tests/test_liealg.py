@@ -4,6 +4,7 @@ Frozen expected values come from tests/oracles/structure_oracle.py (sympy,
 independent of this package).
 """
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lieq import liealg
+from lieq import corpus, liealg
 from lieq.corpus import fingerprint, instantiate, packaged_corpus, sample_parameters, verify_entry
 from lieq.derivations import derivation_basis
 from lieq.liealg import JacobiViolation, LieAlgebra, SeriesProfile, Subspace
@@ -537,10 +538,11 @@ def test_restrictions_interned_by_term_table():
     assert liealg._interned.cache_info().currsize == size
 
 
-def test_verify_entry_profiles_the_shared_nilradical_once(monkeypatch):
-    entry = _appendix_b_entry("[7,[6,4],1,1]")
-    assert len(sample_parameters(entry, seed=1, k=3)) == 3
+def _count_profiles(monkeypatch):
+    """The dimensions of the algebras whose series profile is built from now on, with
+    the interned restrictions and the reference tables cleared first."""
     liealg._interned.cache_clear()
+    corpus._reference_table.cache_clear()
     profiled = []
     original = LieAlgebra.series_profile
 
@@ -550,9 +552,51 @@ def test_verify_entry_profiles_the_shared_nilradical_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(LieAlgebra, "series_profile", counting)
+    return profiled
+
+
+def test_verify_entry_profiles_the_shared_nilradical_once(monkeypatch):
+    entry = _appendix_b_entry("[7,[6,4],1,1]")
+    assert len(sample_parameters(entry, seed=1, k=3)) == 3
+    profiled = _count_profiles(monkeypatch)
     assert verify_entry(entry, seed=1, k=3).passed
-    # three instantiations of dim 7, and their one shared nilradical of dim 6
-    assert sorted(profiled) == [6, 7, 7, 7]
+    # [g, g] lies in span(e1..e6) and each restriction is the nilpotent reference,
+    # so the nilradical claims follow from ad(e7): only their shared nilradical of
+    # dim 6 is profiled, and none of the three instantiations of dim 7
+    assert profiled == [6]
+
+
+SYNTHETIC_LEAVING_N = """\
+algebra [7,[6,4],99,1]
+dim 7
+param a : real
+constraint a != 0
+bracket e1 e7 = a*e7
+bracket e4 e5 = 1*e2
+bracket e4 e6 = 1*e3
+bracket e5 e6 = 1*e4
+"""
+
+
+def test_verify_entry_profiles_g_where_the_implication_fails(monkeypatch):
+    """A renamed reference and a bracket with an e_n term each take the full path:
+    their dim-7 algebras are profiled and their failures keep their details."""
+    entry = _appendix_b_entry("[7,[6,4],1,1]")
+    renamed = dataclasses.replace(entry, id="[7,[6,5],99,1]")
+    # g = n5 + r2 with [e1, e7] = a e7: [g, g] leaves span(e1..e6), whose table is [6,4]
+    (synthetic,) = corpus.parse_corpus(SYNTHETIC_LEAVING_N)
+    cases = [
+        (renamed, [6, 7, 7, 7], {("nilradical_table", "restricted table differs from [6,5]")}),
+        (synthetic, [7, 7, 7], {("derived_in_nilradical", "derived algebra leaves span(e1..e6)"),
+                                ("nilradical", "span(e1..e6) is not the nilradical")}),
+    ]
+    for case, dims, fails in cases:
+        profiled = _count_profiles(monkeypatch)
+        report = verify_entry(case, seed=1, k=3)
+        assert sorted(profiled) == dims, case.id
+        assert len(report.records) == 3 * 6
+        assert {(r.claim, r.detail) for r in report.failures()} == fails, case.id
+        assert len(report.failures()) == 3 * len(fails)
 
 
 def test_product_space():
@@ -727,6 +771,48 @@ def test_nilradical_matches_full_closure_reference():
             assert (g.ad_matrix(x) ** g.dim).is_zero(), tag
         checked += 1
     assert checked == 2 * len(entries) + 3
+
+
+def _ad_power_is_zero(g, z):
+    """The independent criterion: ad(z)^n == 0, n = dim, as a product of matrices."""
+    A = g.ad_matrix([z.get(i, 0) for i in range(g.dim)])
+    power = A
+    for _ in range(g.dim - 1):
+        power = power @ A
+    return power.is_zero()
+
+
+def test_ad_nilpotent_matches_the_matrix_power(monkeypatch):
+    """`_ad_nilpotent` agrees with ad(z)^n == 0 on e_n of corpus algebras after a
+    unimodular base change, and on the Fraction kernel vectors that the nilradical
+    search hands it; both verdicts occur in each set."""
+    entries = list(packaged_corpus("appendix_a.lalg")) + list(
+        packaged_corpus("appendix_b.lalg")
+    )[::10]
+    algebras = [
+        instantiate(entry, env).change_basis(_unit_bidiagonal(entry.dim))
+        for entry in entries
+        for env in sample_parameters(entry, seed=1, k=1)
+    ]
+    last = [(g, {g.dim - 1: 1}) for g in algebras]
+    searched = []
+    original = LieAlgebra._ad_nilpotent
+
+    def recording(self, z):
+        searched.append((self, dict(z)))
+        return original(self, z)
+
+    monkeypatch.setattr(LieAlgebra, "_ad_nilpotent", recording)
+    for g0 in [*algebras, KILLING_DEGENERATE6, R2_CUBED]:
+        g = g0.change_basis(_rational_base_change(g0.dim))
+        if g.is_solvable():
+            g.nilradical_codim_search()
+    monkeypatch.undo()
+    assert any(x.denominator > 1 for _, z in searched for x in z.values())
+    for cases in (last, searched):
+        verdicts = [g._ad_nilpotent(z) for g, z in cases]
+        assert verdicts == [_ad_power_is_zero(g, z) for g, z in cases]
+        assert set(verdicts) == {True, False}
 
 
 def test_invariants_computed_once(monkeypatch):
