@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import MAX_DIM, MatrixQ, _as_rational
@@ -921,7 +922,9 @@ def _assignment_text(entry: CorpusEntry, env: Mapping[str, Fraction]) -> str:
     return ",".join(f"{name}={env[name]}" for name in entry.param_names)
 
 
+@lru_cache(maxsize=MAX_DIM)
 def _nilradical_span(dim: int) -> Subspace:
+    """span(e1..e_{dim-1}), one object per dim; its callers only read it."""
     return Subspace._spanned(dim, ({r: 1} for r in range(dim - 1)))
 
 
@@ -929,12 +932,16 @@ def _nilradical_span(dim: int) -> Subspace:
 def _reference_table(ref: str) -> Optional[LieAlgebra]:
     """The algebra a nilradical reference names, or None when no table has that id.
 
+    ``[m,0]`` names the abelian algebra of dim m, for m a decimal in 1..MAX_DIM.
     Keyed by the reference alone, so the entries citing it, renamed ones included, share
     one algebra: the table restricted to its whole space, which `restrict` interns.
     """
     parts = _split_id(ref)
     if len(parts) == 2 and parts[1] == "0":
-        return LieAlgebra(int(parts[0]), {}).restrict(Subspace.full(int(parts[0])))
+        m = parts[0]
+        if not (m.isascii() and m.isdecimal() and 1 <= int(m) <= MAX_DIM):
+            return None
+        return LieAlgebra(int(m), {}).restrict(Subspace.full(int(m)))
     table = reference_nilradical_tables().get(ref)
     return None if table is None else instantiate(table, {}).restrict(Subspace.full(table.dim))
 
@@ -958,7 +965,20 @@ def _verify_one(
         )
 
     g = instantiate(entry, env)
-    violation = g.check_jacobi()
+    n, ref = entry.dim, entry.nilradical_ref
+    # [g, g] is spanned by the brackets, so it lies in span(e1..e_{n-1}) exactly
+    # when no bracket has a term at e_n
+    contained = all(k < n - 1 for row in g._terms for terms in row for k, _ in terms)
+    reference = None if ref is None else _reference_table(ref)
+    # g's table on N is the nilpotent reference's, so g is a Lie algebra exactly
+    # when the reference is one and the triples through e_n satisfy Jacobi (see
+    # verify_entry)
+    implied = (
+        contained and reference is not None and g._extends(reference)
+        and reference.is_nilpotent() and reference.check_jacobi() is None
+        and g._jacobi_violation((i, j, n - 1) for i, j in combinations(range(n - 1), 2)) is None
+    )
+    violation = None if implied else g.check_jacobi()
     if violation is not None:
         record(
             "jacobi",
@@ -968,7 +988,6 @@ def _verify_one(
         return records  # the later claims are undefined for a non-Lie table
     record("jacobi", True)
 
-    n, ref = entry.dim, entry.nilradical_ref
     if ref is None:
         profile = g.series_profile()
         record(
@@ -978,12 +997,7 @@ def _verify_one(
         )
         return records
 
-    # [g, g] is spanned by the brackets, so it lies in span(e1..e_{n-1}) exactly
-    # when no bracket has a term at e_n
-    contained = all(k < n - 1 for row in g._terms for terms in row for k, _ in terms)
-    reference = _reference_table(ref)
-    if (contained and reference is not None and g.restrict(span) == reference
-            and reference.is_nilpotent()):
+    if implied:
         # g is solvable, and nilpotent exactly when ad e_n is (see verify_entry)
         nilpotent = g._ad_nilpotent({n - 1: 1})
         solvable, is_nr = True, not nilpotent
@@ -1013,7 +1027,8 @@ def _verify_one(
         record("nilradical", False, "algebra is not solvable")
 
     try:
-        restricted = g.restrict(span)
+        # g's table on N is the reference on the short path, with no restriction built
+        restricted = reference if implied else g.restrict(span)
     except ValueError:
         record(
             "nilradical_table",
@@ -1048,22 +1063,29 @@ def verify_entry(
     table that is not a Lie algebra.  When assignments is None they are drawn
     by sample_parameters(entry, seed, k).
 
-    The nilradical claims are settled by implication where the theory allows.
-    Write N = span(e1..e_{n-1}).  When no bracket has a term at e_n, [g, g]
-    lies in N; when moreover the restriction to N equals the referenced table
-    and that table is nilpotent, g/N is abelian and N nilpotent, so g is
-    solvable, and its nilradical is its set of ad-nilpotent elements, which
-    holds N.  Then solvable, derived_in_nilradical and nilradical_table pass,
-    and not_nilpotent and nilradical both hold exactly when ad e_n is not
+    Entries with a reference are settled by implication where the theory
+    allows, from the term table, before any full Jacobi scan.  Write
+    N = span(e1..e_{n-1}) and suppose that (1) no bracket has a term at e_n,
+    (2) g's brackets [e_i, e_j], i < j < n - 1, are the referenced table's
+    (`LieAlgebra._extends`, no restriction built), (3) that table is nilpotent
+    and (4) a Lie algebra (its `check_jacobi`, cached per table), and (5) the
+    Jacobi identity holds on the triples (e_i, e_j, e_n).  By (1) every
+    constant in the Jacobi residual of a triple inside N is a constant of N,
+    so by (2) that residual is the table's, 0 by (4); with (5), g is a Lie
+    algebra, the semidirect sum of N and R e_n by a derivation ad e_n of N.
+    Then [g, g] lies in N, g/N is abelian and N nilpotent, so g is solvable,
+    and its nilradical is its set of ad-nilpotent elements, which holds N.  So
+    jacobi, solvable, derived_in_nilradical and nilradical_table pass, and
+    not_nilpotent and nilradical both hold exactly when ad e_n is not
     nilpotent, which `_ad_nilpotent` tests without elimination; g's own series
-    are never built.  Otherwise (a bracket leaves N, the restriction differs
-    from the reference, or the reference is not nilpotent) every claim is
-    computed on g's derived and lower central series, its restriction and
-    `verify_nilradical`, with the same details as ever.
+    and its restriction are never built.  Otherwise (any of (1)-(5) fails)
+    every claim is computed as ever: `check_jacobi` first, so a bad table
+    keeps its first bad triple, then g's derived and lower central series,
+    its restriction and `verify_nilradical`, with the same details.
     """
     if assignments is None:
         assignments = sample_parameters(entry, seed=seed, k=k)
-    span = _nilradical_span(entry.dim)  # shared by every assignment
+    span = _nilradical_span(entry.dim)  # one per dim, shared by every assignment
     records: List[ClaimRecord] = []
     for env in assignments:
         records.extend(_verify_one(entry, env, span))

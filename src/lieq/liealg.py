@@ -40,9 +40,11 @@ hand the brackets back to `Subspace._spanned` as they are; dense `Fraction`
 vectors are built only where they leave the module: `Subspace.basis` (on first
 read), `coordinates`, `bracket`, `structure_constant` and `table`.
 
-`restrict` interns what it returns by exact term table, in a bounded cache
-shared by the process: every corpus family with the same nilradical table gets
-the same restricted algebra, so that table's invariants are computed once.
+An algebra caches its invariants on first use: the result of `check_jacobi`,
+its series profile, [g, g] and its nilradical.  `restrict` interns what it
+returns by exact term table, in a bounded cache shared by the process: every
+corpus family with the same nilradical table gets the same restricted algebra,
+so that table's invariants, its Jacobi check among them, are computed once.
 No method changes an algebra's table, and what it caches is a function of the
 table, so sharing one algebra between callers is safe.
 
@@ -96,6 +98,10 @@ class SeriesProfile:
     nilpotent: bool
 
 
+#: `LieAlgebra._jacobi` before the first `check_jacobi`, whose result may be None
+_UNCHECKED = object()
+
+
 @dataclass(frozen=True)
 class JacobiViolation:
     i: int
@@ -113,7 +119,7 @@ class LieAlgebra:
     """
 
     __slots__ = (
-        "dim", "_den", "_terms", "_profile", "_derived", "_nilradical", "_restrictions",
+        "dim", "_den", "_terms", "_jacobi", "_profile", "_derived", "_nilradical", "_restrictions",
     )
 
     def __init__(self, dim: int, table: Dict[Tuple[int, int], Sequence]):
@@ -144,7 +150,9 @@ class LieAlgebra:
             full[i][j] = tuple((k, c.numerator * (den // c.denominator)) for k, c in ts)
             full[j][i] = tuple((k, -c) for k, c in full[i][j])
         self._terms = full
-        # invariants (a series profile, [g, g], the nilradical), each computed on first use
+        # invariants (the Jacobi check, a series profile, [g, g], the nilradical), each
+        # computed on first use
+        self._jacobi = _UNCHECKED
         self._profile = self._derived = self._nilradical = None
         self._restrictions: Dict[Subspace, LieAlgebra] = {}
         return self
@@ -194,14 +202,25 @@ class LieAlgebra:
     def check_jacobi(self) -> Optional[JacobiViolation]:
         """None when the Jacobi identity holds; else the first bad triple.
 
-        Triples i < j < k are scanned in lexicographic order.  The residual
-        [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is contracted
-        straight from the term table, with no bracket call:
+        Triples i < j < k are scanned in lexicographic order.  The result is
+        cached on the algebra, so an algebra shared by many callers (an
+        interned restriction, say) is scanned once.
+        """
+        if self._jacobi is _UNCHECKED:
+            self._jacobi = self._jacobi_violation(combinations(range(self.dim), 3))
+        return self._jacobi
+
+    def _jacobi_violation(self, triples: Iterable[Tuple[int, int, int]]) -> Optional[JacobiViolation]:
+        """None when the Jacobi identity holds on the given triples i < j < k; else
+        the first that fails.
+
+        The residual [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is
+        contracted straight from the term table, with no bracket call:
         res_m = sum over l of c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m,
         summed in integers as _den^2 res_m.
         """
         terms = self._terms
-        for i, j, k in combinations(range(self.dim), 3):
+        for i, j, k in triples:
             res = [0] * self.dim
             for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
                 for l, a in terms[p][q]:
@@ -210,6 +229,17 @@ class LieAlgebra:
             if any(res):
                 return JacobiViolation(i, j, k, tuple(Fraction(x, self._den ** 2) for x in res))
         return None
+
+    def _extends(self, reference: "LieAlgebra") -> bool:
+        """reference has dimension n - 1 and the same brackets [e_i, e_j], i < j < n - 1,
+        as this algebra, compared as rationals on the two term tables: the same
+        indices, and c _den(reference) = c' _den for each pair of constants."""
+        m, den, ref_den = reference.dim, self._den, reference._den
+        return m == self.dim - 1 and all(
+            [(k, c * ref_den) for k, c in self._terms[i][j]]
+            == [(k, c * den) for k, c in reference._terms[i][j]]
+            for i, j in combinations(range(m), 2)
+        )
 
     def ad_matrix(self, x: Sequence) -> MatrixQ:
         """Matrix of ad(x); column q holds [x, e_q]."""

@@ -964,6 +964,99 @@ def test_verify_unknown_reference():
         verify_entry(entry)
 
 
+@pytest.mark.parametrize("ref", ["[x,0]", "[9,0]", "[0,0]"])
+def test_verify_malformed_abelian_reference_names_entry(ref):
+    entry_id = f"[3,{ref},1,1]"
+    (entry,) = parse_corpus(f"algebra {entry_id}\ndim 3\nbracket e1 e3 = 1*e1\n")
+    message = f"unknown nilradical reference {ref} for entry {entry_id}"
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        verify_entry(entry)
+
+
+# tables that no appendix-A id names: [5,99] is no Lie algebra, as
+# [[e2, e3], e1] = -e5, though its lower central series reaches 0; [2,99] is a
+# Lie algebra that is not nilpotent
+BAD_REFERENCES = """\
+algebra [5,99]
+dim 5
+bracket e1 e2 = 1*e3
+bracket e1 e4 = 1*e5
+bracket e2 e3 = 1*e4
+
+algebra [2,99]
+dim 2
+bracket e1 e2 = 1*e1
+"""
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("algebra [6,[5,99],1,1]\ndim 6\nbracket e1 e2 = 1*e3\nbracket e1 e4 = 1*e5\n"
+     "bracket e2 e3 = 1*e4\n", [("jacobi", "fail", "fails on (e1,e2,e3)")]),
+    ("algebra [3,[2,99],1,1]\ndim 3\nbracket e1 e2 = 1*e1\n", [
+        ("jacobi", "pass", "-"), ("solvable", "pass", "-"), ("not_nilpotent", "pass", "-"),
+        ("derived_in_nilradical", "pass", "-"),
+        ("nilradical", "fail", "span(e1..e2) is not the nilradical"),
+        ("nilradical_table", "pass", "-"),
+    ]),
+])
+def test_verify_takes_the_full_path_on_a_bad_reference(monkeypatch, text, expected):
+    """g's table on span(e1..e_{n-1}) is the reference's and ad(e_n) is a derivation
+    of it, but a reference that is no Lie algebra, or not nilpotent, settles nothing:
+    the claims are computed on g as ever."""
+    tables = {e.id: e for e in parse_corpus(BAD_REFERENCES)}
+    corpus._reference_table.cache_clear()
+    monkeypatch.setattr(corpus, "reference_nilradical_tables", lambda: tables)
+    try:
+        (entry,) = parse_corpus(text)
+        report = verify_entry(entry)
+    finally:
+        corpus._reference_table.cache_clear()
+    assert [(r.claim, r.status, r.detail) for r in report.records] == expected
+
+
+@pytest.mark.parametrize("text, ref", [
+    # [6,4] with [e5, e6] = 2 e4: the same terms at other values, still a Lie algebra
+    (EXAMPLE_BLOCK.replace("[7,[6,4],1,1]", "[7,[6,4],97,1]")
+     .replace("bracket e5 e6 = 1*e4", "bracket e5 e6 = 2*e4"), "[6,4]"),
+    # span(e1, e2) is abelian but cites the abelian table of dim 1
+    ("algebra [3,[1,0],1,1]\ndim 3\nbracket e1 e3 = 1*e1\nbracket e2 e3 = 1*e2\n", "[1,0]"),
+])
+def test_verify_table_compare_is_exact(text, ref):
+    (entry,) = parse_corpus(text)
+    report = verify_entry(entry, seed=1, k=3)
+    assert {(r.claim, r.detail) for r in report.failures()} == {
+        ("nilradical_table", f"restricted table differs from {ref}")
+    }
+    assert len(report.failures()) == len(report.records) // 6
+
+
+def test_verify_short_path_matches_full_path(monkeypatch):
+    """Settling claims from the term table changes no record: appendices A and B and
+    the [6,4] entries renamed to cite [6,5] verify to the same text when every entry
+    is forced onto the full path by a table compare that never matches."""
+    appendix_b = list(packaged_corpus("appendix_b.lalg"))
+    renamed = [dataclasses.replace(e, id=e.id.replace("[6,4]", "[6,5]"))
+               for e in appendix_b if e.nilradical_ref == "[6,4]"]
+    entries = list(packaged_corpus("appendix_a.lalg")) + appendix_b + renamed
+    extends, matched = LieAlgebra._extends, []
+
+    def counting(self, reference):
+        matched.append(extends(self, reference))
+        return matched[-1]
+
+    monkeypatch.setattr(LieAlgebra, "_extends", counting)
+    short = verify_entries(entries, seed=2, k=3)
+    monkeypatch.setattr(LieAlgebra, "_extends", lambda self, reference: False)
+    full = verify_entries(entries, seed=2, k=3)
+    assert len(renamed) == 19
+    assert sum(matched) == 1_597 and len(matched) == 1_639
+    assert {(r.claim, r.detail) for r in short.failures()} == {
+        ("nilradical_table", "restricted table differs from [6,5]")
+    }
+    assert len(short.failures()) == 42
+    assert short.to_text() == full.to_text()
+
+
 def test_reference_algebra_cached_by_reference_alone():
     (entry,) = [e for e in packaged_corpus("appendix_b.lalg") if e.id == "[7,[6,4],1,1]"]
     corpus._reference_table.cache_clear()

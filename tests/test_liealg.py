@@ -599,6 +599,93 @@ def test_verify_entry_profiles_g_where_the_implication_fails(monkeypatch):
         assert len(report.failures()) == 3 * len(fails)
 
 
+SYNTHETIC_NOT_A_DERIVATION = """\
+algebra [7,[6,4],98,1]
+dim 7
+param a : real
+param b : real
+constraint b <= a
+constraint a^2+b^2 != 0
+bracket e1 e7 = 1*e1
+bracket e2 e7 = (2*a+b)*e2
+bracket e3 e7 = (a+2*b)*e3
+bracket e4 e5 = 1*e2
+bracket e4 e6 = 1*e3
+bracket e4 e7 = (a+b+1)*e4
+bracket e5 e6 = 1*e4
+bracket e5 e7 = a*e5
+bracket e6 e7 = b*e6
+"""
+
+
+def test_verify_entry_fails_jacobi_only_through_e_n():
+    """[7,[6,4],1,1] with [e4, e7] shifted by e4: its table on span(e1..e6) is still
+    [6,4], but ad(e7) is no derivation of it, since [e4, e5] = e2 would need weight
+    2a + b + 1.  The jacobi claim fails on the first bad triple, as the full scan
+    finds it, and is the only record at each assignment."""
+    (entry,) = corpus.parse_corpus(SYNTHETIC_NOT_A_DERIVATION)
+    report = verify_entry(entry, seed=1, k=3)
+    assert [(r.claim, r.status, r.detail) for r in report.records] == 3 * [
+        ("jacobi", "fail", "fails on (e4,e5,e7)")
+    ]
+    g = instantiate(entry, sample_parameters(entry, seed=1, k=1)[0])
+    assert g._extends(corpus._reference_table("[6,4]"))
+    through_e7 = g._jacobi_violation((i, j, 6) for i, j in combinations(range(6), 2))
+    assert through_e7 == g.check_jacobi()
+    assert (through_e7.i, through_e7.j, through_e7.k) == (3, 4, 6)
+
+
+def test_verify_entry_settles_jacobi_without_restricting_g(monkeypatch):
+    """On the short path g is neither restricted nor scanned for Jacobi in full: the
+    table compare reads the term table and only the triples through e7 are checked."""
+    entry = _appendix_b_entry("[7,[6,4],1,1]")
+    corpus._reference_table("[6,4]")  # building the reference restricts its table once
+    restricted, scanned = [], []
+    restrict, check_jacobi = LieAlgebra.restrict, LieAlgebra.check_jacobi
+
+    def counting_restrict(self, s):
+        restricted.append(self.dim)
+        return restrict(self, s)
+
+    def counting_jacobi(self):
+        scanned.append(self.dim)
+        return check_jacobi(self)
+
+    monkeypatch.setattr(LieAlgebra, "restrict", counting_restrict)
+    monkeypatch.setattr(LieAlgebra, "check_jacobi", counting_jacobi)
+    report = verify_entry(entry, seed=1, k=3)
+    assert report.passed and len(report.records) == 3 * 6
+    assert restricted == []
+    assert 7 not in scanned
+
+
+def test_extends_compares_constants_as_rationals():
+    """_extends agrees with restricting to span(e1..e_{n-1}) and comparing, across
+    different denominators: g's is 6 here (its [e1, e4] = e1 / 3), the reference's 2."""
+    reference = LieAlgebra(3, {(1, 2): ["1/2", 0, 0]})
+    assert reference._den == 2
+    cases = [
+        ({(1, 2): ["1/2", 0, 0, 0], (0, 3): ["1/3", 0, 0, 0]}, True),
+        ({(1, 2): ["1/3", 0, 0, 0], (0, 3): ["1/3", 0, 0, 0]}, False),
+        ({(1, 2): [0, "1/2", 0, 0]}, False),
+        ({(1, 2): ["1/2", 0, 0, 0], (0, 1): [0, 0, "1/3", 0]}, False),
+    ]
+    assert LieAlgebra(4, cases[0][0])._den == 6
+    span = corpus._nilradical_span(4)
+    for table, same in cases:
+        g = LieAlgebra(4, table)
+        assert g._extends(reference) is same
+        assert (g.restrict(span) == reference) is same
+    assert not LieAlgebra(3, {(1, 2): ["1/2", 0, 0]})._extends(reference)
+
+
+def test_check_jacobi_is_cached():
+    g = LieAlgebra(3, {(0, 1): [0, 0, 2], (0, 2): [1, 0, 0]})
+    violation = g.check_jacobi()
+    assert violation is not None and g.check_jacobi() is violation
+    assert HEISENBERG3.check_jacobi() is None and HEISENBERG3._jacobi is None
+
+
 def test_product_space():
     full = Subspace.full(3)
     assert HEISENBERG3.product_space(full, full) == span(3, [0])
