@@ -41,12 +41,9 @@ vectors are built only where they leave the module: `Subspace.basis` (on first
 read), `coordinates`, `bracket`, `structure_constant` and `table`.
 
 An algebra caches its invariants on first use: the result of `check_jacobi`,
-its series profile, [g, g] and its nilradical.  `restrict` interns what it
-returns by exact term table, in a bounded cache shared by the process: every
-corpus family with the same nilradical table gets the same restricted algebra,
-so that table's invariants, its Jacobi check among them, are computed once.
-No method changes an algebra's table, and what it caches is a function of the
-table, so sharing one algebra between callers is safe.
+its series profile, [g, g] and its nilradical.  No method changes an algebra's
+table, and what it caches is a function of the table, so sharing one algebra
+between callers is safe.
 
 Dimension is capped at `MAX_DIM` (7).
 """
@@ -56,7 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -119,7 +115,7 @@ class LieAlgebra:
     """
 
     __slots__ = (
-        "dim", "_den", "_terms", "_jacobi", "_profile", "_derived", "_nilradical", "_restrictions",
+        "dim", "_den", "_terms", "_jacobi", "_profile", "_derived", "_nilradical",
     )
 
     def __init__(self, dim: int, table: Dict[Tuple[int, int], Sequence]):
@@ -154,7 +150,6 @@ class LieAlgebra:
         # computed on first use
         self._jacobi = _UNCHECKED
         self._profile = self._derived = self._nilradical = None
-        self._restrictions: Dict[Subspace, LieAlgebra] = {}
         return self
 
     def structure_constant(self, i: int, j: int) -> Tuple[Fraction, ...]:
@@ -203,8 +198,8 @@ class LieAlgebra:
         """None when the Jacobi identity holds; else the first bad triple.
 
         Triples i < j < k are scanned in lexicographic order.  The result is
-        cached on the algebra, so an algebra shared by many callers (an
-        interned restriction, say) is scanned once.
+        cached on the algebra, so an algebra shared by many callers (a
+        cached reference table, say) is scanned once.
         """
         if self._jacobi is _UNCHECKED:
             self._jacobi = self._jacobi_violation(combinations(range(self.dim), 3))
@@ -347,17 +342,8 @@ class LieAlgebra:
         return s.contains(self.product_space(Subspace.full(self.dim), s))
 
     def restrict(self, s: Subspace) -> "LieAlgebra":
-        """The bracket structure on s in its echelon basis; s must be closed.
-
-        Memoised per subspace, so a second restriction to s is free.  The result is
-        interned by its exact term table in a bounded cache: restrictions with equal
-        tables are one object, whose invariants (a series profile, say) are computed
-        once in the process however many algebras restrict to it.
-        """
+        """The bracket structure on s in its echelon basis; s must be closed."""
         _same_ambient(self.dim, s)
-        inner = self._restrictions.get(s)
-        if inner is not None:
-            return inner
         # each stored row is d_i u_i with d_i its pivot entry, so [u_i, u_j] is
         # the integer bracket of rows i and j over d_i d_j _den; inside s, its
         # coordinates are its entries at the pivot columns
@@ -375,30 +361,21 @@ class LieAlgebra:
             if w:
                 d = rows[i][pivots[i]] * rows[j][pivots[j]] * self._den
                 terms[(i, j)] = tuple((c, Fraction(w[p], d)) for c, p in enumerate(pivots) if p in w)
-        inner = self._restrictions[s] = _interned(s.dim, tuple(terms.items()))
-        return inner
+        return LieAlgebra._of_terms(s.dim, terms)
 
     def verify_nilradical(self, s: Subspace) -> bool:
         """Check that s is the nilradical of a solvable algebra.
 
-        Requires solvability; confirms s contains the derived algebra, is
-        nilpotent, and that no nilpotent ideal is strictly larger.  Containing
-        [g, g] makes s an ideal, since [g, s] lies in [g, g], and so closed
-        under the bracket.  Every nilpotent ideal lies inside the nilradical,
-        so maximality amounts to s having the nilradical's dimension: at
-        codimension 1 that is just g itself not being nilpotent, and in
-        general s must equal the set of ad-nilpotent elements.
+        Requires solvability.  For solvable g the nilradical is exactly the set of
+        ad-nilpotent elements, which `nilradical_codim_search` certifies from both
+        sides, so s is the nilradical exactly when it equals that search's answer; no
+        algebra on s is built.  The nilradical holds [g, g], so a subspace that does
+        not is refused first, with no search.
         """
         if not self.is_solvable():
             raise ValueError("nilradical verification requires a solvable algebra")
         if not s.contains(self.derived_algebra()):
             return False
-        if s.dim > 0 and not self.restrict(s).is_nilpotent():
-            return False
-        if s.dim == self.dim:
-            return True
-        if s.dim == self.dim - 1:
-            return not self.is_nilpotent()
         return s == self.nilradical_codim_search()[0]
 
     def nilradical_codim_search(self) -> Tuple[Subspace, int]:
@@ -513,13 +490,3 @@ class LieAlgebra:
         brackets = sum(1 for i, j in combinations(range(self.dim), 2) if self._terms[i][j])
         return f"LieAlgebra(dim={self.dim}, brackets={brackets})"
 
-
-@lru_cache(maxsize=256)
-def _interned(dim: int, terms: tuple) -> LieAlgebra:
-    """The one algebra of the exact terms (((i, j), ((k, c_ij^k), ...)), ...), as
-    `_of_terms` takes them; `restrict` is its only caller.
-
-    The corpus's 775 entries cite a few dozen nilradical tables, so the bound keeps
-    every one of them while an unbounded stream of distinct tables cannot grow it.
-    """
-    return LieAlgebra._of_terms(dim, dict(terms))

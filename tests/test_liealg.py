@@ -478,24 +478,21 @@ def test_restrict_to_nilradical_of_solv5():
 
 
 def test_restriction_computed_once_per_span(monkeypatch):
-    # as in corpus verification: verify_nilradical, then restrict to the span
+    # verify_nilradical decides through the nilradical search and builds no algebra
+    # on the subspace; restrict still gives that algebra on request
     g = LieAlgebra(SOLV5.dim, SOLV5.table)
-    g.series_profile()
     calls = []
-    original = LieAlgebra._bracket_terms
+    original = LieAlgebra.restrict
 
-    def counting(self, xs, ys):
-        calls.append((xs, ys))
-        return original(self, xs, ys)
+    def counting(self, s):
+        calls.append(s)
+        return original(self, s)
 
-    monkeypatch.setattr(LieAlgebra, "_bracket_terms", counting)
+    monkeypatch.setattr(LieAlgebra, "restrict", counting)
     assert g.verify_nilradical(span(5, [0, 1, 2, 3]))
-    assert calls
-    done = len(calls)
-    inner = g.restrict(span(5, [0, 1, 2, 3]))
-    assert inner == LieAlgebra(4, {(1, 2): [1, 0, 0, 0]})
-    assert g.restrict(span(5, [0, 1, 2, 3])) is inner
-    assert len(calls) == done
+    assert not g.verify_nilradical(span(5, [0, 1, 2, 3, 4]))
+    assert calls == []
+    assert g.restrict(span(5, [0, 1, 2, 3])) == LieAlgebra(4, {(1, 2): [1, 0, 0, 0]})
 
 
 def test_restrict_rejects_unclosed_subspace():
@@ -525,23 +522,18 @@ def test_restrictions_interned_by_term_table():
     # SOLV5 and a second algebra acting differently on the same 4-dim nilradical
     other = LieAlgebra(5, {(0, 4): [1, 0, 0, 0, 0], (1, 2): [1, 0, 0, 0, 0], (2, 4): [0, 0, -1, 0, 0]})
     inner = SOLV5.restrict(span(5, [0, 1, 2, 3]))
-    assert other.restrict(span(5, [0, 1, 2, 3])) is inner
-    # a fresh copy of the same algebra also gets it back
-    assert LieAlgebra(SOLV5.dim, SOLV5.table).restrict(span(5, [0, 1, 2, 3])) is inner
+    assert other.restrict(span(5, [0, 1, 2, 3])) == inner
+    # a fresh copy of the same algebra gives an equal table too
+    assert LieAlgebra(SOLV5.dim, SOLV5.table).restrict(span(5, [0, 1, 2, 3])) == inner
     abelian = LieAlgebra(5, {(0, 4): [1, 0, 0, 0, 0]}).restrict(span(5, [0, 1, 2, 3]))
-    assert abelian is not inner and abelian == LieAlgebra(4, {})
-    assert liealg._interned.cache_info().maxsize is not None
-    # an unclosed subspace raises before the lookup and adds nothing to the cache
-    size = liealg._interned.cache_info().currsize
+    assert abelian != inner and abelian == LieAlgebra(4, {})
     with pytest.raises(ValueError, match="not closed"):
         HEISENBERG3.restrict(span(3, [1, 2]))
-    assert liealg._interned.cache_info().currsize == size
 
 
 def _count_profiles(monkeypatch):
     """The dimensions of the algebras whose series profile is built from now on, with
-    the interned restrictions and the reference tables cleared first."""
-    liealg._interned.cache_clear()
+    the reference tables cleared first."""
     corpus._reference_table.cache_clear()
     profiled = []
     original = LieAlgebra.series_profile
@@ -580,13 +572,14 @@ bracket e5 e6 = 1*e4
 
 def test_verify_entry_profiles_g_where_the_implication_fails(monkeypatch):
     """A renamed reference and a bracket with an e_n term each take the full path:
-    their dim-7 algebras are profiled and their failures keep their details."""
+    their dim-7 algebras are profiled, and no algebra on span(e1..e6) is, and their
+    failures keep their details."""
     entry = _appendix_b_entry("[7,[6,4],1,1]")
     renamed = dataclasses.replace(entry, id="[7,[6,5],99,1]")
     # g = n5 + r2 with [e1, e7] = a e7: [g, g] leaves span(e1..e6), whose table is [6,4]
     (synthetic,) = corpus.parse_corpus(SYNTHETIC_LEAVING_N)
     cases = [
-        (renamed, [6, 7, 7, 7], {("nilradical_table", "restricted table differs from [6,5]")}),
+        (renamed, [7, 7, 7], {("nilradical_table", "restricted table differs from [6,5]")}),
         (synthetic, [7, 7, 7], {("derived_in_nilradical", "derived algebra leaves span(e1..e6)"),
                                 ("nilradical", "span(e1..e6) is not the nilradical")}),
     ]
@@ -597,6 +590,42 @@ def test_verify_entry_profiles_g_where_the_implication_fails(monkeypatch):
         assert len(report.records) == 3 * 6
         assert {(r.claim, r.detail) for r in report.failures()} == fails, case.id
         assert len(report.failures()) == 3 * len(fails)
+
+
+def _codim_one_rule(g, s):
+    """The nilradical test verify_nilradical made before it went through the search
+    alone: s holds [g, g], the algebra on s is nilpotent, and at codimension 1 g itself
+    is not nilpotent."""
+    if not s.contains(g.derived_algebra()):
+        return False
+    if s.dim > 0 and not g.restrict(s).is_nilpotent():
+        return False
+    if s.dim == g.dim:
+        return True
+    if s.dim == g.dim - 1:
+        return not g.is_nilpotent()
+    return s == g.nilradical_codim_search()[0]
+
+
+def test_verify_nilradical_matches_the_codim_one_rule():
+    appendix_b = list(packaged_corpus("appendix_b.lalg"))
+    renamed = [dataclasses.replace(e, id=e.id.replace("[6,4]", "[6,5]"))
+               for e in appendix_b if e.nilradical_ref == "[6,4]"]
+    (synthetic,) = corpus.parse_corpus(SYNTHETIC_LEAVING_N)
+    verdicts = set()
+    for entry in appendix_b[::10] + renamed + [synthetic]:
+        for env in sample_parameters(entry, seed=1, k=3):
+            g = instantiate(entry, env)
+            n = g.dim
+            derived = g.derived_algebra()
+            # [g, g] + R e_n has the nilradical's dimension when [g, g] has codimension 2
+            subspaces = (span(n, range(n - 1)), derived, Subspace(n, [*derived.basis, e(n, n - 1)]),
+                         g.nilradical_codim_search()[0], g.center())
+            for s in subspaces:
+                verdict = g.verify_nilradical(s)
+                assert verdict == _codim_one_rule(g, s), (entry.id, env, s)
+                verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 SYNTHETIC_NOT_A_DERIVATION = """\
