@@ -29,9 +29,23 @@ Entry ids are structured tags.  A plain pair like ``[6,4]`` names a nilpotent
 algebra; a nested tag like ``[7,[6,4],1,1]`` names a solvable algebra whose
 first six basis vectors are expected to span its nilradical and to reproduce
 the ``[6,4]`` table, which :func:`verify_entry` checks claim by claim.
+
+Parameter values are exact rationals, and the module has one evaluator for
+them, `PolyExpr._pair_value`: it takes each value as an integer pair
+(numerator, denominator > 0) and returns the polynomial's value as one
+unreduced integer pair.  `PolyExpr.evaluate` is its one Fraction, and a
+constraint compares by cross-multiplying (`Constraint._holds`).  Sampling draws
+and tests such pairs, and instantiation goes from them straight to the integer
+structure tensor of `LieAlgebra`, so the sampled verification path builds no
+Fraction to draw, test or instantiate a point.  A sampled point's constraints
+are tested once, when it is drawn.
+
+The parser keeps one object per distinct coefficient polynomial of a text:
+the 38,024 coefficient slots of the two packaged corpora point to 83 objects.
 """
 
 import hashlib
+import math
 import random
 import re
 from dataclasses import dataclass, field, replace
@@ -74,6 +88,8 @@ class ParseError(ValueError):
 # monomial: tuple of (name, exponent) pairs sorted by name, exponents >= 1
 Monomial = Tuple[Tuple[str, int], ...]
 _ONE: Monomial = ()
+#: an exact rational as (numerator, denominator), denominator > 0
+_Pair = Tuple[int, int]
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -152,25 +168,24 @@ class PolyExpr:
         return out
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
-        """The value at env, whose values are taken as `Fraction` takes them.
+        """The value at env, whose values are taken as `Fraction` takes them: the one
+        Fraction of `_pair_value` at their (numerator, denominator) pairs."""
+        return Fraction(*self._pair_value(_pairs(env)))
 
-        The sum is kept as one integer numerator over one integer denominator, so the
-        result is the only Fraction built."""
-        if len(self.terms) == 1 and self.terms[0][0] == _ONE:
-            return self.terms[0][1]  # a constant, read as it is
+    def _pair_value(self, env: Mapping[str, _Pair]) -> _Pair:
+        """The value at env, name -> (p, q) with q > 0, as an unreduced (num, den) with
+        den > 0: the sum is kept as one integer numerator over one integer denominator."""
         num, den = 0, 1
         for mono, coef in self.terms:
             p, q = coef.numerator, coef.denominator
             for name, exp in mono:
                 if name not in env:
                     raise CorpusError(f"missing value for parameter '{name}'")
-                x = env[name]
-                if type(x) is not int and type(x) is not Fraction:
-                    x = Fraction(x)
-                p *= x.numerator ** exp
-                q *= x.denominator ** exp
+                x, y = env[name]
+                p *= x ** exp
+                q *= y ** exp
             num, den = num * q + p * den, den * q
-        return Fraction(num, den)
+        return num, den
 
     def __str__(self) -> str:
         if not self.terms:
@@ -193,6 +208,15 @@ class PolyExpr:
         for text in parts[1:]:
             out += text if text.startswith("-") else "+" + text
         return out
+
+
+def _pairs(env: Mapping[str, Fraction]) -> Dict[str, _Pair]:
+    """env's values, taken as `Fraction` takes them, as (numerator, denominator) pairs."""
+    return {name: (x.numerator, x.denominator) for name, x in zip(env, map(Fraction, env.values()))}
+
+
+#: the zero polynomial, shared by every zero coefficient the parser writes
+_ZERO = PolyExpr(())
 
 
 _OPS = {
@@ -218,7 +242,14 @@ class Constraint:
     source: str = field(default="", compare=False)
 
     def satisfied(self, env: Mapping[str, Fraction]) -> bool:
-        return _OPS[self.op](self.lhs.evaluate(env), self.rhs.evaluate(env))
+        return self._holds(_pairs(env))
+
+    def _holds(self, env: Mapping[str, _Pair]) -> bool:
+        """The comparison at env, name -> (p, q) with q > 0, in integers: both
+        denominators are positive, so a/b op c/d exactly when a*d op c*b."""
+        a, b = self.lhs._pair_value(env)
+        c, d = self.rhs._pair_value(env)
+        return _OPS[self.op](a * d, c * b)
 
     def __str__(self) -> str:
         return f"{self.lhs} {self.op} {self.rhs}"
@@ -387,7 +418,7 @@ class _ExprParser:
         return value
 
     def parse_poly(self) -> PolyExpr:
-        total = PolyExpr.constant(0)
+        total = _ZERO
         for sign, term in self.signed_terms(self.parse_product):
             total = total + term if sign > 0 else total - term
         return total
@@ -433,7 +464,7 @@ class _ExprParser:
 
     def parse_linexpr(self, dim: int) -> List[PolyExpr]:
         """Sum of <coefficient>*e<k> terms as a length-dim coefficient list."""
-        coeffs = [PolyExpr.constant(0)] * dim
+        coeffs = [_ZERO] * dim
         for sign, (k, coef) in self.signed_terms(lambda: self.parse_linterm(dim)):
             coeffs[k - 1] = coeffs[k - 1] + coef if sign > 0 else coeffs[k - 1] - coef
         self.expect_end()
@@ -515,6 +546,8 @@ def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
     matrices: Dict[str, MatrixQ] = {}
     current: Optional[_EntryBuilder] = None
     idx = 0
+    # one object per distinct coefficient polynomial of this text
+    shared: Dict[PolyExpr, PolyExpr] = {}
 
     def close_current():
         nonlocal current
@@ -633,9 +666,12 @@ def _scan(text: str) -> Tuple[List[CorpusEntry], Dict[str, MatrixQ]]:
                     i_tok.column,
                 )
             p.expect_op("=")
-            coeffs = p.parse_linexpr(current.dim)
+            # an untouched slot is the shared zero already: only the others are looked up
+            coeffs = [c if c is _ZERO else shared.setdefault(c, c)
+                      for c in p.parse_linexpr(current.dim)]
             for poly in coeffs:
-                _check_declared(poly, current.params, p.tokens)
+                if poly is not _ZERO:  # the zero names no parameter
+                    _check_declared(poly, current.params, p.tokens)
             current.seen_pairs[(i, j)] = line.number
             current.brackets.append(Bracket(i, j, tuple(coeffs)))
 
@@ -705,30 +741,18 @@ def serialize_corpus(entries: Iterable[CorpusEntry]) -> str:
 
 _REAL_NUMERATOR_BOUND = 12
 _REAL_DENOMINATOR_BOUND = 4
-_SIGN_VALUES = (Fraction(-1), Fraction(0), Fraction(1))
+#: every grid denominator divides it, so p * (_GRID_LCM // q) orders the grid's p/q exactly
+_GRID_LCM = math.lcm(*range(1, _REAL_DENOMINATOR_BOUND + 1))
+_SIGN_VALUES = ((-1, 1), (0, 1), (1, 1))
 _SAMPLE_ATTEMPTS = 8000
 
 
-def _admissible(entry: CorpusEntry, env: Mapping[str, Fraction]) -> bool:
-    return all(c.satisfied(env) for c in entry.constraints)
+def _sample_pairs(entry: CorpusEntry, seed: int = 1, k: int = 3) -> List[Dict[str, _Pair]]:
+    """`sample_parameters` on exact integer pairs: each value a reduced (p, q), q > 0.
 
-
-def sample_parameters(
-    entry: CorpusEntry, seed: int = 1, k: int = 3
-) -> List[Dict[str, Fraction]]:
-    """Draw up to k distinct admissible assignments, deterministically.
-
-    The generator is seeded from (entry id, seed), so reports are
-    reproducible run to run.  Real parameters range over the rational grid
-    p/q with |p| <= 12, 1 <= q <= 4; sign parameters over {-1, 0, 1}; the
-    entry's constraints then filter by rejection.  Alternate proposals are
-    confined to [-1, 1] and sorted decreasing across the real parameters,
-    so chained range constraints like -1 <= d <= c <= b <= a <= 1 are hit
-    often enough to survive rejection.  Raises CorpusError when no
-    admissible assignment exists in the grid; returns fewer than k when
-    the admissible set is smaller than k (e.g. a single sign parameter).
-    No key is checked twice, and an entry whose parameters are all signs
-    stops drawing once all 3^m keys have been tried.
+    A real value is drawn by the same `randint`s and reduced by its gcd, so equal
+    values are equal keys; alternate proposals are sorted decreasing by the integer
+    key p * (_GRID_LCM // q); constraints are tested by `Constraint._holds`.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -739,31 +763,30 @@ def sample_parameters(
     real_names = [name for name, kind in entry.params if kind == "real"]
     # a sign-only domain is finite: once every key is tried, no draw can add one
     domain = None if real_names else len(_SIGN_VALUES) ** len(entry.params)
-    found: List[Dict[str, Fraction]] = []
+    found: List[Dict[str, _Pair]] = []
     tried = set()
     for attempt in range(_SAMPLE_ATTEMPTS):
         env = {}
         for name, kind in entry.params:
             if kind == "sign":
                 env[name] = rng.choice(_SIGN_VALUES)
-            elif attempt % 2:
-                den = rng.randint(1, _REAL_DENOMINATOR_BOUND)
-                env[name] = Fraction(rng.randint(-den, den), den)
+                continue
+            if attempt % 2:
+                q = rng.randint(1, _REAL_DENOMINATOR_BOUND)
+                p = rng.randint(-q, q)
             else:
-                env[name] = Fraction(
-                    rng.randint(-_REAL_NUMERATOR_BOUND, _REAL_NUMERATOR_BOUND),
-                    rng.randint(1, _REAL_DENOMINATOR_BOUND),
-                )
+                p = rng.randint(-_REAL_NUMERATOR_BOUND, _REAL_NUMERATOR_BOUND)
+                q = rng.randint(1, _REAL_DENOMINATOR_BOUND)
+            g = math.gcd(p, q)
+            env[name] = (p // g, q // g)
         if attempt % 2:
-            for name, value in zip(
-                real_names, sorted((env[n] for n in real_names), reverse=True)
-            ):
-                env[name] = value
-        key = tuple(env[name] for name, _ in entry.params)
+            ordered = sorted((env[n] for n in real_names), key=lambda v: -v[0] * (_GRID_LCM // v[1]))
+            env.update(zip(real_names, ordered))
+        key = tuple(env.values())
         if key in tried:
             continue
         tried.add(key)
-        if _admissible(entry, env):
+        if all(c._holds(env) for c in entry.constraints):
             found.append(env)
             if len(found) == k:
                 return found
@@ -777,38 +800,85 @@ def sample_parameters(
     return found
 
 
-def instantiate(entry: CorpusEntry, assignment: Mapping[str, Fraction]) -> LieAlgebra:
-    """Build the exact Lie algebra for one admissible parameter assignment.
+def sample_parameters(entry: CorpusEntry, seed: int = 1, k: int = 3) -> List[Dict[str, Fraction]]:
+    """Draw up to k distinct admissible assignments, deterministically.
 
-    Values are exact rationals (int, Fraction or str); a float is a TypeError.
-    Zero coefficients are skipped and constants read as they are; the entry's shape
-    is checked here, so the exact values skip the constructor's check (`_of_terms`).
+    The generator is seeded from (entry id, seed), so reports are
+    reproducible run to run.  Real parameters range over the rational grid
+    p/q with |p| <= 12, 1 <= q <= 4; sign parameters over {-1, 0, 1}; the
+    entry's constraints then filter by rejection.  Alternate proposals are
+    confined to [-1, 1] and sorted decreasing across the real parameters,
+    so chained range constraints like -1 <= d <= c <= b <= a <= 1 are hit
+    often enough to survive rejection.  Raises CorpusError when no
+    admissible assignment exists in the grid; returns fewer than k when
+    the admissible set is smaller than k (e.g. a single sign parameter).
+    No key is checked twice, and an entry whose parameters are all signs
+    stops drawing once all 3^m keys have been tried.
+
+    Every draw is made and tested in integers (`_sample_pairs`): values are
+    reduced (numerator, denominator) pairs, each constraint is tested once per
+    key by cross-multiplying (`Constraint._holds`), and Fractions are built
+    only for the assignments returned.
     """
-    env = {name: _as_rational(assignment[name]) for name in entry.param_names
-           if name in assignment}
+    return [{n: Fraction(p, q) for n, (p, q) in env.items()} for env in _sample_pairs(entry, seed, k)]
+
+
+def _checked_pairs(entry: CorpusEntry, assignment: Mapping[str, Fraction]) -> Dict[str, _Pair]:
+    """The assignment as reduced (numerator, denominator) pairs, once its names are the
+    entry's parameters and it meets every constraint."""
+    env = _pairs({name: _as_rational(assignment[name]) for name in entry.param_names
+                  if name in assignment})
     missing = [name for name in entry.param_names if name not in env]
     if missing:
-        raise CorpusError(
-            f"missing value for parameter '{missing[0]}' of entry {entry.id}"
-        )
+        raise CorpusError(f"missing value for parameter '{missing[0]}' of entry {entry.id}")
     extra = sorted(set(assignment) - set(entry.param_names))
     if extra:
         raise CorpusError(f"unknown parameter '{extra[0]}' for entry {entry.id}")
     for constraint in entry.constraints:
-        if not constraint.satisfied(env):
+        if not constraint._holds(env):
             raise ConstraintViolation(
                 f"assignment violates constraint '{constraint.source or constraint}'"
                 f" of entry {entry.id}",
                 constraint,
             )
+    return env
+
+
+def _build(entry: CorpusEntry, env: Mapping[str, _Pair]) -> LieAlgebra:
+    """The algebra of entry at env, name -> (p, q) with q > 0, whose constraints the
+    caller has checked; only the entry's shape is checked here.
+
+    Each coefficient is evaluated by `PolyExpr._pair_value` (a constant's value is
+    its own numerator and denominator) and reduced by its gcd, and zeros are
+    skipped; _den is the lcm of the reduced denominators, so the integer tensor
+    goes to `LieAlgebra._of_ints` with no Fraction built.
+    """
     n, brackets = entry.dim, entry.brackets
     if not 1 <= n <= MAX_DIM or any(not 1 <= i < j <= n or len(c) != n for i, j, c in brackets):
         raise CorpusError(f"entry {entry.id} has a dimension or bracket out of range")
-    terms = {}
+    den, values = 1, {}
     for i, j, coeffs in brackets:
-        ts = [(k, poly.evaluate(env)) for k, poly in enumerate(coeffs) if poly.terms]
-        terms[(i - 1, j - 1)] = [(k, c) for k, c in ts if c]
-    return LieAlgebra._of_terms(n, terms)
+        ts = values[(i - 1, j - 1)] = []
+        for k, poly in enumerate(coeffs):
+            if poly.terms:
+                p, q = poly._pair_value(env)
+                if p:
+                    g = math.gcd(p, q)
+                    ts.append((k, p // g, q // g))
+                    den = math.lcm(den, q // g)
+    return LieAlgebra._of_ints(n, den, {ij: [(k, p * (den // q)) for k, p, q in ts]
+                                        for ij, ts in values.items()})
+
+
+def instantiate(entry: CorpusEntry, assignment: Mapping[str, Fraction]) -> LieAlgebra:
+    """Build the exact Lie algebra for one admissible parameter assignment.
+
+    Values are exact rationals (int, Fraction or str); a float is a TypeError.  The
+    names and constraints are checked on the values' integer (numerator, denominator)
+    pairs, and the entry's shape by `_build`, which evaluates the brackets on those
+    pairs into the integer tensor, so the exact values skip the constructor's check.
+    """
+    return _build(entry, _checked_pairs(entry, assignment))
 
 
 # --------------------------------------------------------------------------
@@ -916,10 +986,15 @@ class VerificationReport:
         return "".join(r.to_line() + "\n" for r in self.records)
 
 
-def _assignment_text(entry: CorpusEntry, env: Mapping[str, Fraction]) -> str:
+def _assignment_text(entry: CorpusEntry, env: Mapping[str, object]) -> str:
     if not entry.params:
         return "-"
     return ",".join(f"{name}={env[name]}" for name in entry.param_names)
+
+
+def _pair_text(entry: CorpusEntry, env: Mapping[str, _Pair]) -> str:
+    """`_assignment_text` of the Fractions of reduced pairs, as `str(Fraction)` writes them."""
+    return _assignment_text(entry, {name: p if q == 1 else f"{p}/{q}" for name, (p, q) in env.items()})
 
 
 @lru_cache(maxsize=MAX_DIM)
@@ -956,9 +1031,8 @@ def _derivation_of_reference(g: LieAlgebra, reference: LieAlgebra) -> bool:
 
 
 def _verify_one(
-    entry: CorpusEntry, env: Mapping[str, Fraction], span: Subspace
+    entry: CorpusEntry, label: str, env: Mapping[str, _Pair], span: Subspace
 ) -> List[ClaimRecord]:
-    label = _assignment_text(entry, env)
     records: List[ClaimRecord] = []
 
     def record(claim: str, ok: bool, detail: str = "-"):
@@ -966,7 +1040,7 @@ def _verify_one(
             ClaimRecord(entry.id, label, claim, "pass" if ok else "fail", detail)
         )
 
-    g = instantiate(entry, env)
+    g = _build(entry, env)
     n, ref = entry.dim, entry.nilradical_ref
     # [g, g] is spanned by the brackets, so it lies in span(e1..e_{n-1}) exactly
     # when no bracket has a term at e_n
@@ -1081,13 +1155,19 @@ def verify_entry(
     nilradical_table is then compared on the term table by the same `_extends`
     (the predicate that restricting g to the span and comparing with the
     table decides), with the same details.
+
+    Sampled points come from the sampler as integer pairs, whose constraints it
+    has tested, and are built with no second test; explicit assignments are
+    labelled as given and checked, one at a time, as `instantiate` checks them.
     """
     if assignments is None:
-        assignments = sample_parameters(entry, seed=seed, k=k)
+        points = [(_pair_text(entry, env), env) for env in _sample_pairs(entry, seed, k)]
+    else:
+        points = ((_assignment_text(entry, env), _checked_pairs(entry, env)) for env in assignments)
     span = _nilradical_span(entry.dim)  # one per dim, shared by every assignment
     records: List[ClaimRecord] = []
-    for env in assignments:
-        records.extend(_verify_one(entry, env, span))
+    for label, env in points:
+        records.extend(_verify_one(entry, label, env, span))
     return VerificationReport(tuple(records))
 
 

@@ -15,13 +15,16 @@ and the nilradical's words and trace rows run on the integer tensor as it is.
 that return values divide once: `structure_constant`, `bracket`, `ad_basis`
 and `ad_matrix` by `_den`, the Jacobi residual and the Killing form by _den^2;
 `restrict` and `change_basis` fold it into their own denominators and hand the
-constructor exact terms.  The tensor is built by `LieAlgebra._of_terms`.  Only
-the public constructor checks each entry (`_vec`): `change_basis` and
-`restrict` make exact terms from integer rows, one Fraction per constant, and
-`corpus.instantiate` from parsed polynomials.  Brackets run over the nonzero
-coordinates of their arguments only.  The Jacobi check, the centre (one sparse
-row {i: c_ij^k} per (j, k)) and the Killing form (sum of c_ik^l c_jl^k)
-contract the tensor directly, without forming any bracket or adjoint matrix.
+constructor exact terms.  The tensor is built from exact terms by
+`LieAlgebra._of_terms`, the one entry point for `Fraction` terms, and from
+integers by `LieAlgebra._of_ints`.  Only the public constructor checks each
+entry (`_vec`): `change_basis` and `restrict` make exact terms from integer
+rows, one Fraction per constant, and `corpus.instantiate` hands the integer
+tensor of its parsed polynomials' values straight to `_of_ints`.  Brackets run
+over the nonzero coordinates of their arguments only.  The Jacobi check, the
+centre (one sparse row {i: c_ij^k} per (j, k)) and the Killing form (sum of
+c_ik^l c_jl^k) contract the tensor directly, without forming any bracket or
+adjoint matrix.
 
 The nilradical search forms no matrix when [g, g] has codimension 1: N is
 then [g, g] unless g is nilpotent.  Otherwise it grows words in ad(T), T the
@@ -111,7 +114,8 @@ class LieAlgebra:
 
     Table entries and the vectors passed to `bracket` and `ad_matrix` are
     exact rationals (int, Fraction or str); a float or a QuadExt is a
-    TypeError.  `change_basis`, `restrict` and `instantiate` skip that check (`_of_terms`).
+    TypeError.  `change_basis`, `restrict` and `instantiate` skip that check
+    (`_of_terms`, `_of_ints`).
     """
 
     __slots__ = (
@@ -132,6 +136,13 @@ class LieAlgebra:
         MAX_DIM, i < j < dim, k increasing below dim, each c a nonzero int or Fraction."""
         return cls.__new__(cls)._set_terms(dim, terms)
 
+    @classmethod
+    def _of_ints(cls, dim: int, den: int, terms: Dict[Tuple[int, int], list]) -> "LieAlgebra":
+        """The algebra of the integer tensor {(i, j): [(k, den c_ij^k), ...]} over den,
+        unchecked as `_of_terms`: each value a nonzero int, den > 0 the lcm of the
+        constants' denominators."""
+        return cls.__new__(cls)._store(dim, den, terms)
+
     def _set_terms(self, dim: int, terms: Dict[Tuple[int, int], list]) -> "LieAlgebra":
         """Store the constants as one integer tensor over one denominator.
 
@@ -139,12 +150,18 @@ class LieAlgebra:
         and _terms[i][j] holds the nonzero (k, _den c_ij^k) of [e_i, e_j] in both
         orders, every one an int.
         """
-        self.dim = dim
-        den = self._den = math.lcm(*[c.denominator for ts in terms.values() for _, c in ts])
+        den = math.lcm(*[c.denominator for ts in terms.values() for _, c in ts])
+        return self._store(dim, den, {ij: [(k, c.numerator * (den // c.denominator)) for k, c in ts]
+                                      for ij, ts in terms.items()})
+
+    def _store(self, dim: int, den: int, terms: Dict[Tuple[int, int], list]) -> "LieAlgebra":
+        """Keep the integer tensor {(i, j): [(k, den c_ij^k), ...]}, i < j, as _terms in
+        both orders over _den = den, and clear the cached invariants."""
+        self.dim, self._den = dim, den
         full: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * dim for _ in range(dim)]
         for (i, j), ts in terms.items():
-            full[i][j] = tuple((k, c.numerator * (den // c.denominator)) for k, c in ts)
-            full[j][i] = tuple((k, -c) for k, c in full[i][j])
+            full[i][j] = tuple(ts)
+            full[j][i] = tuple((k, -c) for k, c in ts)
         self._terms = full
         # invariants (the Jacobi check, a series profile, [g, g], the nilradical), each
         # computed on first use

@@ -716,20 +716,20 @@ def test_sample_returns_fewer_when_domain_small():
 
 
 def test_sample_stops_once_sign_domain_exhausted(monkeypatch):
-    import lieq.corpus as corpus
-
+    # every entry here has one constraint, so each key checked is one call of the
+    # integer predicate that decides admissibility
     calls = []
-    original = corpus._admissible
+    original = Constraint._holds
 
-    def counting(entry, env):
+    def counting(constraint, env):
         calls.append(dict(env))
-        return original(entry, env)
+        return original(constraint, env)
 
-    monkeypatch.setattr(corpus, "_admissible", counting)
+    monkeypatch.setattr(Constraint, "_holds", counting)
     (square, _, _) = parse_corpus(SIGN_BLOCKS)
     assert len(sample_parameters(square, seed=1, k=5)) == 2
     # each of the 3 keys is checked once; no draw after all 3 were tried
-    assert len(calls) <= 3
+    assert 2 <= len(calls) <= 3
     assert len({env["eps"] for env in calls}) == len(calls)
 
     calls.clear()
@@ -740,9 +740,204 @@ def test_sample_stops_once_sign_domain_exhausted(monkeypatch):
     (entry,) = parse_corpus(text)
     with pytest.raises(CorpusError, match=r"entry no-signs-fit after (\d+) draws") as info:
         sample_parameters(entry, seed=1, k=3)
-    assert len(calls) <= 3**2
+    assert 0 < len(calls) <= 3**2
     draws = int(re.search(r"after (\d+) draws", str(info.value)).group(1))
     assert len(calls) <= draws < 8000
+
+
+def _fraction_value(poly, env):
+    """poly at env, name -> Fraction, summed term by term in Fractions."""
+    total = Fraction(0)
+    for mono, coef in poly.terms:
+        for name, exp in mono:
+            coef *= env[name] ** exp
+        total += coef
+    return total
+
+
+_FRACTION_OPS = {"<=": lambda a, b: a <= b, "<": lambda a, b: a < b,
+                 "=": lambda a, b: a == b, "!=": lambda a, b: a != b}
+
+
+def _fraction_sample(entry, seed, k):
+    """The parameter sampler on Fractions: its draws, sort and rejection, as a reference
+    for the integer sampler behind sample_parameters."""
+    if not entry.params:
+        return [{}]
+    digest = hashlib.sha256(f"{entry.id}|{seed}".encode()).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    signs = (Fraction(-1), Fraction(0), Fraction(1))
+    real_names = [name for name, kind in entry.params if kind == "real"]
+    domain = None if real_names else 3 ** len(entry.params)
+    found, tried = [], set()
+    for attempt in range(8000):
+        env = {}
+        for name, kind in entry.params:
+            if kind == "sign":
+                env[name] = rng.choice(signs)
+            elif attempt % 2:
+                den = rng.randint(1, 4)
+                env[name] = Fraction(rng.randint(-den, den), den)
+            else:
+                env[name] = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        if attempt % 2:
+            for name, value in zip(real_names, sorted((env[n] for n in real_names), reverse=True)):
+                env[name] = value
+        key = tuple(env[name] for name, _ in entry.params)
+        if key in tried:
+            continue
+        tried.add(key)
+        if all(_FRACTION_OPS[c.op](_fraction_value(c.lhs, env), _fraction_value(c.rhs, env))
+               for c in entry.constraints):
+            found.append(env)
+            if len(found) == k:
+                return found
+        if len(tried) == domain:
+            break
+    if not found:
+        raise CorpusError(f"no admissible parameter assignment found for entry {entry.id} "
+                          f"after {attempt + 1} draws")
+    return found
+
+
+SAMPLER_BLOCKS = SIGN_BLOCKS + """
+algebra signs-and-reals
+dim 3
+param s : sign
+param a : real
+param t : sign
+param b : real
+constraint a != b
+constraint s*t != 0
+constraint a^2+b^2 != 0
+bracket e1 e3 = (s*a+b)*e1
+bracket e2 e3 = t*e2
+
+algebra on-a-line
+dim 2
+param a : real
+param b : real
+constraint 3*a = 2*b
+constraint a != 0
+bracket e1 e2 = (a-b)*e1
+
+algebra chained
+dim 6
+param a : real
+param b : real
+param c : real
+param d : real
+constraint -1 <= d
+constraint d <= c
+constraint c <= b
+constraint b <= a
+constraint a <= 1
+constraint a*b*c*d != 0
+bracket e1 e6 = a*e1
+bracket e2 e6 = b*e2
+bracket e3 e6 = c*e3
+bracket e4 e6 = d*e4
+
+algebra two-signs
+dim 2
+param s : sign
+param t : sign
+constraint s < t
+bracket e1 e2 = s*e1
+"""
+
+# grids with no admissible point: all signs, and reals that never reach 1/5
+EXHAUSTED_BLOCKS = """algebra no-signs-fit
+dim 2
+param s : sign
+param t : sign
+constraint s^2+t^2 = 3
+bracket e1 e2 = s*e1
+
+algebra off-the-grid
+dim 2
+param a : real
+param b : real
+constraint 5*a = 1
+bracket e1 e2 = (a+b)*e1
+"""
+
+
+def test_sample_draws_match_the_fraction_sampler():
+    """sample_parameters, drawn and tested in integers, returns the Fraction sampler's
+    assignments on every appendix-A and appendix-B entry at seeds 1-3 and on synthetic
+    entries: signs only, mixed with reals, = and != constraints, a chain
+    -1 <= d <= c <= b <= a <= 1; where the grid has no admissible point it raises the
+    same error after the same number of draws."""
+    entries = [*packaged_corpus("appendix_a.lalg"), *packaged_corpus("appendix_b.lalg")]
+    for entry in entries:
+        for seed in (1, 2, 3):
+            assert sample_parameters(entry, seed=seed, k=3) == _fraction_sample(entry, seed, 3), entry.id
+    for entry in parse_corpus(SAMPLER_BLOCKS):
+        for seed in (1, 2, 3, 4, 5):
+            for k in (1, 3, 7):
+                got = sample_parameters(entry, seed=seed, k=k)
+                assert got == _fraction_sample(entry, seed, k), (entry.id, seed, k)
+                assert all(type(v) is Fraction for env in got for v in env.values())
+    for entry in parse_corpus(EXHAUSTED_BLOCKS):
+        with pytest.raises(CorpusError) as expected:
+            _fraction_sample(entry, 1, 3)
+        with pytest.raises(CorpusError) as got:
+            sample_parameters(entry, seed=1, k=3)
+        assert str(got.value) == str(expected.value)
+    assert "after 8000 draws" in str(got.value)
+
+
+def test_sampled_points_build_the_instantiated_algebra():
+    """At every seed-1 sampled point of appendices A and B, the builder the verify path
+    runs on the sampler's integer pairs gives the algebra, and the _den, of public
+    instantiate on the returned Fractions and of exact terms evaluated in Fractions."""
+    count = 0
+    for entry in [*packaged_corpus("appendix_a.lalg"), *packaged_corpus("appendix_b.lalg")]:
+        for pairs in corpus._sample_pairs(entry, 1, 3):
+            env = {name: Fraction(p, q) for name, (p, q) in pairs.items()}
+            built = corpus._build(entry, pairs)
+            public = instantiate(entry, env)
+            values = {(i - 1, j - 1): [(k, _fraction_value(c, env)) for k, c in enumerate(coeffs)]
+                      for i, j, coeffs in entry.brackets}
+            exact = LieAlgebra._of_terms(entry.dim, {ij: [(k, c) for k, c in ts if c]
+                                                     for ij, ts in values.items()})
+            assert built == public == exact, entry.id
+            assert built._den == public._den == exact._den, entry.id
+            count += 1
+    assert count == 1641
+
+
+def test_verify_checks_each_sampled_point_once(monkeypatch):
+    """verify_entry tests a sampled point's constraints in the sampler only: it makes
+    no more constraint tests than drawing the same points does."""
+    calls = []
+    original = Constraint._holds
+
+    def counting(constraint, env):
+        calls.append(constraint)
+        return original(constraint, env)
+
+    monkeypatch.setattr(Constraint, "_holds", counting)
+    for entry in [*parse_corpus(EXAMPLE_BLOCK), *parse_corpus(SAMPLER_BLOCKS)]:
+        calls.clear()
+        points = sample_parameters(entry, seed=3, k=3)
+        drawn = len(calls)
+        calls.clear()
+        report = verify_entry(entry, seed=3, k=3)
+        assert drawn > 0 and len(calls) == drawn, entry.id
+        assert len({r.assignment for r in report.records}) == len(points)
+
+
+def test_verify_checks_explicit_assignments():
+    (entry,) = parse_corpus(EXAMPLE_BLOCK)
+    good = {"a": Fraction(1), "b": Fraction(1, 2)}
+    for bad, source in (({"a": Fraction(0), "b": Fraction(0)}, "b^2+a^2 != 0"),
+                        ({"a": Fraction(0), "b": Fraction(1)}, "b <= a")):
+        with pytest.raises(ConstraintViolation, match=re.escape(f"'{source}' of entry")) as info:
+            verify_entry(entry, assignments=[good, bad])
+        assert info.value.constraint.source == source
+    assert verify_entry(entry, [good, {"a": "2/4", "b": 0}]).records[-1].assignment == "a=2/4,b=0"
 
 
 def test_sample_rejects_bad_k():
